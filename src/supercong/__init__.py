@@ -1,7 +1,7 @@
 """Verification engine for binomial-sum supercongruences mod p^2 and p^3.
 
-Exact arithmetic over Z/p^e with p-adic valuation tracking, evaluators for
-the truncated sums sum_k C(2k,k) C(a,k) C(-1-a,k) x^k and for Legendre
+Exact arithmetic over Z/p^e, one division-free kernel for the truncated
+hypergeometric sums sum_k C(2k,k) C(a,k) C(-1-a,k) x^k and for Legendre
 polynomials mod p, checkers for the associated congruence statements, exact
 big-rational oracles, and a prime-sweeping CLI.
 """
@@ -21,7 +21,6 @@ from .congruences import (
     core_sum,
     explore_remark_2_3,
     family_sum,
-    family_sum_via_tables,
     plain_sum,
 )
 from .errors import (
@@ -51,6 +50,7 @@ from .modring import (
     QuadExtElem,
     ResidueZ,
     ValuedResidue,
+    hyper_sum,
     is_prime,
     legendre_symbol,
     make_context,

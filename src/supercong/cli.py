@@ -172,7 +172,11 @@ def _explore_for_prime(p: int) -> dict:
     return cg.explore_remark_2_3(p).as_dict()
 
 
-def _family_residue(p: int, tag: cg.FamilyTag, x: Fraction, e: int) -> Tuple[int, int]:
+def _family_residue(
+    p: int, tag: cg.FamilyTag, x: Fraction, e: int
+) -> Tuple[int, Optional[int]]:
+    if x.denominator % p == 0:  # x is not p-integral: no residue at this prime
+        return p, None
     ctx = make_context(p, e)
     return p, cg.family_sum(tag, x, ctx).value
 
@@ -181,14 +185,17 @@ def _report_sort_key(d: dict):
     return (d["p"], d["theorem"], tuple(sorted(d["params"].items())))
 
 
-def _resolve_jobs(jobs: Optional[int]) -> int:
+def _resolve_jobs(jobs: Optional[int], n_items: int) -> int:
+    """Worker count: the request (default all cores), at most the core count
+    and the number of items, at least 1."""
+    cores = os.cpu_count() or 1
     if jobs is None:
-        jobs = os.cpu_count() or 1
-    return max(1, jobs)
+        jobs = cores
+    return max(1, min(jobs, cores, n_items))
 
 
 def _parallel_map(fn, items: Sequence, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
+    if jobs <= 1:
         return [fn(item) for item in items]
     # Small contiguous chunks keep the workers balanced when per-item cost
     # grows along the list (larger primes later); output order is restored
@@ -208,7 +215,7 @@ def run_checks(
     """Run one theorem's checker over primes, in parallel, sorted output."""
     min_p = _THEOREM_MIN_P.get(theorem, 3)
     qualifying = [p for p in primes if p >= min_p]
-    jobs = _resolve_jobs(jobs)
+    jobs = _resolve_jobs(jobs, len(qualifying))
     log.info(
         "checking %s over %d prime(s) with %d job(s)", theorem, len(qualifying), jobs
     )
@@ -226,7 +233,7 @@ def run_exploration(
 ) -> List[dict]:
     """remark2.3 residues mod p^3 over the qualifying primes (p = 5 mod 6)."""
     qualifying = [p for p in primes if p % 6 == 5]
-    jobs = _resolve_jobs(jobs)
+    jobs = _resolve_jobs(jobs, len(qualifying))
     log.info("exploring remark2.3 over %d prime(s)", len(qualifying))
     reports = _parallel_map(_explore_for_prime, qualifying, jobs)
     reports.sort(key=_report_sort_key)
@@ -239,12 +246,16 @@ def sweep_family(
     primes: Sequence[int],
     e: int = 2,
     jobs: Optional[int] = None,
-) -> List[Tuple[int, int]]:
-    """One family sum at fixed x for every prime; (p, residue) pairs."""
-    jobs = _resolve_jobs(jobs)
+) -> List[Tuple[int, Optional[int]]]:
+    """One family sum at fixed x for every prime; (p, residue) pairs.
+
+    The residue is None at a prime dividing the denominator of x.
+    """
+    primes = list(primes)
+    jobs = _resolve_jobs(jobs, len(primes))
     fn = partial(_family_residue, tag=tag, x=Fraction(x), e=e)
-    out = _parallel_map(fn, list(primes), jobs)
-    out.sort()
+    out = _parallel_map(fn, primes, jobs)
+    out.sort(key=lambda pair: pair[0])
     return out
 
 

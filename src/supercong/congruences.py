@@ -1,8 +1,8 @@
 """Truncated binomial-product sums over Z/p^e and the congruence checkers.
 
-Sums iterate k with incremental term updates (falling products, power of x,
-and per-family factorial ratios) on plain machine integers; stripped
-p-valuations keep every value exact mod p^e.  Checkers wrap the sums into
+Every sum is a term-ratio spec (constant, linear factors in k, power of k in
+the denominator) evaluated by the division-free kernel
+:func:`~supercong.modring.hyper_sum`.  Checkers wrap the sums into
 :class:`CheckReport` records whose status follows one fixed rule.
 """
 
@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 from .binomtab import ap_of
 from .errors import (
@@ -24,7 +24,14 @@ from .errors import (
     ZeroM,
 )
 from .legendre import legendre_square_at_sqrt
-from .modring import PrimeContext, Rational, ResidueZ, make_context, reduce_rational
+from .modring import (
+    PrimeContext,
+    Rational,
+    ResidueZ,
+    hyper_sum,
+    make_context,
+    reduce_rational,
+)
 
 
 class FamilyTag(enum.Enum):
@@ -33,17 +40,22 @@ class FamilyTag(enum.Enum):
     Each family numerator equals C(2k,k) C(a,k) C(-1-a,k) scale^k for its
     (a, scale) pair, which is what makes family_sum(f, x) == core_sum(a_f,
     scale_f * x) a cross-check between two independent computation paths.
+    ``const`` and ``factors`` give the term ratio N_f(k) / N_f(k-1) =
+    const * prod (s k + r) / k^3, from cancelling the even factorial factors.
     """
 
-    CUBE = ("cube", Fraction(-1, 2), 16)
-    TWO_THREE = ("two_three", Fraction(-1, 3), 27)
-    TWO_FOUR = ("two_four", Fraction(-1, 4), 64)
-    THREE_SIX = ("three_six", Fraction(-1, 6), 432)
+    CUBE = ("cube", Fraction(-1, 2), 16, 8, ((2, -1), (2, -1), (2, -1)))
+    TWO_THREE = ("two_three", Fraction(-1, 3), 27, 6, ((2, -1), (3, -1), (3, -2)))
+    TWO_FOUR = ("two_four", Fraction(-1, 4), 64, 8, ((4, -1), (2, -1), (4, -3)))
+    THREE_SIX = ("three_six", Fraction(-1, 6), 432, 8, ((6, -1), (6, -3), (6, -5)))
 
-    def __init__(self, label: str, a: Fraction, scale: int) -> None:
+    def __init__(self, label: str, a: Fraction, scale: int, const: int,
+                 factors: Tuple[Tuple[int, int], ...]) -> None:
         self.label = label
         self.a = a
         self.scale = scale
+        self.const = const
+        self.factors = factors
 
     def numerator(self, k: int) -> int:
         """Exact integer numerator of the k-th term."""
@@ -56,147 +68,42 @@ class FamilyTag(enum.Enum):
         return comb(2 * k, k) * comb(3 * k, k) * comb(6 * k, 3 * k)
 
 
-# Term ratio N_k / N_{k-1} = const * (c1*k-d1)(c2*k-d2)(c3*k-d3) / k^3,
-# obtained by cancelling the even factorial factors.
-_RATIO: Dict[FamilyTag, Tuple[int, int, int, int, int, int, int]] = {
-    FamilyTag.CUBE: (8, 2, 1, 2, 1, 2, 1),
-    FamilyTag.TWO_THREE: (6, 2, 1, 3, 1, 3, 2),
-    FamilyTag.TWO_FOUR: (8, 4, 1, 2, 1, 4, 3),
-    FamilyTag.THREE_SIX: (8, 6, 1, 6, 3, 6, 5),
-}
-
-# Largest factorial index a family numerator reaches, as a multiple of k.
-_MAX_FACTOR: Dict[FamilyTag, int] = {
-    FamilyTag.CUBE: 2,
-    FamilyTag.TWO_THREE: 3,
-    FamilyTag.TWO_FOUR: 4,
-    FamilyTag.THREE_SIX: 6,
-}
+def _pair_factors(a: Rational, ctx: PrimeContext) -> Tuple[Tuple[int, int], ...]:
+    """(a-k+1)(-a-k): the ratio factors of C(a,k) C(-1-a,k), over k^2."""
+    ah = reduce_rational(a, ctx).value
+    return (-1, ah + 1), (-1, -ah)
 
 
 def core_sum(a: Rational, x: Rational, ctx: PrimeContext) -> ResidueZ:
     """sum_{k=0}^{p-1} C(2k,k) C(a,k) C(-1-a,k) x^k mod p^e.
 
-    C(2k,k) comes stripped from the factorial tables; the rational binomials
-    are falling products of residues divided by the unit k!.  At e == 1 the
-    tail k > (p-1)/2 vanishes (p | C(2k,k)) and is skipped.
+    Term ratio 2(2k-1)(a-k+1)(-a-k) x / k^3.  At e == 1 the tail
+    k > (p-1)/2 vanishes (p | 2k-1 at k = (p+1)/2), and the kernel stops
+    there.
     """
-    x = Fraction(x)
-    m, p, e = ctx.modulus, ctx.p, ctx.e
-    ah = reduce_rational(Fraction(a), ctx).value
-    ch = (m - 1 - ah) % m
+    factors = ((2, -1), *_pair_factors(a, ctx))
     xh = reduce_rational(x, ctx).value
-    fu, ifu = ctx.fact_units, ctx.inv_fact_units
-    total = 1
-    fall_a = 1
-    fall_c = 1
-    xpow = 1
-    kmax = p - 1 if e > 1 else (p - 1) // 2
-    for k in range(1, kmax + 1):
-        fall_a = fall_a * (ah - k + 1) % m
-        fall_c = fall_c * (ch - k + 1) % m
-        xpow = xpow * xh % m
-        ifk = ifu[k]
-        ifk2 = ifk * ifk % m
-        t = fu[2 * k] * ifk2 % m * ifk2 % m
-        t = t * fall_a % m * fall_c % m * xpow % m
-        if 2 * k >= p:  # the single p factor of (2k)!
-            t = t * p % m
-        total = (total + t) % m
-    return ResidueZ(total, ctx)
+    return ResidueZ(hyper_sum(2 * xh, factors, 3, ctx.p - 1, ctx), ctx)
 
 
 def plain_sum(a: Rational, x: Rational, ctx: PrimeContext) -> ResidueZ:
-    """sum_{k=0}^{p-1} C(a,k) C(-1-a,k) x^k mod p^e."""
-    x = Fraction(x)
-    m = ctx.modulus
-    ah = reduce_rational(Fraction(a), ctx).value
-    ch = (m - 1 - ah) % m
+    """sum_{k=0}^{p-1} C(a,k) C(-1-a,k) x^k mod p^e.
+
+    Term ratio (a-k+1)(-a-k) x / k^2.
+    """
+    factors = _pair_factors(a, ctx)
     xh = reduce_rational(x, ctx).value
-    ifu = ctx.inv_fact_units
-    total = 1
-    fall_a = 1
-    fall_c = 1
-    xpow = 1
-    for k in range(1, ctx.p):
-        fall_a = fall_a * (ah - k + 1) % m
-        fall_c = fall_c * (ch - k + 1) % m
-        xpow = xpow * xh % m
-        ifk = ifu[k]
-        total = (total + fall_a * fall_c % m * ifk % m * ifk % m * xpow) % m
-    return ResidueZ(total, ctx)
+    return ResidueZ(hyper_sum(xh, factors, 2, ctx.p - 1, ctx), ctx)
 
 
 def family_sum(f: FamilyTag, x: Rational, ctx: PrimeContext) -> ResidueZ:
-    """sum_{k=0}^{p-1} N_f(k) x^k mod p^e by incremental term ratios.
+    """sum_{k=0}^{p-1} N_f(k) x^k mod p^e from the family's term ratio.
 
-    The stripped p-factors of the numerator accumulate in a valuation that
-    never decreases (the ratio denominators k^3 stay units), so the loop can
-    stop as soon as it reaches e.
+    The p-factors of the numerator accumulate in the kernel's term
+    numerator, which stays 0 once they reach p^e, so the loop stops there.
     """
-    xh = reduce_rational(Fraction(x), ctx).value
-    m, p, e = ctx.modulus, ctx.p, ctx.e
-    const, c1, d1, c2, d2, c3, d3 = _RATIO[f]
-    fu, ifu = ctx.fact_units, ctx.inv_fact_units
-    pp = (1, p, p * p)
-    total = 1
-    u = 1
-    v = 0
-    for k in range(1, p):
-        f1 = c1 * k - d1
-        f2 = c2 * k - d2
-        f3 = c3 * k - d3
-        if f1 % p == 0 or f2 % p == 0 or f3 % p == 0:  # rare: strip p factors
-            while f1 % p == 0:
-                f1 //= p
-                v += 1
-            while f2 % p == 0:
-                f2 //= p
-                v += 1
-            while f3 % p == 0:
-                f3 //= p
-                v += 1
-            if v >= e:  # v never decreases, so neither can any later term
-                break
-        w = const * f1 * f2 * f3 % m
-        ik = ifu[k] * fu[k - 1] % m  # 1/k mod p^e
-        ik2 = ik * ik % m
-        u = u * w % m * ik2 % m * ik % m * xh % m
-        total = (total + u * pp[v]) % m
-    return ResidueZ(total, ctx)
-
-
-def family_sum_via_tables(f: FamilyTag, x: Rational, ctx: PrimeContext) -> ResidueZ:
-    """Same sum from extended factorial tables; kept as the second path."""
-    xh = reduce_rational(Fraction(x), ctx).value
-    m, p, e = ctx.modulus, ctx.p, ctx.e
-    fu, fv, ifu = ctx.extended_factorials(_MAX_FACTOR[f] * (p - 1))
-    pp = (1, p, p * p)
-    total = 1
-    xpow = 1
-    for k in range(1, p):
-        xpow = xpow * xh % m
-        ik = ifu[k]
-        if f is FamilyTag.CUBE:
-            u2 = fu[2 * k]
-            ik2 = ik * ik % m
-            u = u2 * u2 % m * u2 % m * ik2 % m * ik2 % m * ik2 % m
-            v = 3 * fv[2 * k]
-        elif f is FamilyTag.TWO_THREE:
-            ik2 = ik * ik % m
-            u = fu[2 * k] * fu[3 * k] % m * ik2 % m * ik2 % m * ik % m
-            v = fv[2 * k] + fv[3 * k]
-        elif f is FamilyTag.TWO_FOUR:
-            ik2 = ik * ik % m
-            u = fu[4 * k] * ik2 % m * ik2 % m
-            v = fv[4 * k]
-        else:
-            u = fu[6 * k] * ifu[3 * k] % m * ik % m * ik % m * ik % m
-            v = fv[6 * k] - fv[3 * k]
-        if v >= e:
-            continue
-        total = (total + u * xpow % m * pp[v]) % m
-    return ResidueZ(total, ctx)
+    xh = reduce_rational(x, ctx).value
+    return ResidueZ(hyper_sum(f.const * xh, f.factors, 3, ctx.p - 1, ctx), ctx)
 
 
 # ---------------------------------------------------------------------------

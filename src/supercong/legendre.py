@@ -4,7 +4,9 @@ Four evaluators: the three-term recurrence, the shifted-argument closed form
 (valid mod p^e through valued binomials), values at square roots in
 F_p[sqrt(d)], and the squared value at sqrt(1+4x), which is a polynomial
 identity and therefore the canonical mod-p^e evaluator (no roots needed).
-An exact-rational coefficient oracle backs them all.
+The squared value runs on the division-free kernel
+:func:`~supercong.modring.hyper_sum`; the other three read the context's
+factorial tables.  An exact-rational coefficient oracle backs them all.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .modring import (
     QuadExtElem,
     Rational,
     ResidueZ,
+    hyper_sum,
     legendre_symbol,
     reduce_rational,
     sqrt_mod_p,
@@ -134,6 +137,7 @@ def legendre_square_at_sqrt(
 
     The right-hand side is a polynomial identity in x, so it evaluates the
     squared value exactly at any e <= 3 without lifting any square root.
+    Its term ratio is 2(2k-1)(n-k+1)(n+k) x / k^3.
     """
     if isinstance(x, ResidueZ):
         ctx = x.ctx
@@ -143,21 +147,8 @@ def legendre_square_at_sqrt(
             raise TypeError("a context is required for rational x")
         xh = reduce_rational(x, ctx).value
     _check_degree(n, ctx)
-    m, p, e = ctx.modulus, ctx.p, ctx.e
-    fu, ifu = ctx.fact_units, ctx.inv_fact_units
-    pp = (1, p, p * p)
-    acc = 1
-    xpow = 1
-    for k in range(1, n + 1):
-        xpow = xpow * xh % m
-        v = (1 if n + k >= p else 0) + (1 if 2 * k >= p else 0)
-        if v >= e:
-            continue
-        ifk = ifu[k]
-        ifk2 = ifk * ifk % m
-        u = fu[n + k] * fu[2 * k] % m * ifk2 % m * ifk2 % m * ifu[n - k] % m
-        acc = (acc + u * xpow % m * pp[v]) % m
-    return ResidueZ(acc, ctx)
+    factors = ((2, -1), (-1, n + 1), (1, n))
+    return ResidueZ(hyper_sum(2 * xh, factors, 3, n, ctx), ctx)
 
 
 def legendre_exact(n: int, bound: int = LEGENDRE_EXACT_BOUND) -> List[Fraction]:

@@ -1,4 +1,5 @@
-"""Exact arithmetic in Z/p^e: canonical residues, p-stripped valuations,
+"""Exact arithmetic in Z/p^e: canonical residues, the division-free
+hypergeometric kernel behind every truncated sum, p-stripped valuations,
 quadratic-residue machinery, and the quadratic extension F_p[sqrt(d)].
 
 Everything is pure and immutable: a :class:`PrimeContext` is built once and
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .errors import (
     BadExponent,
@@ -54,13 +55,13 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeContext:
-    """An odd prime p, exponent e in {1, 2, 3}, and factorial tables.
+    """An odd prime p and an exponent e in {1, 2, 3}.
 
-    Factorials k! for 0 <= k <= 2p-2 are stored p-stripped:
-    ``fact_units[k] * p**fact_valuations[k] == k! (mod p^e)`` with every unit
-    coprime to p, and ``inv_fact_units[k]`` inverting the unit part.  The
-    stripped form keeps division by factorials exact even where a factor p
-    hides inside (p <= k <= 2p-2 has valuation exactly 1).
+    The truncated sums need nothing beyond p and p^e (see :func:`hyper_sum`).
+    The p-stripped factorial tables behind :meth:`fact` and the ``binomtab``
+    helpers are built on first use: ``fact_units[k] * p**fact_valuations[k]
+    == k! (mod p^e)`` for 0 <= k <= 2p-2, with every unit coprime to p and
+    ``inv_fact_units[k]`` inverting the unit part.
 
     Instances never mutate after construction; derived tables are memoized
     idempotently, so sharing across parallel workers is safe.
@@ -74,12 +75,12 @@ class PrimeContext:
         self.p = p
         self.e = e
         self.modulus = p**e
-        tables = self._build_factorials(2 * p - 2)
-        self.fact_units, self.fact_valuations, self.inv_fact_units = tables
-        self._ext_tables: Optional[tuple] = None
 
-    def _build_factorials(self, n_max: int):
+    @cached_property
+    def _factorials(self) -> tuple:
+        """(units, valuations, inverse units) of k! for 0 <= k <= 2p-2."""
         p, m = self.p, self.modulus
+        n_max = 2 * p - 2
         units = [1] * (n_max + 1)
         vals = [0] * (n_max + 1)
         u = 1
@@ -102,19 +103,17 @@ class PrimeContext:
             inv = inv * f % m
         return tuple(units), tuple(vals), tuple(inv_units)
 
-    def extended_factorials(self, n_max: int):
-        """Stripped factorial tables covering 0..n_max (memoized, grow-only).
+    @property
+    def fact_units(self) -> tuple:
+        return self._factorials[0]
 
-        Needed by the table-backed family evaluators, whose numerators reach
-        factorials of 6(p-1); the context's own fact_table stays at 2p-2.
-        """
-        tables = self._ext_tables
-        if tables is None or len(tables[0]) <= n_max:
-            if n_max < 2 * self.p - 2:
-                return self.fact_units, self.fact_valuations, self.inv_fact_units
-            tables = self._build_factorials(n_max)
-            self._ext_tables = tables
-        return tables
+    @property
+    def fact_valuations(self) -> tuple:
+        return self._factorials[1]
+
+    @property
+    def inv_fact_units(self) -> tuple:
+        return self._factorials[2]
 
     @cached_property
     def nonresidue(self) -> int:
@@ -158,8 +157,41 @@ class PrimeContext:
 
 
 def make_context(p: int, e: int) -> PrimeContext:
-    """Build the immutable context for Z/p^e with its factorial tables."""
+    """Build the immutable context for Z/p^e."""
     return PrimeContext(p, e)
+
+
+def hyper_sum(
+    c: int, factors: Sequence[Tuple[int, int]], d: int, n: int, ctx: PrimeContext
+) -> int:
+    """sum_{k=0}^{n} t_k mod p^e for t_0 = 1 and the term ratio
+    t_k / t_{k-1} = c * prod_i (s_i k + r_i) / k^d, with n < p.
+
+    ``c`` is an integer (typically a constant times a reduced x) and
+    ``factors`` holds at most three integer pairs (s_i, r_i).  The kernel
+    keeps the term numerator U, the common denominator D = (k!)^d and the
+    accumulator N = D * (t_0 + ... + t_k), and inverts D once at the end.
+    Every k <= n < p is a unit, and p-factors of the numerators are never
+    divided out, so every step is exact mod p^e.  Once U == 0 every later
+    term vanishes too, and the loop stops there.
+    """
+    if not 0 <= n < ctx.p:
+        raise RangeError(f"hypergeometric sums run to n < {ctx.p}, got {n}")
+    m = ctx.modulus
+    (s1, f1), (s2, f2), (s3, f3) = (*factors, *((0, 1),) * (3 - len(factors)))
+    s1, f1 = c * s1 % m, c * f1 % m  # fold c into the first factor
+    u = den = acc = 1
+    for k in range(1, n + 1):
+        f1 += s1
+        f2 += s2
+        f3 += s3
+        u = u * f1 * f2 * f3 % m
+        if not u:
+            break
+        kd = k**d
+        den = den * kd % m
+        acc = (acc * kd + u) % m
+    return acc * pow(den, -1, m) % m
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
 from supercong.cli import (
+    _resolve_jobs,
     main,
     parse_prime_range,
     parse_rational,
@@ -169,6 +171,24 @@ def test_run_exploration_and_sweep_family():
     assert [r["p"] for r in reports] == [5, 11, 17, 23, 29]
     pairs = sweep_family(FamilyTag.TWO_THREE, Fraction(1, 1458), [5, 11, 17], e=2, jobs=1)
     assert pairs == [(5, 0), (11, 0), (17, 0)]
+
+
+def test_sweep_family_skips_primes_dividing_the_denominator():
+    # 1458 = 2 * 3^6: x = 1/1458 has no residue at p = 3, and the sweep goes on
+    pairs = sweep_family(FamilyTag.TWO_THREE, Fraction(1, 1458), [3, 5, 7, 11], jobs=1)
+    assert pairs[0] == (3, None)
+    assert [p for p, _ in pairs] == [3, 5, 7, 11]
+    assert pairs[1] == (5, 0) and pairs[3] == (11, 0)
+
+
+def test_resolve_jobs_is_bounded():
+    cores = os.cpu_count() or 1
+    assert _resolve_jobs(10**6, 10**6) == cores
+    assert _resolve_jobs(10**6, 3) == min(cores, 3)
+    assert _resolve_jobs(None, 10**6) == cores
+    assert _resolve_jobs(None, 0) == 1
+    assert _resolve_jobs(0, 50) == 1
+    assert _resolve_jobs(-4, 50) == 1
 
 
 def test_jsonl_and_csv_writers_round_trip(tmp_path):

@@ -11,12 +11,14 @@ from supercong.errors import (
     MixedContext,
     NotInvertible,
     NotPIntegral,
+    RangeError,
 )
 from supercong.modring import (
     PrimeContext,
     QuadExtElem,
     ResidueZ,
     ValuedResidue,
+    hyper_sum,
     is_prime,
     legendre_symbol,
     make_context,
@@ -91,6 +93,18 @@ def test_inv_fact_units_invert_units():
     ctx = make_context(11, 2)
     for k in range(2 * 11 - 1):
         assert ctx.fact_units[k] * ctx.inv_fact_units[k] % ctx.modulus == 1
+
+
+def test_hyper_sum_binomial_series_and_range():
+    # sum_k C(n,k) x^k = (1+x)^n: ratio (n-k+1) x / k, one factor, d = 1
+    for p, e in ((7, 1), (11, 2), (13, 3)):
+        ctx = make_context(p, e)
+        for n in range(p):
+            for x in (0, 1, 3, p, p * p - 1):
+                got = hyper_sum(x, ((-1, n + 1),), 1, n, ctx)
+                assert got == pow(1 + x, n, ctx.modulus), (p, e, n, x)
+    with pytest.raises(RangeError):
+        hyper_sum(1, ((-1, 8),), 1, 7, make_context(7, 2))
 
 
 def test_reduce_rational_examples():
