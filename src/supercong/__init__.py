@@ -1,12 +1,12 @@
 """Verification engine for binomial-sum supercongruences mod p^2 and p^3.
 
 Exact arithmetic over Z/p^e, one division-free kernel for the truncated
-hypergeometric sums sum_k C(2k,k) C(a,k) C(-1-a,k) x^k and for Legendre
-polynomials mod p, checkers for the associated congruence statements, exact
-big-rational oracles, and a prime-sweeping CLI.
+hypergeometric sums sum_k C(2k,k) C(a,k) C(-1-a,k) x^k and for the squared
+Legendre values P_n(sqrt(1+4x))^2 mod p^e, checkers for the associated
+congruence statements, exact big-rational oracles, and a prime-sweeping CLI
+driven by one theorem table.
 """
 
-from .binomtab import ap_of, binom_int_valued, binom_rational, central_binom, pochhammer_rational
 from .congruences import (
     CheckReport,
     FamilyTag,
@@ -28,7 +28,6 @@ from .errors import (
     BoundExceeded,
     CompositeModulus,
     ExcludedU,
-    KTooLarge,
     MixedContext,
     NotInvertible,
     NotPIntegral,
@@ -38,26 +37,15 @@ from .errors import (
     WrongResidueClass,
     ZeroM,
 )
-from .legendre import (
-    legendre_at_sqrt,
-    legendre_eval_recurrence,
-    legendre_eval_shifted,
-    legendre_exact,
-    legendre_square_at_sqrt,
-)
+from .legendre import legendre_exact, legendre_square_at_sqrt
 from .modring import (
     PrimeContext,
-    QuadExtElem,
     ResidueZ,
-    ValuedResidue,
+    ap_of,
     hyper_sum,
     is_prime,
-    legendre_symbol,
     make_context,
-    mod_inverse,
-    quadext_mul,
     reduce_rational,
-    sqrt_mod_p,
 )
 from .oracle import (
     RatPoly,

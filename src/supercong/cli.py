@@ -1,6 +1,12 @@
 """Command-line front end: theorem checks over prime ranges, conjecture
 exploration, exact-oracle runs, and JSONL/CSV report emission.
 
+One table, :data:`THEOREMS`, describes every ``check`` id: its parameters,
+exponent, smallest prime, exhaustive grid and checker call.  A prime that
+divides a given parameter's denominator, or the numerator of m, gets one
+vacuous record instead of a checker call.  --primes and --jobs are
+bounded, and the oracle sizes checked, before any work starts.
+
 Work is distributed over primes: each worker owns its PrimeContext, results
 are merged and sorted by (p, theorem, parameters), so report files are
 byte-identical regardless of --jobs.
@@ -18,11 +24,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import product
+from typing import (
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from . import congruences as cg
 from . import oracle
-from .errors import ExcludedU, SupercongError
+from .errors import BoundExceeded, ExcludedU, SupercongError
 from .modring import make_context
 
 log = logging.getLogger("supercong")
@@ -35,32 +44,49 @@ _LOG_LEVELS = {
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
-CHECK_THEOREMS = (
-    "thm2.1",
-    "thm2.2",
-    "thm2.3",
-    "thm2.4i",
-    "thm2.4ii",
-    "cor2.2",
-    "cor2.3",
-    "eq1.2",
-    "eq1.3",
-)
+# Largest --primes upper bound; the sieve allocates hi + 1 bytes.
+PRIME_RANGE_MAX = 10**7
 
-# Parameters each theorem needs when not running --exhaustive-am, and the
-# smallest prime its statement covers.
-_THEOREM_PARAMS: Dict[str, Tuple[str, ...]] = {
-    "thm2.1": ("a", "x"),
-    "thm2.2": ("a", "x"),
-    "thm2.3": ("a", "m"),
-    "thm2.4i": ("u",),
-    "thm2.4ii": ("u",),
-    "cor2.2": ("m",),
-    "cor2.3": (),
-    "eq1.2": (),
-    "eq1.3": ("m",),
+
+class Theorem(NamedTuple):
+    """One ``check`` id.
+
+    ``params`` names what the statement takes without --exhaustive-am, ``e``
+    is the exponent of its records, ``min_p`` the smallest prime it covers,
+    ``grid(p)`` the ranges the --exhaustive-am sweep takes ``params`` over at
+    p, and ``check(ctx, *params)`` the reports for one parameter tuple.
+    Checkers are looked up on the module at call time, so rebinding
+    ``congruences.check_*`` reaches every entry.
+    """
+
+    params: Tuple[str, ...]
+    e: int
+    min_p: int
+    grid: Callable[[int], Tuple[range, ...]]
+    check: Callable[..., Sequence[cg.CheckReport]]
+
+
+THEOREMS: Dict[str, Theorem] = {
+    "thm2.1": Theorem(("a", "x"), 1, 3, lambda p: (range(p), range(p)),
+                      lambda ctx, a, x: [cg.check_theorem_2_1(a, x, ctx)]),
+    "thm2.2": Theorem(("a", "x"), 2, 3, lambda p: (range(p), range(p)),
+                      lambda ctx, a, x: [cg.check_theorem_2_2(a, x, ctx)]),
+    "thm2.3": Theorem(("a", "m"), 2, 3, lambda p: (range(p), range(1, p)),
+                      lambda ctx, a, m: [cg.check_theorem_2_3(a, m, ctx)]),
+    "thm2.4i": Theorem(("u",), 2, 3, lambda p: (range(p),),
+                       lambda ctx, u: [cg.check_theorem_2_4("i", u, ctx)]),
+    "thm2.4ii": Theorem(("u",), 2, 3, lambda p: (range(p),),
+                        lambda ctx, u: [cg.check_theorem_2_4("ii", u, ctx)]),
+    "cor2.2": Theorem(("m",), 2, 3, lambda p: (range(1, p),),
+                      lambda ctx, m: [cg.check_corollary_2_2(f, m, ctx)
+                                      for f in cg.FamilyTag]),
+    "cor2.3": Theorem((), 2, 5, lambda p: (),
+                      lambda ctx: cg.check_corollary_2_3(ctx.p)),
+    "eq1.2": Theorem((), 2, 5, lambda p: (),
+                     lambda ctx: cg.check_rodriguez_villegas(ctx)),
+    "eq1.3": Theorem(("m",), 2, 5, lambda p: (range(1, p),),
+                     lambda ctx, m: [cg.check_identity_1_3(m, ctx)]),
 }
-_THEOREM_MIN_P = {"cor2.3": 5, "eq1.2": 5, "eq1.3": 5}
 
 
 def primes_in_range(lo: int, hi: int) -> List[int]:
@@ -92,11 +118,34 @@ def parse_prime_range(text: str) -> Tuple[int, int]:
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range: {text!r}")
+    if hi > PRIME_RANGE_MAX:
+        raise argparse.ArgumentTypeError(
+            f"upper bound {hi} exceeds the sieve limit {PRIME_RANGE_MAX}"
+        )
     return lo, hi
+
+
+def parse_size(text: str) -> int:
+    """A non-negative integer size."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
 
 
 # ---------------------------------------------------------------------------
 # Per-prime runners
+
+def _usable(p: int, params: Dict[str, Fraction]) -> bool:
+    """Whether the statement applies at p: p divides no parameter's
+    denominator and, as the paper requires, does not divide m."""
+    return all(Fraction(q).denominator % p for q in params.values()) and (
+        "m" not in params or Fraction(params["m"]).numerator % p != 0
+    )
+
 
 def _reports_for_prime(
     p: int,
@@ -104,66 +153,32 @@ def _reports_for_prime(
     params: Optional[Dict[str, Fraction]],
     exhaustive: bool,
 ) -> List[dict]:
-    """All CheckReports (as dicts) for one theorem at one prime."""
-    out: List[cg.CheckReport] = []
-    if theorem == "thm2.1":
-        ctx = make_context(p, 1)
-        if exhaustive:
-            for a in range(p):
-                for x in range(p):
-                    out.append(cg.check_theorem_2_1(a, x, ctx))
-        else:
-            out.append(cg.check_theorem_2_1(params["a"], params["x"], ctx))
-    elif theorem == "thm2.2":
-        ctx = make_context(p, 2)
-        if exhaustive:
-            for a in range(p):
-                for x in range(p):
-                    out.append(cg.check_theorem_2_2(a, x, ctx))
-        else:
-            out.append(cg.check_theorem_2_2(params["a"], params["x"], ctx))
-    elif theorem == "thm2.3":
-        ctx = make_context(p, 2)
-        if exhaustive:
-            for a in range(p):
-                for m in range(1, p):
-                    out.append(cg.check_theorem_2_3(a, m, ctx))
-        else:
-            out.append(cg.check_theorem_2_3(params["a"], params["m"], ctx))
-    elif theorem in ("thm2.4i", "thm2.4ii"):
-        part = "i" if theorem == "thm2.4i" else "ii"
-        ctx = make_context(p, 2)
-        if exhaustive:
-            for u in range(p):
-                try:
-                    out.append(cg.check_theorem_2_4(part, u, ctx))
-                except ExcludedU:
-                    continue
-        else:
-            out.append(cg.check_theorem_2_4(part, params["u"], ctx))
-    elif theorem == "cor2.2":
-        ctx = make_context(p, 2)
-        families = tuple(cg.FamilyTag)
-        if exhaustive:
-            for m in range(1, p):
-                for f in families:
-                    out.append(cg.check_corollary_2_2(f, m, ctx))
-        else:
-            for f in families:
-                out.append(cg.check_corollary_2_2(f, params["m"], ctx))
-    elif theorem == "cor2.3":
-        out.extend(cg.check_corollary_2_3(p))
-    elif theorem == "eq1.2":
-        out.extend(cg.check_rodriguez_villegas(make_context(p, 2)))
-    elif theorem == "eq1.3":
-        ctx = make_context(p, 2)
-        if exhaustive:
-            for m in range(1, p):
-                out.append(cg.check_identity_1_3(m, ctx))
-        else:
-            out.append(cg.check_identity_1_3(params["m"], ctx))
+    """All CheckReports (as dicts) for one theorem at one prime.
+
+    Explicit parameters that do not apply at p give one vacuous record and
+    no checker call.  A grid point in an excluded class is skipped; an
+    explicit one is an error.
+    """
+    spec = THEOREMS[theorem]
+    if exhaustive:
+        points = product(*spec.grid(p))
     else:
-        raise ValueError(f"unknown theorem id {theorem!r}")
+        given = {n: params[n] for n in spec.params}
+        if not _usable(p, given):
+            shown = {n: cg.format_rational(q) for n, q in given.items()}
+            vacuous = cg.CheckReport(
+                theorem, p, spec.e, shown, False, True, {}, "vacuous"
+            )
+            return [vacuous.as_dict()]
+        points = (tuple(given.values()),)
+    ctx = make_context(p, spec.e)
+    out: List[cg.CheckReport] = []
+    for point in points:
+        try:
+            out.extend(spec.check(ctx, *point))
+        except ExcludedU:
+            if not exhaustive:
+                raise
     log.debug("p=%d: %d report(s) for %s", p, len(out), theorem)
     return [r.as_dict() for r in out]
 
@@ -213,7 +228,7 @@ def run_checks(
     jobs: Optional[int] = None,
 ) -> List[dict]:
     """Run one theorem's checker over primes, in parallel, sorted output."""
-    min_p = _THEOREM_MIN_P.get(theorem, 3)
+    min_p = THEOREMS[theorem].min_p
     qualifying = [p for p in primes if p >= min_p]
     jobs = _resolve_jobs(jobs, len(qualifying))
     log.info(
@@ -327,7 +342,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         for name, value in (("a", args.a), ("x", args.x), ("m", args.m), ("u", args.u))
         if value is not None
     }
-    needed = _THEOREM_PARAMS[theorem]
+    needed = THEOREMS[theorem].params
     if needed and not args.exhaustive_am:
         missing = [n for n in needed if n not in given]
         if missing:
@@ -414,6 +429,10 @@ def _run_oracle_target(target: str, args: argparse.Namespace) -> Tuple[bool, str
         return True, f"dictionary exact for all k <= {k_max}"
     if target == "reduce-equivalence":
         p_max = args.p_max if args.p_max is not None else 97
+        if p_max > oracle.REDUCE_P_BOUND:
+            raise BoundExceeded(
+                f"--p-max must be at most {oracle.REDUCE_P_BOUND}, got {p_max}"
+            )
         for p in primes_in_range(3, p_max):
             for e in (1, 2, 3):
                 ctx = make_context(p, e)
@@ -455,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run a theorem checker over a prime range")
-    check.add_argument("theorem", choices=CHECK_THEOREMS)
+    check.add_argument("theorem", choices=tuple(THEOREMS))
     check.add_argument("--primes", type=parse_prime_range, required=True,
                        metavar="LO..HI")
     check.add_argument("--a", type=parse_rational, default=None)
@@ -483,9 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
         "target",
         choices=("lemma2.1", "lemma2.2", "eq1.7", "reduce-equivalence"),
     )
-    orc.add_argument("--n-max", type=int, default=None)
-    orc.add_argument("--k-max", type=int, default=None)
-    orc.add_argument("--p-max", type=int, default=None)
+    orc.add_argument("--n-max", type=parse_size, default=None)
+    orc.add_argument("--k-max", type=parse_size, default=None)
+    orc.add_argument("--p-max", type=parse_size, default=None)
     orc.set_defaults(func=_cmd_oracle)
 
     return parser

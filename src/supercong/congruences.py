@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Tuple
 
-from .binomtab import ap_of
 from .errors import (
     BadExponent,
     ExcludedU,
@@ -28,6 +27,7 @@ from .modring import (
     PrimeContext,
     Rational,
     ResidueZ,
+    ap_of,
     hyper_sum,
     make_context,
     reduce_rational,

@@ -25,12 +25,8 @@ class MixedContext(SupercongError):
     """Operands belong to different moduli or different extensions."""
 
 
-class KTooLarge(SupercongError):
-    """Binomial index k outside [0, p-1], where k! stops being a unit."""
-
-
 class RangeError(SupercongError):
-    """Integer argument outside the precomputed table range."""
+    """Integer argument outside the range a computation supports."""
 
 
 class NTooLarge(SupercongError):

@@ -1,6 +1,5 @@
-"""Exact arithmetic in Z/p^e: canonical residues, the division-free
-hypergeometric kernel behind every truncated sum, p-stripped valuations,
-quadratic-residue machinery, and the quadratic extension F_p[sqrt(d)].
+"""Exact arithmetic in Z/p^e: canonical residues, rational reduction, and
+the division-free hypergeometric kernel behind every truncated sum.
 
 Everything is pure and immutable: a :class:`PrimeContext` is built once and
 can be shared freely across threads and fork workers.
@@ -10,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -57,14 +55,8 @@ def is_prime(n: int) -> bool:
 class PrimeContext:
     """An odd prime p and an exponent e in {1, 2, 3}.
 
-    The truncated sums need nothing beyond p and p^e (see :func:`hyper_sum`).
-    The p-stripped factorial tables behind :meth:`fact` and the ``binomtab``
-    helpers are built on first use: ``fact_units[k] * p**fact_valuations[k]
-    == k! (mod p^e)`` for 0 <= k <= 2p-2, with every unit coprime to p and
-    ``inv_fact_units[k]`` inverting the unit part.
-
-    Instances never mutate after construction; derived tables are memoized
-    idempotently, so sharing across parallel workers is safe.
+    The truncated sums need nothing beyond p and p^e (see :func:`hyper_sum`),
+    and instances never mutate after construction.
     """
 
     def __init__(self, p: int, e: int) -> None:
@@ -75,68 +67,6 @@ class PrimeContext:
         self.p = p
         self.e = e
         self.modulus = p**e
-
-    @cached_property
-    def _factorials(self) -> tuple:
-        """(units, valuations, inverse units) of k! for 0 <= k <= 2p-2."""
-        p, m = self.p, self.modulus
-        n_max = 2 * p - 2
-        units = [1] * (n_max + 1)
-        vals = [0] * (n_max + 1)
-        u = 1
-        v = 0
-        for i in range(1, n_max + 1):
-            f = i
-            while f % p == 0:
-                f //= p
-                v += 1
-            u = u * f % m
-            units[i] = u
-            vals[i] = v
-        inv_units = [1] * (n_max + 1)
-        inv = pow(u, -1, m)
-        for i in range(n_max, 0, -1):
-            inv_units[i] = inv
-            f = i
-            while f % p == 0:
-                f //= p
-            inv = inv * f % m
-        return tuple(units), tuple(vals), tuple(inv_units)
-
-    @property
-    def fact_units(self) -> tuple:
-        return self._factorials[0]
-
-    @property
-    def fact_valuations(self) -> tuple:
-        return self._factorials[1]
-
-    @property
-    def inv_fact_units(self) -> tuple:
-        return self._factorials[2]
-
-    @cached_property
-    def nonresidue(self) -> int:
-        """Smallest positive quadratic non-residue mod p."""
-        p = self.p
-        d = 2
-        while pow(d, (p - 1) // 2, p) != p - 1:
-            d += 1
-        return d
-
-    @cached_property
-    def fact_table(self) -> tuple["ValuedResidue", ...]:
-        """k! for 0 <= k <= 2p-2, as p-stripped (unit, valuation) pairs."""
-        return tuple(
-            ValuedResidue(u, v, self)
-            for u, v in zip(self.fact_units, self.fact_valuations)
-        )
-
-    def fact(self, k: int) -> "ValuedResidue":
-        """k! as a ValuedResidue, for 0 <= k <= 2p-2."""
-        if not 0 <= k <= 2 * self.p - 2:
-            raise RangeError(f"factorial table covers 0..{2 * self.p - 2}, got {k}")
-        return ValuedResidue(self.fact_units[k], self.fact_valuations[k], self)
 
     def residue(self, value: Rational) -> "ResidueZ":
         """Embed an integer or p-integral rational into Z/p^e."""
@@ -252,161 +182,11 @@ class ResidueZ:
         except ValueError as exc:  # negative k on a non-unit
             raise NotInvertible(str(exc)) from None
 
-    def inverse(self) -> "ResidueZ":
-        return mod_inverse(self)
-
     def __int__(self) -> int:
         return self.value
 
     def __repr__(self) -> str:
         return f"ResidueZ({self.value} mod {self.ctx.p}^{self.ctx.e})"
-
-
-@dataclass(frozen=True)
-class ValuedResidue:
-    """unit * p^valuation with the unit kept coprime to p.
-
-    Exact mod p^e whenever valuation < e; converting with valuation >= e
-    collapses to 0.  The exact zero is the unique element with unit == 0
-    (its valuation field carries no meaning), and it only arises when
-    constructed explicitly, never from multiplying nonzero elements.
-    """
-
-    unit: int
-    valuation: int
-    ctx: PrimeContext
-
-    @classmethod
-    def from_int(cls, n: int, ctx: PrimeContext) -> "ValuedResidue":
-        """Strip all p factors of an exact integer."""
-        if n == 0:
-            return cls(0, 0, ctx)
-        p = ctx.p
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return cls(n % ctx.modulus, v, ctx)
-
-    @classmethod
-    def exact_zero(cls, ctx: PrimeContext) -> "ValuedResidue":
-        return cls(0, 0, ctx)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.unit == 0
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = ValuedResidue.from_int(other, self.ctx)
-        if not isinstance(other, ValuedResidue):
-            return NotImplemented
-        if other.ctx != self.ctx:
-            raise MixedContext(f"cannot mix {self.ctx} with {other.ctx}")
-        if self.is_zero or other.is_zero:
-            return ValuedResidue(0, 0, self.ctx)
-        return ValuedResidue(
-            self.unit * other.unit % self.ctx.modulus,
-            self.valuation + other.valuation,
-            self.ctx,
-        )
-
-    __rmul__ = __mul__
-
-    def to_residue(self) -> ResidueZ:
-        """Collapse into Z/p^e; valuation >= e maps to 0."""
-        if self.is_zero or self.valuation >= self.ctx.e:
-            return ResidueZ(0, self.ctx)
-        return ResidueZ(self.unit * self.ctx.p**self.valuation, self.ctx)
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "ValuedResidue(0)"
-        return f"ValuedResidue({self.unit} * {self.ctx.p}^{self.valuation})"
-
-
-@dataclass(frozen=True)
-class QuadExtElem:
-    """a0 + a1*sqrt(d) in F_p[sqrt(d)], for a quadratic non-residue d.
-
-    Arithmetic reduces sqrt(d)*sqrt(d) -> d; the context must have e == 1.
-    """
-
-    a0: int
-    a1: int
-    d: int
-    ctx: PrimeContext
-
-    def __post_init__(self) -> None:
-        if self.ctx.e != 1:
-            raise BadExponent("quadratic-extension arithmetic lives mod p (e == 1)")
-        p = self.ctx.p
-        object.__setattr__(self, "a0", self.a0 % p)
-        object.__setattr__(self, "a1", self.a1 % p)
-        object.__setattr__(self, "d", self.d % p)
-
-    def _check(self, other: "QuadExtElem") -> None:
-        if self.ctx.p != other.ctx.p or self.d != other.d:
-            raise MixedContext(
-                f"cannot mix sqrt({self.d}) mod {self.ctx.p} "
-                f"with sqrt({other.d}) mod {other.ctx.p}"
-            )
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a0 == 0 and self.a1 == 0
-
-    def __add__(self, other):
-        if isinstance(other, QuadExtElem):
-            self._check(other)
-            return QuadExtElem(self.a0 + other.a0, self.a1 + other.a1, self.d, self.ctx)
-        if isinstance(other, int):
-            return QuadExtElem(self.a0 + other, self.a1, self.d, self.ctx)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, QuadExtElem):
-            self._check(other)
-            return QuadExtElem(self.a0 - other.a0, self.a1 - other.a1, self.d, self.ctx)
-        if isinstance(other, int):
-            return QuadExtElem(self.a0 - other, self.a1, self.d, self.ctx)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __neg__(self):
-        return QuadExtElem(-self.a0, -self.a1, self.d, self.ctx)
-
-    def __mul__(self, other):
-        if isinstance(other, QuadExtElem):
-            self._check(other)
-            p = self.ctx.p
-            return QuadExtElem(
-                (self.a0 * other.a0 + self.a1 * other.a1 * self.d) % p,
-                (self.a0 * other.a1 + self.a1 * other.a0) % p,
-                self.d,
-                self.ctx,
-            )
-        if isinstance(other, int):
-            return QuadExtElem(self.a0 * other, self.a1 * other, self.d, self.ctx)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def norm(self) -> int:
-        """Field norm a0^2 - d*a1^2, multiplicative on F_p[sqrt(d)]."""
-        return (self.a0 * self.a0 - self.d * self.a1 * self.a1) % self.ctx.p
-
-    def __repr__(self) -> str:
-        return f"QuadExtElem({self.a0} + {self.a1}*sqrt({self.d}) mod {self.ctx.p})"
-
-
-def quadext_mul(x: QuadExtElem, y: QuadExtElem) -> QuadExtElem:
-    """(a0 + a1 sqrt(d))(b0 + b1 sqrt(d)) over the same F_p[sqrt(d)]."""
-    return x * y
 
 
 def reduce_rational(q: Rational, ctx: PrimeContext) -> ResidueZ:
@@ -418,57 +198,10 @@ def reduce_rational(q: Rational, ctx: PrimeContext) -> ResidueZ:
     return ResidueZ(q.numerator * pow(q.denominator, -1, m) % m, ctx)
 
 
-def mod_inverse(r: ResidueZ) -> ResidueZ:
-    """Multiplicative inverse in Z/p^e; requires gcd(value, p) == 1."""
-    if r.value % r.ctx.p == 0:
-        raise NotInvertible(f"{r.value} is divisible by {r.ctx.p}")
-    return ResidueZ(pow(r.value, -1, r.ctx.modulus), r.ctx)
-
-
-def legendre_symbol(t: ResidueZ) -> int:
-    """Euler-criterion Legendre symbol of t mod p (0 iff p | t)."""
-    p = t.ctx.p
-    a = t.value % p
-    if a == 0:
-        return 0
-    ls = pow(a, (p - 1) // 2, p)
-    return -1 if ls == p - 1 else ls
-
-
-def sqrt_mod_p(t: ResidueZ) -> Optional[ResidueZ]:
-    """Deterministic square root mod p: the smaller of the two roots.
-
-    Returns None for non-residues.  Tonelli-Shanks in the general case,
-    with the p % 4 == 3 shortcut.
-    """
-    ctx = t.ctx
-    if ctx.e != 1:
-        raise BadExponent("square roots are a mod-p notion; use an e == 1 context")
+def ap_of(a: Rational, ctx: PrimeContext) -> int:
+    """The canonical residue of a mod p, in [0, p-1]."""
+    a = Fraction(a)
     p = ctx.p
-    a = t.value % p
-    if a == 0:
-        return ResidueZ(0, ctx)
-    if legendre_symbol(t) != 1:
-        return None
-    if p % 4 == 3:
-        s = pow(a, (p + 1) // 4, p)
-    else:
-        q, r = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            r += 1
-        c = pow(ctx.nonresidue, q, p)
-        s = pow(a, (q + 1) // 2, p)
-        b = pow(a, q, p)
-        while b != 1:
-            bb = b
-            i = 0
-            while bb != 1:
-                bb = bb * bb % p
-                i += 1
-            g = pow(c, 1 << (r - i - 1), p)
-            s = s * g % p
-            c = g * g % p
-            b = b * c % p
-            r = i
-    return ResidueZ(min(s, p - s), ctx)
+    if a.denominator % p == 0:
+        raise NotPIntegral(f"{a} has denominator divisible by {p}")
+    return a.numerator * pow(a.denominator, -1, p) % p

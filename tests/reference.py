@@ -1,0 +1,222 @@
+"""Independent mod-p references for the squared Legendre evaluator.
+
+Quadratic-residue machinery, the quadratic extension F_p[sqrt(d)], the
+three-term Legendre recurrence and P_n(sqrt(t)) by its even/odd
+decomposition.  The package evaluates only P_n(sqrt(1+4x))^2, on the
+hypergeometric kernel; these helpers reach the same values by other roads
+(square roots, extension arithmetic, exact integer binomials), so the tests
+can hold the kernel against them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import comb
+from typing import Optional, Union
+
+from supercong.errors import BadExponent, MixedContext, NTooLarge
+from supercong.modring import PrimeContext, ResidueZ
+
+
+def nonresidue(p: int) -> int:
+    """Smallest positive quadratic non-residue mod p."""
+    d = 2
+    while pow(d, (p - 1) // 2, p) != p - 1:
+        d += 1
+    return d
+
+
+def legendre_symbol(t: ResidueZ) -> int:
+    """Euler-criterion Legendre symbol of t mod p (0 iff p | t)."""
+    p = t.ctx.p
+    a = t.value % p
+    if a == 0:
+        return 0
+    ls = pow(a, (p - 1) // 2, p)
+    return -1 if ls == p - 1 else ls
+
+
+def sqrt_mod_p(t: ResidueZ) -> Optional[ResidueZ]:
+    """Deterministic square root mod p: the smaller of the two roots.
+
+    Returns None for non-residues.  Tonelli-Shanks in the general case,
+    with the p % 4 == 3 shortcut.
+    """
+    ctx = t.ctx
+    if ctx.e != 1:
+        raise BadExponent("square roots are a mod-p notion; use an e == 1 context")
+    p = ctx.p
+    a = t.value % p
+    if a == 0:
+        return ResidueZ(0, ctx)
+    if legendre_symbol(t) != 1:
+        return None
+    if p % 4 == 3:
+        s = pow(a, (p + 1) // 4, p)
+    else:
+        q, r = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            r += 1
+        c = pow(nonresidue(p), q, p)
+        s = pow(a, (q + 1) // 2, p)
+        b = pow(a, q, p)
+        while b != 1:
+            bb = b
+            i = 0
+            while bb != 1:
+                bb = bb * bb % p
+                i += 1
+            g = pow(c, 1 << (r - i - 1), p)
+            s = s * g % p
+            c = g * g % p
+            b = b * c % p
+            r = i
+    return ResidueZ(min(s, p - s), ctx)
+
+
+@dataclass(frozen=True)
+class QuadExtElem:
+    """a0 + a1*sqrt(d) in F_p[sqrt(d)], for a quadratic non-residue d.
+
+    Arithmetic reduces sqrt(d)*sqrt(d) -> d; the context must have e == 1.
+    """
+
+    a0: int
+    a1: int
+    d: int
+    ctx: PrimeContext
+
+    def __post_init__(self) -> None:
+        if self.ctx.e != 1:
+            raise BadExponent("quadratic-extension arithmetic lives mod p (e == 1)")
+        p = self.ctx.p
+        object.__setattr__(self, "a0", self.a0 % p)
+        object.__setattr__(self, "a1", self.a1 % p)
+        object.__setattr__(self, "d", self.d % p)
+
+    def _check(self, other: "QuadExtElem") -> None:
+        if self.ctx.p != other.ctx.p or self.d != other.d:
+            raise MixedContext(
+                f"cannot mix sqrt({self.d}) mod {self.ctx.p} "
+                f"with sqrt({other.d}) mod {other.ctx.p}"
+            )
+
+    @property
+    def is_zero(self) -> bool:
+        return self.a0 == 0 and self.a1 == 0
+
+    def __add__(self, other):
+        if isinstance(other, QuadExtElem):
+            self._check(other)
+            return QuadExtElem(self.a0 + other.a0, self.a1 + other.a1, self.d, self.ctx)
+        if isinstance(other, int):
+            return QuadExtElem(self.a0 + other, self.a1, self.d, self.ctx)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, QuadExtElem):
+            self._check(other)
+            return QuadExtElem(self.a0 - other.a0, self.a1 - other.a1, self.d, self.ctx)
+        if isinstance(other, int):
+            return QuadExtElem(self.a0 - other, self.a1, self.d, self.ctx)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __neg__(self):
+        return QuadExtElem(-self.a0, -self.a1, self.d, self.ctx)
+
+    def __mul__(self, other):
+        if isinstance(other, QuadExtElem):
+            self._check(other)
+            p = self.ctx.p
+            return QuadExtElem(
+                (self.a0 * other.a0 + self.a1 * other.a1 * self.d) % p,
+                (self.a0 * other.a1 + self.a1 * other.a0) % p,
+                self.d,
+                self.ctx,
+            )
+        if isinstance(other, int):
+            return QuadExtElem(self.a0 * other, self.a1 * other, self.d, self.ctx)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def norm(self) -> int:
+        """Field norm a0^2 - d*a1^2, multiplicative on F_p[sqrt(d)]."""
+        return (self.a0 * self.a0 - self.d * self.a1 * self.a1) % self.ctx.p
+
+    def __repr__(self) -> str:
+        return f"QuadExtElem({self.a0} + {self.a1}*sqrt({self.d}) mod {self.ctx.p})"
+
+
+Element = Union[ResidueZ, QuadExtElem]
+
+
+def _one_like(x: Element) -> Element:
+    if isinstance(x, QuadExtElem):
+        return QuadExtElem(1, 0, x.d, x.ctx)
+    return ResidueZ(1, x.ctx)
+
+
+def _check_degree(n: int, ctx: PrimeContext) -> None:
+    if not 0 <= n <= ctx.p - 1:
+        raise NTooLarge(f"degree must be in [0, {ctx.p - 1}], got {n}")
+
+
+def legendre_eval_recurrence(n: int, x: Element) -> Element:
+    """P_n(x) by (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}.
+
+    Every divisor 2..n stays below p, hence invertible; n >= p would force a
+    division by p.  Works on residues (any e) and on F_p[sqrt(d)] elements.
+    """
+    ctx = x.ctx
+    _check_degree(n, ctx)
+    if n == 0:
+        return _one_like(x)
+    if n == 1:
+        return x
+    m = ctx.modulus
+    prev: Element = _one_like(x)
+    cur: Element = x
+    for k in range(1, n):
+        inv = pow(k + 1, -1, m)
+        prev, cur = cur, (x * cur * (2 * k + 1) - prev * k) * inv
+    return cur
+
+
+def legendre_at_sqrt(n: int, t: ResidueZ) -> QuadExtElem:
+    """P_n(sqrt(t)) in F_p or F_p[sqrt(t)], via the even/odd decomposition.
+
+    P_n(sqrt(t)) = sqrt(t)^(n mod 2) * 2^-n *
+                   sum_{k<=n/2} C(n,k) (-1)^k C(2n-2k, n) t^(n/2 - k).
+    Lands in F_p when n is even or t is a residue (deterministic smaller
+    root), else genuinely in the extension with d = t.
+    """
+    ctx = t.ctx
+    if ctx.e != 1:
+        raise BadExponent("legendre_at_sqrt works in the e == 1 context")
+    _check_degree(n, ctx)
+    p = ctx.p
+    tv = t.value % p
+    h = n // 2
+    g = sum(
+        (-1) ** k * comb(n, k) * comb(2 * n - 2 * k, n) * pow(tv, h - k, p)
+        for k in range(h + 1)
+    )
+    g = g * pow((p + 1) // 2, n, p) % p
+    chi = legendre_symbol(t)
+    d = tv if chi == -1 else nonresidue(p)
+    if n % 2 == 0:
+        return QuadExtElem(g, 0, d, ctx)
+    if chi == 0:
+        return QuadExtElem(0, 0, d, ctx)
+    if chi == 1:
+        root = sqrt_mod_p(t)
+        assert root is not None
+        return QuadExtElem(g * root.value, 0, d, ctx)
+    return QuadExtElem(0, g, d, ctx)

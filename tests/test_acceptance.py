@@ -11,7 +11,6 @@ import time
 import warnings
 from fractions import Fraction
 
-from supercong.binomtab import ap_of
 from supercong.congruences import (
     FamilyTag,
     check_corollary_2_3,

@@ -1,4 +1,12 @@
-"""Binomial coefficients and Pochhammer symbols against exact oracles."""
+"""Binomial coefficients mod p^e as terms of the hypergeometric kernel,
+against exact oracles, and ap_of.
+
+The kernel sums sum_{j<=n} t_j; its k-th term is the difference of two
+partial sums.  C(a, k), C(2k, k) and (a)_k are the terms of series whose
+term ratios are (a-j+1)/j, 2(2j-1)/j and (a+j-1), so the tests below check
+the kernel's exactness on single binomial terms, including those that
+carry a factor p.
+"""
 
 import random
 from fractions import Fraction
@@ -6,15 +14,38 @@ from math import comb, factorial
 
 import pytest
 
-from supercong.binomtab import (
+from supercong.errors import NotPIntegral, RangeError
+from supercong.modring import (
+    ResidueZ,
     ap_of,
-    binom_int_valued,
-    binom_rational,
-    central_binom,
-    pochhammer_rational,
+    hyper_sum,
+    make_context,
+    reduce_rational,
 )
-from supercong.errors import KTooLarge, NotPIntegral, RangeError
-from supercong.modring import ValuedResidue, make_context, reduce_rational
+from supercong.oracle import binom_frac
+
+
+def kernel_term(c, factors, d, k, ctx) -> ResidueZ:
+    """t_k of the kernel's series, as the difference of two partial sums."""
+    below = hyper_sum(c, factors, d, k - 1, ctx) if k else 0
+    return ResidueZ(hyper_sum(c, factors, d, k, ctx) - below, ctx)
+
+
+def binom_rational(a, k, ctx) -> ResidueZ:
+    """C(a, k) mod p^e for p-integral a and 0 <= k < p."""
+    ah = reduce_rational(a, ctx).value
+    return kernel_term(1, ((-1, ah + 1),), 1, k, ctx)
+
+
+def central_binom(k, ctx) -> ResidueZ:
+    """C(2k, k) mod p^e for 0 <= k < p."""
+    return kernel_term(2, ((2, -1),), 1, k, ctx)
+
+
+def pochhammer_rational(a, k, ctx) -> ResidueZ:
+    """Rising factorial (a)_k mod p^e for p-integral a and 0 <= k < p."""
+    ah = reduce_rational(a, ctx).value
+    return kernel_term(1, ((1, ah - 1),), 0, k, ctx)
 
 
 def exact_binom(a: Fraction, k: int) -> Fraction:
@@ -23,6 +54,19 @@ def exact_binom(a: Fraction, k: int) -> Fraction:
     for i in range(k):
         num *= a - i
     return num / factorial(k)
+
+
+def exact_residue(a, k, ctx) -> ResidueZ:
+    """C(a, k) as one exact rational, reduced mod p^e."""
+    return reduce_rational(binom_frac(a, k), ctx)
+
+
+def valuation(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def test_binom_rational_examples():
@@ -36,9 +80,9 @@ def test_binom_rational_examples():
 
 def test_binom_rational_guards():
     ctx = make_context(7, 2)
-    with pytest.raises(KTooLarge):
+    with pytest.raises(RangeError):
         binom_rational(1, 7, ctx)
-    with pytest.raises(KTooLarge):
+    with pytest.raises(RangeError):
         binom_rational(1, -1, ctx)
     with pytest.raises(NotPIntegral):
         binom_rational(Fraction(1, 7), 2, ctx)
@@ -84,7 +128,7 @@ def test_pair_vanishing_in_upper_half():
             dens = [d for d in range(1, 10) if d % p]
             a = Fraction(rng.randint(-30, 30), rng.choice(dens))
             for k in range((p + 1) // 2, p):
-                prod = binom_rational(a, k, ctx) * binom_rational(-1 - a, k, ctx)
+                prod = exact_residue(a, k, ctx) * exact_residue(-1 - a, k, ctx)
                 assert prod.value % p == 0, (p, a, k)
 
 
@@ -96,8 +140,8 @@ def test_reflection_identity():
         for _ in range(20):
             a = Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 4]))
             k = rng.randrange(p)
-            lhs = binom_rational(-1 - a, k, ctx)
-            rhs = binom_rational(a + k, k, ctx) * (-1) ** k
+            lhs = exact_residue(-1 - a, k, ctx)
+            rhs = exact_residue(a + k, k, ctx) * (-1) ** k
             assert lhs == rhs
 
 
@@ -106,7 +150,7 @@ def test_central_binom_examples():
     assert central_binom(0, ctx).value == 1
     assert central_binom(3, ctx).value == 20  # C(6,3)
     assert central_binom(4, ctx).value == 20  # C(8,4) = 70 = 20 mod 25
-    with pytest.raises(KTooLarge):
+    with pytest.raises(RangeError):
         central_binom(5, ctx)
 
 
@@ -118,37 +162,7 @@ def test_central_binom_matches_comb_and_tracks_valuation():
                 n = comb(2 * k, k)
                 assert central_binom(k, ctx).value == n % ctx.modulus
                 if k > (p - 1) // 2:
-                    assert ValuedResidue.from_int(n, ctx).valuation == 1
-
-
-def test_binom_int_valued_examples():
-    ctx = make_context(5, 2)
-    vr = binom_int_valued(8, 4, ctx)  # C(8,4) = 70 = 14 * 5
-    assert (vr.unit, vr.valuation) == (14, 1)
-    vr = binom_int_valued(6, 6, ctx)
-    assert (vr.unit, vr.valuation) == (1, 0)
-    vr = binom_int_valued(6, 2, ctx)  # C(6,2) = 15 = 3 * 5
-    assert (vr.unit, vr.valuation) == (3, 1)
-
-
-def test_binom_int_valued_range_guards():
-    ctx = make_context(5, 2)
-    for n, k in ((9, 2), (4, 5), (3, -1), (-1, 0)):
-        with pytest.raises(RangeError):
-            binom_int_valued(n, k, ctx)
-
-
-def test_binom_int_valued_exact_over_full_range():
-    for p in (3, 5, 11):
-        for e in (1, 2, 3):
-            ctx = make_context(p, e)
-            for n in range(2 * p - 1):
-                for k in range(n + 1):
-                    vr = binom_int_valued(n, k, ctx)
-                    want = comb(n, k)
-                    assert vr.unit % p != 0
-                    assert vr.unit * p**vr.valuation % ctx.modulus == want % ctx.modulus
-                    assert vr.valuation == ValuedResidue.from_int(want, ctx).valuation
+                    assert valuation(n, p) == 1
 
 
 def test_ap_of_examples():
@@ -170,6 +184,6 @@ def test_pochhammer_matches_binomial_identity():
             a = Fraction(rng.randint(-15, 15), rng.choice([1, 2, 3]))
             k = rng.randrange(p)
             lhs = pochhammer_rational(a, k, ctx).value
-            kfact = ctx.fact_units[k]  # k < p, valuation 0
+            kfact = factorial(k)  # k < p, a unit
             rhs = (-1) ** k * kfact * binom_rational(-a, k, ctx).value % m
             assert lhs == rhs

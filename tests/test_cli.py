@@ -7,7 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from supercong import cli, oracle
+from supercong import congruences as cg
 from supercong.cli import (
+    PRIME_RANGE_MAX,
+    THEOREMS,
     _resolve_jobs,
     main,
     parse_prime_range,
@@ -20,6 +24,8 @@ from supercong.cli import (
     write_jsonl,
 )
 from supercong.congruences import FamilyTag
+from supercong.errors import ExcludedU
+from supercong.modring import make_context
 
 REPORT_KEYS = {
     "theorem",
@@ -203,3 +209,141 @@ def test_jsonl_and_csv_writers_round_trip(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["theorem"] == "cor2.3"
     assert rows[0]["family"] == "two_three"
+
+
+# ---------------------------------------------------------------------------
+# The theorem table
+
+# One usable parameter set per theorem that takes parameters, for p in 5..13.
+EXPLICIT = {
+    "thm2.1": {"a": Fraction(-1, 2), "x": Fraction(1, 3)},
+    "thm2.2": {"a": Fraction(2, 3), "x": Fraction(-1, 4)},
+    "thm2.3": {"a": Fraction(-1, 3), "m": Fraction(-9, 2)},
+    "thm2.4i": {"u": Fraction(5)},
+    "thm2.4ii": {"u": Fraction(5)},
+    "cor2.2": {"m": Fraction(3, 2)},
+    "eq1.3": {"m": Fraction(-3, 8)},
+}
+
+
+def direct_reports(theorem, p, params):
+    """One prime's records by direct checker calls, without the table."""
+    if theorem == "cor2.3":
+        return list(cg.check_corollary_2_3(p))
+    ctx = make_context(p, 1 if theorem == "thm2.1" else 2)
+    if theorem == "eq1.2":
+        return cg.check_rodriguez_villegas(ctx)
+    out = []
+    if theorem in ("thm2.1", "thm2.2"):
+        check = cg.check_theorem_2_1 if theorem == "thm2.1" else cg.check_theorem_2_2
+        pairs = [(params["a"], params["x"])] if params else [
+            (a, x) for a in range(p) for x in range(p)
+        ]
+        out = [check(a, x, ctx) for a, x in pairs]
+    elif theorem == "thm2.3":
+        pairs = [(params["a"], params["m"])] if params else [
+            (a, m) for a in range(p) for m in range(1, p)
+        ]
+        out = [cg.check_theorem_2_3(a, m, ctx) for a, m in pairs]
+    elif theorem.startswith("thm2.4"):
+        for u in [params["u"]] if params else range(p):
+            try:
+                out.append(cg.check_theorem_2_4(theorem[6:], u, ctx))
+            except ExcludedU:
+                assert not params
+    elif theorem == "cor2.2":
+        for m in [params["m"]] if params else range(1, p):
+            out.extend(cg.check_corollary_2_2(f, m, ctx) for f in FamilyTag)
+    else:  # eq1.3
+        for m in [params["m"]] if params else range(1, p):
+            out.append(cg.check_identity_1_3(m, ctx))
+    return out
+
+
+def _cli_params(params):
+    return [f"--{name}={value}" for name, value in params.items()]
+
+
+@pytest.mark.parametrize(
+    "theorem, params",
+    [(t, None) for t in THEOREMS] + [(t, q) for t, q in EXPLICIT.items()],
+)
+def test_theorem_table_matches_direct_checker_calls(tmp_path, theorem, params):
+    assert set(EXPLICIT) == {t for t, spec in THEOREMS.items() if spec.params}
+    args = _cli_params(params) if params else ["--exhaustive-am"]
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}.jsonl"
+        code = main(["check", theorem, "--primes", "5..13", "--jobs", jobs,
+                     *args, "--out", str(out)])
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    records = [json.loads(line) for line in outs[0].decode().splitlines()]
+    want = [r.as_dict() for p in (5, 7, 11, 13)
+            for r in direct_reports(theorem, p, params)]
+    want.sort(key=lambda d: (d["p"], tuple(sorted(d["params"].items()))))
+    assert records == want
+    assert code == (1 if any(r["status"] == "FAILED" for r in records) else 0)
+
+
+# Each command meets one prime that divides a parameter's denominator or the
+# numerator of m.  The ranges avoid the honest ramified failures (README).
+UNUSABLE = [
+    (["thm2.2", "--primes", "3..30", "--a", "1/3", "--x", "1"], 3),
+    (["thm2.1", "--primes", "3..30", "--a", "1", "--x", "1/7"], 7),
+    (["cor2.2", "--primes", "3..7", "--m", "1/5"], 5),
+    (["thm2.3", "--primes", "5..30", "--a", "1", "--m", "7"], 7),
+    (["eq1.3", "--primes", "3..30", "--m", "7"], 7),
+]
+
+
+@pytest.mark.parametrize("argv, bad_p", UNUSABLE)
+def test_unusable_prime_gives_one_vacuous_record(tmp_path, argv, bad_p):
+    out = tmp_path / "r.jsonl"
+    assert main(["check", *argv, "--jobs", "1", "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    at_bad = [r for r in records if r["p"] == bad_p]
+    given = dict(zip(argv[3::2], argv[4::2]))
+    assert at_bad == [{
+        "theorem": argv[0], "p": bad_p, "e": 1 if argv[0] == "thm2.1" else 2,
+        "params": {k.lstrip("-"): v for k, v in given.items()},
+        "hypothesis_holds": False, "conclusion_holds": True,
+        "residues": {}, "status": "vacuous",
+    }]
+    lo, hi = parse_prime_range(argv[2])
+    usable = [p for p in primes_in_range(lo, hi) if p != bad_p]
+    params = {k.lstrip("-"): parse_rational(v) for k, v in given.items()}
+    rest = run_checks(argv[0], usable, params=params, jobs=1)
+    assert [r for r in records if r["p"] != bad_p] == rest
+
+
+def test_prime_range_is_capped_before_the_sieve(monkeypatch):
+    assert parse_prime_range(f"5..{PRIME_RANGE_MAX}") == (5, PRIME_RANGE_MAX)
+    with pytest.raises(Exception):
+        parse_prime_range(f"5..{PRIME_RANGE_MAX + 1}")
+
+    def no_sieve(lo, hi):
+        raise AssertionError("sieve called")
+
+    monkeypatch.setattr(cli, "primes_in_range", no_sieve)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "eq1.2", "--primes", "5..10000000000"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--n-max", "--k-max", "--p-max"])
+def test_oracle_sizes_must_be_non_negative(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "lemma2.2", f"{flag}=-3"])
+    assert exc.value.code == 2
+
+
+def test_oracle_p_max_is_bounded_before_any_work(monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "primes_in_range", no_work)
+    monkeypatch.setattr(cli, "make_context", no_work)
+    too_big = str(oracle.REDUCE_P_BOUND + 1)
+    assert main(["oracle", "reduce-equivalence", "--p-max", too_big]) == 2
+    assert str(oracle.REDUCE_P_BOUND) in capsys.readouterr().err

@@ -2,10 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from supercong.binomtab import binom_rational, central_binom
 from supercong.congruences import (
     CheckReport,
     FamilyTag,
@@ -31,8 +31,8 @@ from supercong.errors import (
     WrongResidueClass,
     ZeroM,
 )
-from supercong.modring import make_context
-from supercong.oracle import exact_reduce_sum
+from supercong.modring import ap_of, make_context, reduce_rational
+from supercong.oracle import binom_frac, exact_reduce_sum
 
 
 def test_core_sum_trivial_cases():
@@ -120,10 +120,8 @@ def test_tail_terms_vanish_mod_p2():
             dens = [d for d in range(1, 8) if d % p]
             a = Fraction(rng.randint(-20, 20), rng.choice(dens))
             for k in range((p + 1) // 2, p):
-                term = (
-                    central_binom(k, ctx)
-                    * binom_rational(a, k, ctx)
-                    * binom_rational(-1 - a, k, ctx)
+                term = reduce_rational(
+                    comb(2 * k, k) * binom_frac(a, k) * binom_frac(-1 - a, k), ctx
                 )
                 assert term.value == 0, (p, a, k)
 
@@ -307,8 +305,7 @@ def test_explore_remark_2_3():
 
 def test_corollary_2_1_zero_propagation():
     # if the core sum vanishes mod p, both extension values vanish
-    from supercong.binomtab import ap_of
-    from supercong.legendre import legendre_at_sqrt
+    from reference import legendre_at_sqrt
 
     hits = 0
     for p in (5, 7, 11, 13):

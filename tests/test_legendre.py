@@ -1,25 +1,21 @@
-"""The four Legendre evaluators against each other and the exact oracle."""
+"""The squared Legendre evaluator against the exact oracle and the mod-p
+references of tests/reference.py (recurrence, values at square roots)."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from supercong.errors import BadExponent, BoundExceeded, NTooLarge
-from supercong.legendre import (
+from reference import (
+    QuadExtElem,
     legendre_at_sqrt,
     legendre_eval_recurrence,
-    legendre_eval_shifted,
-    legendre_exact,
-    legendre_square_at_sqrt,
-)
-from supercong.modring import (
-    QuadExtElem,
     legendre_symbol,
-    make_context,
-    reduce_rational,
     sqrt_mod_p,
 )
+from supercong.errors import BadExponent, BoundExceeded, NTooLarge
+from supercong.legendre import legendre_exact, legendre_square_at_sqrt
+from supercong.modring import make_context, reduce_rational
 
 
 def test_recurrence_base_cases_and_example():
@@ -29,6 +25,11 @@ def test_recurrence_base_cases_and_example():
     assert legendre_eval_recurrence(1, x) == x
     # P_2(2) = (3*4 - 1)/2 = 11/2 = 2 mod 7
     assert legendre_eval_recurrence(2, ctx.residue(2)).value == 2
+    # P_n(1) = 1 and P_n(-1) = (-1)^n
+    ctx = make_context(11, 1)
+    for n in range(11):
+        assert legendre_eval_recurrence(n, ctx.residue(1)).value == 1
+    assert legendre_eval_recurrence(3, ctx.residue(-1)).value == 10
 
 
 def test_recurrence_rejects_large_degree():
@@ -37,16 +38,6 @@ def test_recurrence_rejects_large_degree():
         legendre_eval_recurrence(7, ctx.residue(1))
     with pytest.raises(NTooLarge):
         legendre_eval_recurrence(-1, ctx.residue(1))
-
-
-def test_shifted_base_cases():
-    ctx = make_context(11, 1)
-    for n in range(11):
-        assert legendre_eval_shifted(n, ctx.residue(1)).value == 1
-    x = ctx.residue(6)
-    assert legendre_eval_shifted(1, x) == x
-    # P_n(-1) = (-1)^n
-    assert legendre_eval_shifted(3, ctx.residue(-1)).value == 10
 
 
 def test_legendre_exact_coefficients():
@@ -72,21 +63,8 @@ def test_evaluator_agreement_mod_p():
             n = rng.randrange(p)
             x = rng.randrange(p)
             r1 = legendre_eval_recurrence(n, ctx.residue(x))
-            r2 = legendre_eval_shifted(n, ctx.residue(x))
             r3 = eval_exact_mod(n, x, ctx)
-            assert r1 == r2 == r3, (p, n, x)
-
-
-def test_shifted_exact_mod_higher_powers():
-    # the shifted form stays exact mod p^e thanks to the valued C(n+k,k)
-    rng = random.Random(555)
-    for p, e in ((5, 2), (7, 3), (11, 2)):
-        ctx = make_context(p, e)
-        for _ in range(20):
-            n = rng.randrange(p)
-            x = rng.randrange(p**e)
-            got = legendre_eval_shifted(n, ctx.residue(x))
-            assert got == eval_exact_mod(n, x, ctx), (p, e, n, x)
+            assert r1 == r3, (p, n, x)
 
 
 def test_recurrence_agrees_at_higher_powers_too():
@@ -105,8 +83,8 @@ def test_parity_property():
         for _ in range(20):
             n = rng.randrange(p)
             x = rng.randrange(p**2)
-            lhs = legendre_eval_shifted(n, ctx.residue(-x))
-            rhs = legendre_eval_shifted(n, ctx.residue(x)) * (-1) ** n
+            lhs = legendre_eval_recurrence(n, ctx.residue(-x))
+            rhs = legendre_eval_recurrence(n, ctx.residue(x)) * (-1) ** n
             assert lhs == rhs
 
 
