@@ -21,6 +21,7 @@ from .congruences import (
     core_sum,
     explore_remark_2_3,
     family_sum,
+    family_sums,
     plain_sum,
 )
 from .errors import (
@@ -43,6 +44,7 @@ from .modring import (
     ResidueZ,
     ap_of,
     hyper_sum,
+    hyper_sums,
     is_prime,
     make_context,
     reduce_rational,

@@ -5,11 +5,14 @@ One table, :data:`THEOREMS`, describes every ``check`` id: its parameters,
 exponent, smallest prime, exhaustive grid and checker call.  A prime that
 divides a given parameter's denominator, or the numerator of m, gets one
 vacuous record instead of a checker call.  --primes and --jobs are
-bounded, and the oracle sizes checked, before any work starts.
+bounded, parameters a theorem does not take and m = 0 rejected, and the
+oracle sizes checked, before any work starts.
 
-Work is distributed over primes: each worker owns its PrimeContext, results
-are merged and sorted by (p, theorem, parameters), so report files are
-byte-identical regardless of --jobs.
+A statement at fixed arguments (eq1.2, cor2.3, remark2.3, the family sweep)
+runs once over the whole prime list in this process.  Every other statement
+is distributed over primes: each worker owns its PrimeContext.  Results are
+sorted by (p, theorem, parameters), so report files are byte-identical
+regardless of --jobs.
 """
 
 from __future__ import annotations
@@ -54,15 +57,17 @@ class Theorem(NamedTuple):
     ``params`` names what the statement takes without --exhaustive-am, ``e``
     is the exponent of its records, ``min_p`` the smallest prime it covers,
     ``grid(p)`` the ranges the --exhaustive-am sweep takes ``params`` over at
-    p, and ``check(ctx, *params)`` the reports for one parameter tuple.
-    Checkers are looked up on the module at call time, so rebinding
+    p, and ``check(ctx, *params)`` the reports for one parameter tuple.  A
+    statement at fixed arguments has no grid (None); its ``check(primes)``
+    gives the reports for the whole prime list in one pass.  Checkers are
+    looked up on the module at call time, so rebinding
     ``congruences.check_*`` reaches every entry.
     """
 
     params: Tuple[str, ...]
     e: int
     min_p: int
-    grid: Callable[[int], Tuple[range, ...]]
+    grid: Optional[Callable[[int], Tuple[range, ...]]]
     check: Callable[..., Sequence[cg.CheckReport]]
 
 
@@ -80,10 +85,10 @@ THEOREMS: Dict[str, Theorem] = {
     "cor2.2": Theorem(("m",), 2, 3, lambda p: (range(1, p),),
                       lambda ctx, m: [cg.check_corollary_2_2(f, m, ctx)
                                       for f in cg.FamilyTag]),
-    "cor2.3": Theorem((), 2, 5, lambda p: (),
-                      lambda ctx: cg.check_corollary_2_3(ctx.p)),
-    "eq1.2": Theorem((), 2, 5, lambda p: (),
-                     lambda ctx: cg.check_rodriguez_villegas(ctx)),
+    "cor2.3": Theorem((), 2, 5, None,
+                      lambda primes: cg.check_corollary_2_3(primes)),
+    "eq1.2": Theorem((), 2, 5, None,
+                     lambda primes: cg.check_rodriguez_villegas(primes)),
     "eq1.3": Theorem(("m",), 2, 5, lambda p: (range(1, p),),
                      lambda ctx, m: [cg.check_identity_1_3(m, ctx)]),
 }
@@ -183,19 +188,6 @@ def _reports_for_prime(
     return [r.as_dict() for r in out]
 
 
-def _explore_for_prime(p: int) -> dict:
-    return cg.explore_remark_2_3(p).as_dict()
-
-
-def _family_residue(
-    p: int, tag: cg.FamilyTag, x: Fraction, e: int
-) -> Tuple[int, Optional[int]]:
-    if x.denominator % p == 0:  # x is not p-integral: no residue at this prime
-        return p, None
-    ctx = make_context(p, e)
-    return p, cg.family_sum(tag, x, ctx).value
-
-
 def _report_sort_key(d: dict):
     return (d["p"], d["theorem"], tuple(sorted(d["params"].items())))
 
@@ -227,30 +219,33 @@ def run_checks(
     exhaustive: bool = False,
     jobs: Optional[int] = None,
 ) -> List[dict]:
-    """Run one theorem's checker over primes, in parallel, sorted output."""
-    min_p = THEOREMS[theorem].min_p
-    qualifying = [p for p in primes if p >= min_p]
-    jobs = _resolve_jobs(jobs, len(qualifying))
-    log.info(
-        "checking %s over %d prime(s) with %d job(s)", theorem, len(qualifying), jobs
-    )
-    fn = partial(
-        _reports_for_prime, theorem=theorem, params=params, exhaustive=exhaustive
-    )
-    chunks = _parallel_map(fn, qualifying, jobs)
-    reports = [r for chunk in chunks for r in chunk]
+    """Run one theorem's checker over primes, sorted output.  A statement at
+    fixed arguments runs once over the whole list; any other runs prime by
+    prime, in parallel over ``jobs`` workers."""
+    spec = THEOREMS[theorem]
+    qualifying = [p for p in primes if p >= spec.min_p]
+    if spec.grid is None:
+        log.info("checking %s over %d prime(s) in one pass", theorem, len(qualifying))
+        reports = [r.as_dict() for r in spec.check(qualifying)]
+    else:
+        jobs = _resolve_jobs(jobs, len(qualifying))
+        log.info(
+            "checking %s over %d prime(s) with %d job(s)", theorem, len(qualifying), jobs
+        )
+        fn = partial(
+            _reports_for_prime, theorem=theorem, params=params, exhaustive=exhaustive
+        )
+        chunks = _parallel_map(fn, qualifying, jobs)
+        reports = [r for chunk in chunks for r in chunk]
     reports.sort(key=_report_sort_key)
     return reports
 
 
-def run_exploration(
-    primes: Iterable[int], jobs: Optional[int] = None
-) -> List[dict]:
+def run_exploration(primes: Iterable[int]) -> List[dict]:
     """remark2.3 residues mod p^3 over the qualifying primes (p = 5 mod 6)."""
     qualifying = [p for p in primes if p % 6 == 5]
-    jobs = _resolve_jobs(jobs, len(qualifying))
     log.info("exploring remark2.3 over %d prime(s)", len(qualifying))
-    reports = _parallel_map(_explore_for_prime, qualifying, jobs)
+    reports = [r.as_dict() for r in cg.explore_remark_2_3(qualifying)]
     reports.sort(key=_report_sort_key)
     return reports
 
@@ -258,20 +253,17 @@ def run_exploration(
 def sweep_family(
     tag: cg.FamilyTag,
     x: Fraction,
-    primes: Sequence[int],
+    primes: Iterable[int],
     e: int = 2,
-    jobs: Optional[int] = None,
 ) -> List[Tuple[int, Optional[int]]]:
-    """One family sum at fixed x for every prime; (p, residue) pairs.
+    """One family sum at fixed x for every prime; (p, residue) pairs in
+    ascending p.
 
     The residue is None at a prime dividing the denominator of x.
     """
-    primes = list(primes)
-    jobs = _resolve_jobs(jobs, len(primes))
-    fn = partial(_family_residue, tag=tag, x=Fraction(x), e=e)
-    out = _parallel_map(fn, primes, jobs)
-    out.sort(key=lambda pair: pair[0])
-    return out
+    primes = sorted(primes)
+    sums = cg.family_sums(tag, x, primes, e)
+    return [(p, sums.get(p)) for p in primes]
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +335,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if value is not None
     }
     needed = THEOREMS[theorem].params
+    unused = [n for n in given if n not in needed]
+    if unused:
+        print(f"error: {theorem} takes no --{' --'.join(unused)}", file=sys.stderr)
+        return 2
+    if given.get("m") == 0:
+        print("error: --m must be nonzero: every prime divides m = 0", file=sys.stderr)
+        return 2
     if needed and not args.exhaustive_am:
         missing = [n for n in needed if n not in given]
         if missing:
@@ -386,7 +385,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_explore(args: argparse.Namespace) -> int:
     primes = primes_in_range(*args.primes)
-    reports = run_exploration(primes, jobs=args.jobs)
+    reports = run_exploration(primes)
     vanishing = sum(1 for r in reports if r["residues"]["sum_mod_p3"] == 0)
     print(
         f"remark2.3: {vanishing}/{len(reports)} qualifying prime(s) vanish mod p^3"
@@ -403,36 +402,53 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     return 0
 
 
+# Per oracle target: the size option it reads, its default and its cap.
+_ORACLE_SIZES = {
+    "lemma2.1": ("n_max", oracle.LEMMA_2_1_BOUND, oracle.LEMMA_2_1_BOUND),
+    "lemma2.2": ("n_max", oracle.LEMMA_2_2_BOUND, oracle.LEMMA_2_2_BOUND),
+    "eq1.7": ("k_max", oracle.IDENTITY_1_7_BOUND, oracle.IDENTITY_1_7_BOUND),
+    "reduce-equivalence": ("p_max", 97, oracle.REDUCE_P_BOUND),
+}
+
+
+def _oracle_size(target: str, args: argparse.Namespace) -> int:
+    """The target's size: the user's, checked against the cap, or the default."""
+    name, default, cap = _ORACLE_SIZES[target]
+    size = getattr(args, name)
+    if size is None:
+        return default
+    if size > cap:
+        flag = "--" + name.replace("_", "-")
+        raise BoundExceeded(f"{flag} must be at most {cap} for {target}, got {size}")
+    return size
+
+
 def _run_oracle_target(target: str, args: argparse.Namespace) -> Tuple[bool, str]:
     if target == "lemma2.1":
-        n_max = args.n_max if args.n_max is not None else oracle.LEMMA_2_1_BOUND
+        n_max = _oracle_size(target, args)
         for n in range(n_max + 1):
-            if not oracle.lemma_2_1_exact_check(n, bound=max(n, 1)):
+            if not oracle.lemma_2_1_exact_check(n):
                 return False, f"squared-value expansion differs at n={n}"
         return True, f"squared-value expansion exact for all n <= {n_max}"
     if target == "lemma2.2":
-        n_max = args.n_max if args.n_max is not None else oracle.LEMMA_2_2_BOUND
+        n_max = _oracle_size(target, args)
         for n in range(n_max + 1):
-            s1, s2 = oracle.lemma_2_2_sides(n, bound=n_max)
+            s1, s2 = oracle.lemma_2_2_sides(n)
             if s1 != s2:
                 return False, f"identity sides differ at n={n}"
             if n >= 2:
                 for side in (1, 2):
-                    if not oracle.zeilberger_certificate_check(n, side, bound=n_max):
+                    if not oracle.zeilberger_certificate_check(n, side):
                         return False, f"recurrence certificate fails at n={n} side {side}"
         return True, f"identity and certificate exact for all n <= {n_max}"
     if target == "eq1.7":
-        k_max = args.k_max if args.k_max is not None else oracle.IDENTITY_1_7_BOUND
+        k_max = _oracle_size(target, args)
         for k in range(k_max + 1):
-            if not oracle.identity_1_7_check(k, bound=k_max):
+            if not oracle.identity_1_7_check(k):
                 return False, f"dictionary equality fails at k={k}"
         return True, f"dictionary exact for all k <= {k_max}"
     if target == "reduce-equivalence":
-        p_max = args.p_max if args.p_max is not None else 97
-        if p_max > oracle.REDUCE_P_BOUND:
-            raise BoundExceeded(
-                f"--p-max must be at most {oracle.REDUCE_P_BOUND}, got {p_max}"
-            )
+        p_max = _oracle_size(target, args)
         for p in primes_in_range(3, p_max):
             for e in (1, 2, 3):
                 ctx = make_context(p, e)
@@ -484,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--exhaustive-am", action="store_true",
                        help="sweep the full integer parameter grid per prime")
     check.add_argument("--jobs", type=int, default=None,
-                       help="parallel workers over primes (default: all cores)")
+                       help="parallel workers over primes (default: all cores); "
+                            "eq1.2 and cor2.3 run in one pass in this process")
     check.add_argument("--out", default=None, help="JSONL output path")
     check.add_argument("--csv", default=None, help="CSV output path")
     check.set_defaults(func=_cmd_check)
@@ -493,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("conjecture", choices=("remark2.3",))
     explore.add_argument("--primes", type=parse_prime_range, required=True,
                          metavar="LO..HI")
-    explore.add_argument("--jobs", type=int, default=None)
+    explore.add_argument("--jobs", type=int, default=None,
+                         help="accepted; the sweep is one pass in this process")
     explore.add_argument("--out", default=None, help="JSONL output path")
     explore.set_defaults(func=_cmd_explore)
 

@@ -2,8 +2,10 @@
 
 Every sum is a term-ratio spec (constant, linear factors in k, power of k in
 the denominator) evaluated by the division-free kernel
-:func:`~supercong.modring.hyper_sum`.  Checkers wrap the sums into
-:class:`CheckReport` records whose status follows one fixed rule.
+:func:`~supercong.modring.hyper_sum`, one prime at a time, or, for a family
+sum at a fixed x, by :func:`~supercong.modring.hyper_sums` for a whole prime
+list at once.  Checkers wrap the sums into :class:`CheckReport` records
+whose status follows one fixed rule.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .errors import (
     BadExponent,
@@ -29,7 +31,7 @@ from .modring import (
     ResidueZ,
     ap_of,
     hyper_sum,
-    make_context,
+    hyper_sums,
     reduce_rational,
 )
 
@@ -104,6 +106,20 @@ def family_sum(f: FamilyTag, x: Rational, ctx: PrimeContext) -> ResidueZ:
     """
     xh = reduce_rational(x, ctx).value
     return ResidueZ(hyper_sum(f.const * xh, f.factors, 3, ctx.p - 1, ctx), ctx)
+
+
+def family_sums(
+    f: FamilyTag, x: Rational, primes: Iterable[int], e: int
+) -> Dict[int, int]:
+    """:func:`family_sum` at one x for every prime at once: {p: residue}.
+
+    Primes dividing the denominator of x have no residue and are left out.
+    """
+    x = Fraction(x)
+    usable = sorted({p for p in primes if x.denominator % p})
+    c = f.const * x
+    sums = hyper_sums(c.numerator, c.denominator, f.factors, 3, usable, e)
+    return dict(zip(usable, sums))
 
 
 # ---------------------------------------------------------------------------
@@ -322,54 +338,61 @@ def check_theorem_2_4(part: str, u: Rational, ctx: PrimeContext) -> CheckReport:
     )
 
 
-def check_rodriguez_villegas(ctx: PrimeContext) -> List[CheckReport]:
-    """The three residue-class zero congruences mod p^2.
+def _above_3(primes: Iterable[int]) -> List[int]:
+    primes = list(primes)
+    if any(p <= 3 for p in primes):
+        raise RangeError("stated for p > 3")
+    return primes
+
+
+def check_rodriguez_villegas(primes: Iterable[int]) -> List[CheckReport]:
+    """The three residue-class zero congruences mod p^2, for every prime.
 
     C(2k,k)^2 C(3k,k)/108^k for p = 2 mod 3; C(2k,k)^2 C(4k,2k)/256^k for
     p = 5, 7 mod 8; C(2k,k) C(3k,k) C(6k,3k)/1728^k for p = 3 mod 4.  The sum
     is evaluated for every prime; out-of-class instances come back vacuous.
+    Reports run prime by prime, three per prime.
     """
-    _require_e(ctx, 2)
-    p = ctx.p
-    if p <= 3:
-        raise RangeError("these congruences are stated for p > 3")
+    primes = _above_3(primes)
     cases = (
-        (FamilyTag.TWO_THREE, 108, p % 3 == 2),
-        (FamilyTag.TWO_FOUR, 256, p % 8 in (5, 7)),
-        (FamilyTag.THREE_SIX, 1728, p % 4 == 3),
+        (FamilyTag.TWO_THREE, 108, lambda p: p % 3 == 2),
+        (FamilyTag.TWO_FOUR, 256, lambda p: p % 8 in (5, 7)),
+        (FamilyTag.THREE_SIX, 1728, lambda p: p % 4 == 3),
     )
-    out = []
-    for tag, scale, in_class in cases:
-        s = family_sum(tag, Fraction(1, scale), ctx).value
-        out.append(
-            _report(
-                "eq1.2",
-                p,
-                2,
-                {"family": tag.label, "x": f"1/{scale}"},
-                in_class,
-                s == 0,
-                {"sum_mod_p2": s},
-            )
+    sums = [family_sums(tag, Fraction(1, scale), primes, 2) for tag, scale, _ in cases]
+    return [
+        _report(
+            "eq1.2",
+            p,
+            2,
+            {"family": tag.label, "x": f"1/{scale}"},
+            in_class(p),
+            s[p] == 0,
+            {"sum_mod_p2": s[p]},
         )
-    return out
+        for p in primes
+        for (tag, scale, in_class), s in zip(cases, sums)
+    ]
 
 
-def check_corollary_2_3(p: int) -> Tuple[CheckReport, CheckReport]:
+def check_corollary_2_3(primes: Iterable[int]) -> List[CheckReport]:
     """The two derived zero congruences for the C(2k,k)^2 C(3k,k) family:
-    1/1458 vanishes mod p^2 when p = 5 mod 6, 1/3375 when p = 11, 14 mod 15."""
-    if p <= 3:
-        raise RangeError("stated for p > 3")
-    ctx = make_context(p, 2)
+    1/1458 vanishes mod p^2 when p = 5 mod 6, 1/3375 when p = 11, 14 mod 15.
+    Two reports per prime, in that order."""
+    primes = _above_3(primes)
+    cases = ((1458, lambda p: p % 6 == 5), (3375, lambda p: p % 15 in (11, 14)))
+    sums = [family_sums(FamilyTag.TWO_THREE, Fraction(1, scale), primes, 2)
+            for scale, _ in cases]
     out = []
-    for scale, in_class in ((1458, p % 6 == 5), (3375, p % 15 in (11, 14))):
-        params = {"family": FamilyTag.TWO_THREE.label, "x": f"1/{scale}"}
-        if scale % p == 0:  # 1/scale not p-integral; never in class then
-            out.append(_report("cor2.3", p, 2, params, False, True, {}))
-            continue
-        s = family_sum(FamilyTag.TWO_THREE, Fraction(1, scale), ctx).value
-        out.append(_report("cor2.3", p, 2, params, in_class, s == 0, {"sum_mod_p2": s}))
-    return out[0], out[1]
+    for p in primes:
+        for (scale, in_class), s in zip(cases, sums):
+            params = {"family": FamilyTag.TWO_THREE.label, "x": f"1/{scale}"}
+            if p not in s:  # 1/scale not p-integral; never in class then
+                out.append(_report("cor2.3", p, 2, params, False, True, {}))
+            else:
+                out.append(_report("cor2.3", p, 2, params, in_class(p), s[p] == 0,
+                                   {"sum_mod_p2": s[p]}))
+    return out
 
 
 def check_identity_1_3(m: Rational, ctx: PrimeContext) -> CheckReport:
@@ -397,20 +420,24 @@ def check_identity_1_3(m: Rational, ctx: PrimeContext) -> CheckReport:
     )
 
 
-def explore_remark_2_3(p: int) -> CheckReport:
-    """Evaluate the 1/1458 family sum mod p^3 for p = 5 mod 6 and record
-    whether it vanishes.  Conjecture-grade: callers surface non-vanishing
-    records but never turn them into failures."""
-    if p % 6 != 5:
-        raise WrongResidueClass(f"p = {p} is not 5 mod 6")
-    ctx = make_context(p, 3)
-    s = family_sum(FamilyTag.TWO_THREE, Fraction(1, 1458), ctx).value
-    return _report(
-        "remark2.3",
-        p,
-        3,
-        {"family": FamilyTag.TWO_THREE.label, "x": "1/1458"},
-        True,
-        s == 0,
-        {"sum_mod_p3": s},
-    )
+def explore_remark_2_3(primes: Iterable[int]) -> List[CheckReport]:
+    """Evaluate the 1/1458 family sum mod p^3 for primes p = 5 mod 6 and
+    record whether it vanishes, one report per prime.  Conjecture-grade:
+    callers surface non-vanishing records but never turn them into failures."""
+    primes = list(primes)
+    for p in primes:
+        if p % 6 != 5:
+            raise WrongResidueClass(f"p = {p} is not 5 mod 6")
+    sums = family_sums(FamilyTag.TWO_THREE, Fraction(1, 1458), primes, 3)
+    return [
+        _report(
+            "remark2.3",
+            p,
+            3,
+            {"family": FamilyTag.TWO_THREE.label, "x": "1/1458"},
+            True,
+            sums[p] == 0,
+            {"sum_mod_p3": sums[p]},
+        )
+        for p in primes
+    ]

@@ -1,5 +1,6 @@
 """Exact arithmetic in Z/p^e: canonical residues, rational reduction, and
-the division-free hypergeometric kernel behind every truncated sum.
+the division-free hypergeometric kernel behind every truncated sum, one
+prime at a time or, over n = p - 1, for a whole prime list at once.
 
 Everything is pure and immutable: a :class:`PrimeContext` is built once and
 can be shared freely across threads and fork workers.
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     BadExponent,
@@ -122,6 +123,116 @@ def hyper_sum(
         den = den * kd % m
         acc = (acc * kd + u) % m
     return acc * pow(den, -1, m) % m
+
+
+# An upper-triangular integer matrix [[a, b], [0, d]], stored as (a, b, d).
+_Tri = Tuple[int, int, int]
+
+
+def _tri_mul(x: _Tri, y: _Tri) -> _Tri:
+    return x[0] * y[0], x[0] * y[1] + x[1] * y[2], x[2] * y[2]
+
+
+def _tri_mod(x: _Tri, m: int) -> _Tri:
+    return x[0] % m, x[1] % m, x[2] % m
+
+
+def _moduli_tree(moduli: Sequence[int], lo: int, hi: int) -> tuple:
+    """(product, left subtree, right subtree) over moduli[lo:hi], split at
+    the midpoint; a leaf is (modulus,)."""
+    if hi - lo == 1:
+        return (moduli[lo],)
+    mid = (lo + hi) // 2
+    left = _moduli_tree(moduli, lo, mid)
+    right = _moduli_tree(moduli, mid, hi)
+    return left[0] * right[0], left, right
+
+
+def _prime_power_tree(primes: Tuple[int, ...], e: int) -> tuple:
+    """The moduli tree over p^e for an ascending list of odd primes."""
+    for prev, p in zip((2, *primes), primes):
+        if p <= prev or not is_prime(p):
+            raise CompositeModulus(f"{p!r} is not an odd prime above {prev}")
+    return _moduli_tree([p**e for p in primes], 0, len(primes))
+
+
+def hyper_sums(
+    num: int,
+    den: int,
+    factors: Sequence[Tuple[int, int]],
+    d: int,
+    primes: Sequence[int],
+    e: int,
+) -> List[int]:
+    """sum_{k=0}^{p-1} t_k mod p^e for every prime p of an ascending list,
+    for t_0 = 1 and the term ratio
+    t_k / t_{k-1} = num * prod_i (s_i k + r_i) / (den * k^d).
+
+    This is :func:`hyper_sum` at n = p - 1 for all primes at once, with the
+    constant c = num / den kept as two integers.  The row vector (U, N) of
+    the scalar kernel steps by [[a_k, a_k], [0, b_k]], with
+    a_k = num * prod_i (s_i k + r_i) and b_k = den * k^d, so the product
+    [[A, B], [0, D]] of the steps k = 1 .. p-1 gives the sum (B + D) / D,
+    and D is a unit for p not dividing den.  One leaf block multiplies the
+    steps between two consecutive primes; an accumulating remainder tree
+    (Costa, Gerbicz and Harvey, arXiv:1209.3436) then reduces every prefix
+    product mod its own p^e.  That is O(log n) levels of big-integer products
+    and remainders for n primes, in place of sum(p) Python steps.
+    """
+    if not isinstance(e, int) or e not in (1, 2, 3):
+        raise BadExponent(f"exponent must be 1, 2 or 3, got {e!r}")
+    primes = tuple(primes)
+    if not primes:
+        return []
+    tree = _prime_power_tree(primes, e)
+    for p in primes:
+        if den % p == 0:
+            raise NotPIntegral(f"{num}/{den} has denominator divisible by {p}")
+    (s1, r1), (s2, r2), (s3, r3) = (*factors, *((0, 1),) * (3 - len(factors)))
+    out = [0] * len(primes)
+    root = tree[0]
+
+    def leaf(j: int) -> _Tri:
+        """The product of the steps from the previous prime to p_j - 1.
+        Every later use reduces it mod a divisor of the product of all
+        moduli, so it is reduced mod that product once it outgrows it: a
+        long gap (a list that starts high) stays O(gap) steps on numbers
+        below it, and a short one is never reduced (a reduced negative
+        entry would be as long as the modulus)."""
+        a, b, dd = 1, 0, 1
+        for k in range(primes[j - 1] if j else 1, primes[j]):
+            a *= num * (s1 * k + r1) * (s2 * k + r2) * (s3 * k + r3)
+            bk = den * k**d
+            b = a + b * bk
+            dd *= bk
+            if abs(a) > root or abs(dd) > root:
+                a, b, dd = a % root, b % root, dd % root
+        return a, b, dd
+
+    def walk(node: tuple, lo: int, hi: int, prefix: Optional[_Tri],
+             need: bool) -> Optional[_Tri]:
+        """Fill out[lo:hi] from the product of the blocks before lo, reduced
+        mod node's modulus (None: no block precedes), and return the product
+        of blocks lo .. hi-1 where a caller reads it (need)."""
+        if hi - lo == 1:
+            block = leaf(lo)
+            m = node[0]
+            _, b, dd = block if prefix is None else _tri_mod(_tri_mul(prefix, block), m)
+            out[lo] = (b + dd) * pow(dd, -1, m) % m
+            return block
+        mid = (lo + hi) // 2
+        left, right = node[1], node[2]
+        before = None if prefix is None else _tri_mod(prefix, left[0])
+        product = walk(left, lo, mid, before, True)
+        mr = right[0]
+        head = _tri_mod(product, mr)
+        if prefix is not None:
+            head = _tri_mod(_tri_mul(_tri_mod(prefix, mr), head), mr)
+        rest = walk(right, mid, hi, head, need)
+        return _tri_mul(product, rest) if need else None
+
+    walk(tree, 0, len(primes), None, False)
+    return out
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ tolerance here is exact (residue equality) except the soft performance
 budget of criterion 11.
 """
 
-import os
 import random
 import time
 import warnings
@@ -45,12 +44,11 @@ def _announce(num: int, detail: str) -> None:
 def test_criterion_01_rodriguez_villegas_classes():
     t0 = time.perf_counter()
     in_class = 0
-    for p in primes_in_range(5, 1999):
-        for r in check_rodriguez_villegas(make_context(p, 2)):
-            assert r.status != "FAILED", r
-            if r.hypothesis_holds:
-                assert r.residues["sum_mod_p2"] == 0, r
-                in_class += 1
+    for r in check_rodriguez_villegas(primes_in_range(5, 1999)):
+        assert r.status != "FAILED", r
+        if r.hypothesis_holds:
+            assert r.residues["sum_mod_p2"] == 0, r
+            in_class += 1
     assert in_class > 400
     _announce(1, f"eq1.2: {in_class} in-class sums exactly 0 mod p^2 for 3 < p < 2000 "
                  f"({time.perf_counter() - t0:.1f}s)")
@@ -123,8 +121,9 @@ def test_criterion_05_theorem_2_4_exhaustive():
 def test_criterion_06_corollary_2_3_classes():
     t0 = time.perf_counter()
     first = second = 0
-    for p in primes_in_range(5, 1999):
-        r1458, r3375 = check_corollary_2_3(p)
+    primes = primes_in_range(5, 1999)
+    reports = check_corollary_2_3(primes)
+    for p, r1458, r3375 in zip(primes, reports[::2], reports[1::2]):
         if p % 6 == 5:
             assert r1458.status == "verified" and r1458.residues["sum_mod_p2"] == 0, p
             first += 1
@@ -226,7 +225,7 @@ def test_criterion_09_family_dictionary():
 
 def test_criterion_10_remark_2_3_exploration():
     t0 = time.perf_counter()
-    reports = run_exploration(primes_in_range(5, 999), jobs=1)
+    reports = run_exploration(primes_in_range(5, 999))
     assert all(r["e"] == 3 and "sum_mod_p3" in r["residues"] for r in reports)
     vanishing = [r for r in reports if r["residues"]["sum_mod_p3"] == 0]
     surfaced = [r for r in reports if r["residues"]["sum_mod_p3"] != 0]
@@ -240,21 +239,19 @@ def test_criterion_10_remark_2_3_exploration():
 
 
 def test_criterion_11_performance_soft_full_sweep():
-    jobs = os.cpu_count() or 1
     primes = primes_in_range(3, 10**5 - 1)
     t0 = time.perf_counter()
-    pairs = sweep_family(FamilyTag.TWO_THREE, Fraction(1, 1458), primes, e=2, jobs=jobs)
+    pairs = sweep_family(FamilyTag.TWO_THREE, Fraction(1, 1458), primes, e=2)
     wall = time.perf_counter() - t0
     assert len(pairs) == len(primes)
     # free correctness at scale: the 5 mod 6 class must vanish (cor2.3)
     for p, residue in pairs:
         if p % 6 == 5:
             assert residue == 0, (p, residue)
-    projected = wall * jobs / 8  # parallel-efficiency projection to 8 cores
+    # one pass in this process: the wall itself is held to the budget
     detail = (f"full two_three sweep at e=2 over {len(pairs)} primes < 1e5: "
-              f"{wall:.0f}s wall on {jobs} core(s), ~{projected:.0f}s projected on 8 "
-              f"(budget 300s, soft)")
-    if projected > 300:
+              f"{wall:.1f}s wall in one process (budget 300s, soft)")
+    if wall > 300:
         warnings.warn("soft performance budget exceeded: " + detail)
         print(f"\nACCEPTANCE 11: SOFT-FAIL -- {detail}")
     else:

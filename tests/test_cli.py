@@ -173,15 +173,15 @@ def test_run_checks_library_surface():
 
 
 def test_run_exploration_and_sweep_family():
-    reports = run_exploration(primes_in_range(5, 40), jobs=1)
+    reports = run_exploration(primes_in_range(5, 40))
     assert [r["p"] for r in reports] == [5, 11, 17, 23, 29]
-    pairs = sweep_family(FamilyTag.TWO_THREE, Fraction(1, 1458), [5, 11, 17], e=2, jobs=1)
+    pairs = sweep_family(FamilyTag.TWO_THREE, Fraction(1, 1458), [5, 11, 17], e=2)
     assert pairs == [(5, 0), (11, 0), (17, 0)]
 
 
 def test_sweep_family_skips_primes_dividing_the_denominator():
     # 1458 = 2 * 3^6: x = 1/1458 has no residue at p = 3, and the sweep goes on
-    pairs = sweep_family(FamilyTag.TWO_THREE, Fraction(1, 1458), [3, 5, 7, 11], jobs=1)
+    pairs = sweep_family(FamilyTag.TWO_THREE, Fraction(1, 1458), [3, 5, 7, 11])
     assert pairs[0] == (3, None)
     assert [p for p, _ in pairs] == [3, 5, 7, 11]
     assert pairs[1] == (5, 0) and pairs[3] == (11, 0)
@@ -229,10 +229,10 @@ EXPLICIT = {
 def direct_reports(theorem, p, params):
     """One prime's records by direct checker calls, without the table."""
     if theorem == "cor2.3":
-        return list(cg.check_corollary_2_3(p))
-    ctx = make_context(p, 1 if theorem == "thm2.1" else 2)
+        return cg.check_corollary_2_3([p])
     if theorem == "eq1.2":
-        return cg.check_rodriguez_villegas(ctx)
+        return cg.check_rodriguez_villegas([p])
+    ctx = make_context(p, 1 if theorem == "thm2.1" else 2)
     out = []
     if theorem in ("thm2.1", "thm2.2"):
         check = cg.check_theorem_2_1 if theorem == "thm2.1" else cg.check_theorem_2_2
@@ -338,12 +338,63 @@ def test_oracle_sizes_must_be_non_negative(flag):
     assert exc.value.code == 2
 
 
-def test_oracle_p_max_is_bounded_before_any_work(monkeypatch, capsys):
-    def no_work(*args):
+def _no_work(monkeypatch):
+    def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
     monkeypatch.setattr(cli, "primes_in_range", no_work)
     monkeypatch.setattr(cli, "make_context", no_work)
+    for name in ("lemma_2_1_exact_check", "lemma_2_2_sides",
+                 "zeilberger_certificate_check", "identity_1_7_check"):
+        monkeypatch.setattr(oracle, name, no_work)
+
+
+def test_oracle_p_max_is_bounded_before_any_work(monkeypatch, capsys):
+    _no_work(monkeypatch)
     too_big = str(oracle.REDUCE_P_BOUND + 1)
     assert main(["oracle", "reduce-equivalence", "--p-max", too_big]) == 2
     assert str(oracle.REDUCE_P_BOUND) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, flag, cap", [
+    ("lemma2.1", "--n-max", oracle.LEMMA_2_1_BOUND),
+    ("lemma2.2", "--n-max", oracle.LEMMA_2_2_BOUND),
+    ("eq1.7", "--k-max", oracle.IDENTITY_1_7_BOUND),
+])
+def test_oracle_sizes_are_capped_before_any_work(monkeypatch, capsys, target, flag, cap):
+    _no_work(monkeypatch)
+    for size in (cap + 1, 100000):
+        assert main(["oracle", target, flag, str(size)]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and str(cap) in err
+
+
+def test_oracle_sizes_up_to_the_cap_run(capsys):
+    assert main(["oracle", "lemma2.1", "--n-max", str(oracle.LEMMA_2_1_BOUND)]) == 0
+    assert main(["oracle", "lemma2.2", "--n-max", "12"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"oracle lemma2.1: ok -- squared-value expansion exact for all n <= "
+        f"{oracle.LEMMA_2_1_BOUND}",
+        "oracle lemma2.2: ok -- identity and certificate exact for all n <= 12",
+    ]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["eq1.2", "--m", "3"], "--m"),
+    (["cor2.3", "--x", "1/2"], "--x"),
+    (["thm2.4i", "--u", "5", "--a", "2"], "--a"),
+    (["thm2.1", "--a", "1", "--x", "2", "--m", "3", "--u", "1"], "--m --u"),
+])
+def test_check_rejects_parameters_the_theorem_does_not_take(monkeypatch, capsys, argv, named):
+    _no_work(monkeypatch)
+    assert main(["check", argv[0], "--primes", "5..7", *argv[1:]]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theorem", [t for t, spec in THEOREMS.items() if "m" in spec.params])
+def test_check_rejects_m_zero_before_any_work(monkeypatch, capsys, theorem):
+    _no_work(monkeypatch)
+    others = [f"--{n}=1" for n in THEOREMS[theorem].params if n != "m"]
+    for zero in ("0", "0/5", "-0"):
+        assert main(["check", theorem, "--primes", "5..13", f"--m={zero}", *others]) == 2
+        assert "--m" in capsys.readouterr().err

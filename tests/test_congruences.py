@@ -20,6 +20,7 @@ from supercong.congruences import (
     core_sum,
     explore_remark_2_3,
     family_sum,
+    family_sums,
     format_rational,
     plain_sum,
 )
@@ -31,6 +32,7 @@ from supercong.errors import (
     WrongResidueClass,
     ZeroM,
 )
+from supercong.cli import primes_in_range
 from supercong.modring import ap_of, make_context, reduce_rational
 from supercong.oracle import binom_frac, exact_reduce_sum
 
@@ -259,28 +261,28 @@ def test_check_theorem_2_4_exhaustive_tiny():
 
 
 def test_check_rodriguez_villegas_classes():
-    reports = {r.params["family"]: r for r in check_rodriguez_villegas(make_context(5, 2))}
+    reports = {r.params["family"]: r for r in check_rodriguez_villegas([5])}
     assert reports["two_three"].status == "verified"   # 5 = 2 mod 3
     assert reports["two_four"].status == "verified"    # 5 mod 8 in {5, 7}
     assert reports["three_six"].status == "vacuous"    # 5 = 1 mod 4
-    reports = {r.params["family"]: r for r in check_rodriguez_villegas(make_context(7, 2))}
+    reports = {r.params["family"]: r for r in check_rodriguez_villegas([7])}
     assert reports["two_three"].status == "vacuous"    # 7 = 1 mod 3
     assert reports["two_four"].status == "verified"    # 7 mod 8 = 7
     assert reports["three_six"].status == "verified"   # 7 = 3 mod 4
     with pytest.raises(RangeError):
-        check_rodriguez_villegas(make_context(3, 2))
+        check_rodriguez_villegas([3])
 
 
 def test_check_corollary_2_3_examples():
-    first, second = check_corollary_2_3(5)
+    first, second = check_corollary_2_3([5])
     assert first.status == "verified" and first.params["x"] == "1/1458"
     assert second.status == "vacuous"  # 3375 shares the factor 5; skipped
-    first, second = check_corollary_2_3(7)
+    first, second = check_corollary_2_3([7])
     assert first.status == "vacuous" and second.status == "vacuous"
-    first, second = check_corollary_2_3(11)
+    first, second = check_corollary_2_3([11])
     assert first.status == "verified" and second.status == "verified"
     with pytest.raises(RangeError):
-        check_corollary_2_3(3)
+        check_corollary_2_3([3])
 
 
 def test_check_identity_1_3_examples():
@@ -294,13 +296,13 @@ def test_check_identity_1_3_examples():
 
 
 def test_explore_remark_2_3():
-    r = explore_remark_2_3(5)
+    [r] = explore_remark_2_3([5])
     assert r.e == 3 and r.p == 5
     assert "sum_mod_p3" in r.residues
     assert r.residues["sum_mod_p3"] == 0  # recorded, expected by the conjecture
-    assert explore_remark_2_3(11).residues["sum_mod_p3"] == 0
+    assert explore_remark_2_3([11])[0].residues["sum_mod_p3"] == 0
     with pytest.raises(WrongResidueClass):
-        explore_remark_2_3(7)
+        explore_remark_2_3([7])
 
 
 def test_corollary_2_1_zero_propagation():
@@ -320,3 +322,36 @@ def test_corollary_2_1_zero_propagation():
                 assert legendre_at_sqrt(n, t).is_zero
                 assert legendre_at_sqrt(p - 1 - n, t).is_zero
     assert hits > 0
+
+
+# The arguments the checkers sum at, plus values whose numerator (5/7 at p = 5,
+# -7/4 at p = 7) or denominator (1/108, 1/1458, 1/3375 at p = 3 and 5, 5/7
+# at p = 7) is divisible by a prime of the list.
+GATE_X = tuple(Fraction(x) for x in (
+    0, 1, -1, Fraction(1, 108), Fraction(1, 256), Fraction(1, 1728),
+    Fraction(1, 1458), Fraction(1, 3375), Fraction(5, 7), Fraction(-7, 4),
+))
+GATE_PRIMES = primes_in_range(3, 3000)
+
+
+@pytest.mark.parametrize("e", (1, 2, 3))
+@pytest.mark.parametrize("f", list(FamilyTag))
+def test_family_sums_equal_the_scalar_kernel(f, e):
+    contexts = [make_context(p, e) for p in GATE_PRIMES]
+    for x in GATE_X:
+        want = {
+            ctx.p: family_sum(f, x, ctx).value
+            for ctx in contexts
+            if x.denominator % ctx.p
+        }
+        assert family_sums(f, x, GATE_PRIMES, e) == want, (f, e, x)
+
+
+def test_family_sums_on_empty_and_one_prime_lists():
+    for f in FamilyTag:
+        assert family_sums(f, Fraction(5, 7), [], 2) == {}
+        assert family_sums(f, Fraction(5, 7), [7], 2) == {}  # 7 is skipped
+        for p in (3, 5, 2999):
+            ctx = make_context(p, 3)
+            want = family_sum(f, Fraction(5, 7), ctx).value
+            assert family_sums(f, Fraction(5, 7), [p], 3) == {p: want}

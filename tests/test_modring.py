@@ -17,6 +17,7 @@ from supercong.errors import (
 from supercong.modring import (
     PrimeContext,
     hyper_sum,
+    hyper_sums,
     is_prime,
     make_context,
     reduce_rational,
@@ -68,6 +69,52 @@ def test_hyper_sum_binomial_series_and_range():
                 assert got == pow(1 + x, n, ctx.modulus), (p, e, n, x)
     with pytest.raises(RangeError):
         hyper_sum(1, ((-1, 8),), 1, 7, make_context(7, 2))
+
+
+def test_hyper_sums_match_the_scalar_kernel():
+    # random specs: one to three factors, d = 1..3, a constant num/den
+    rng = random.Random(20261018)
+    primes = [p for p in range(3, 400) if is_prime(p)]
+    for _ in range(30):
+        factors = tuple(
+            (rng.randint(-6, 6), rng.randint(-9, 9)) for _ in range(rng.randint(1, 3))
+        )
+        d, e = rng.randint(1, 3), rng.choice((1, 2, 3))
+        num, den = rng.randint(-50, 50), rng.choice((1, 2, 4, 8))
+        got = hyper_sums(num, den, factors, d, primes, e)
+        for p, value in zip(primes, got):
+            ctx = make_context(p, e)
+            c = reduce_rational(Fraction(num, den), ctx).value
+            assert value == hyper_sum(c, factors, d, p - 1, ctx), (factors, d, num, den, p, e)
+
+
+def test_hyper_sums_on_lists_that_start_high():
+    # one large prime, a narrow high range and a sparse list: each block
+    # spans a long gap, which the batched pass must keep to O(gap) steps
+    factors = ((2, -1), (3, -1), (3, -2))  # two_three, const 6
+    cases = (([99991], 3),
+             ([p for p in range(20000, 20300) if is_prime(p)], 2),
+             ([5, 10007, 30011, 30013], 2))
+    for num, den in ((6, 1458), (-42, 4)):  # x = 1/1458 and x = -7/4
+        for primes, e in cases:
+            got = hyper_sums(num, den, factors, 3, primes, e)
+            for p, value in zip(primes, got):
+                ctx = make_context(p, e)
+                c = reduce_rational(Fraction(num, den), ctx).value
+                assert value == hyper_sum(c, factors, 3, p - 1, ctx), (num, p, e)
+
+
+def test_hyper_sums_check_their_input():
+    spec = (1, 1, ((1, 0),), 1)
+    assert hyper_sums(*spec, [], 2) == []
+    for primes in ([5, 3], [5, 5], [5, 9], [2, 5], [1, 5]):
+        with pytest.raises(CompositeModulus):
+            hyper_sums(*spec, primes, 2)
+    with pytest.raises(NotPIntegral):
+        hyper_sums(1, 15, ((1, 0),), 1, [3, 7], 2)
+    for e in (0, 4):
+        with pytest.raises(BadExponent):
+            hyper_sums(*spec, [5], e)
 
 
 def test_reduce_rational_examples():

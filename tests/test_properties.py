@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercong.cli import primes_in_range
-from supercong.congruences import FamilyTag, core_sum, family_sum, plain_sum
+from supercong.congruences import FamilyTag, core_sum, family_sum, family_sums, plain_sum
 from supercong.legendre import legendre_square_at_sqrt
 from supercong.modring import make_context, reduce_rational
 from supercong.oracle import exact_reduce_sum
@@ -49,6 +49,24 @@ def test_family_sums_match_exact(case):
     ctx, _, x = case
     for f in FamilyTag:
         assert family_sum(f, x, ctx) == exact_reduce_sum(0, x, ctx, f), f
+
+
+@bounded
+@given(
+    st.lists(st.sampled_from(PRIMES), max_size=4),
+    st.sampled_from((1, 2, 3)),
+    st.sampled_from(list(FamilyTag)),
+    st.fractions(min_value=-10**4, max_value=10**4, max_denominator=60)
+    | st.integers(-20, 20).map(lambda t: Fraction(1155 * t)),  # 1155 = 3*5*7*11
+)
+def test_batched_family_sums_match_exact(primes, e, f, x):
+    """One pass over a prime list; primes dividing x's denominator are left out."""
+    want = {
+        p: exact_reduce_sum(0, x, make_context(p, e), f).value
+        for p in primes
+        if x.denominator % p
+    }
+    assert family_sums(f, x, primes, e) == want
 
 
 @bounded
