@@ -38,13 +38,15 @@ from .errors import (
     WrongResidueClass,
     ZeroM,
 )
-from .legendre import legendre_exact, legendre_square_at_sqrt
+from .legendre import legendre_exact, legendre_square_spec
 from .modring import (
+    GridContext,
     PrimeContext,
     ResidueZ,
     ap_of,
     hyper_sum,
     hyper_sums,
+    hyper_terms,
     is_prime,
     make_context,
     reduce_rational,

@@ -10,9 +10,12 @@ oracle sizes checked, before any work starts.
 
 A statement at fixed arguments (eq1.2, cor2.3, remark2.3, the family sweep)
 runs once over the whole prime list in this process.  Every other statement
-is distributed over primes: each worker owns its PrimeContext.  Results are
-sorted by (p, theorem, parameters), so report files are byte-identical
-regardless of --jobs.
+is distributed over primes: each worker owns its context.  A two-parameter
+--exhaustive-am grid runs its checker at every point on one GridContext per
+prime, which evaluates each sum from cached coefficient and power rows;
+one-parameter grids and explicit parameters run on a plain PrimeContext.
+Results are sorted by (p, theorem, parameters), so report files are
+byte-identical regardless of --jobs.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from typing import (
 
 from . import congruences as cg
 from . import oracle
-from .errors import BoundExceeded, ExcludedU, SupercongError
-from .modring import make_context
+from .errors import BoundExceeded, SupercongError
+from .modring import GridContext, make_context
 
 log = logging.getLogger("supercong")
 
@@ -56,8 +59,9 @@ class Theorem(NamedTuple):
 
     ``params`` names what the statement takes without --exhaustive-am, ``e``
     is the exponent of its records, ``min_p`` the smallest prime it covers,
-    ``grid(p)`` the ranges the --exhaustive-am sweep takes ``params`` over at
-    p, and ``check(ctx, *params)`` the reports for one parameter tuple.  A
+    ``grid(p)`` the values the --exhaustive-am sweep takes each of ``params``
+    over at p (thm2.4 leaves out the classes of u its checker excludes), and
+    ``check(ctx, *params)`` the reports for one parameter tuple.  A
     statement at fixed arguments has no grid (None); its ``check(primes)``
     gives the reports for the whole prime list in one pass.  Checkers are
     looked up on the module at call time, so rebinding
@@ -71,6 +75,12 @@ class Theorem(NamedTuple):
     check: Callable[..., Sequence[cg.CheckReport]]
 
 
+def _u_grid(part: str, p: int) -> List[int]:
+    """u in [0, p-1] outside the classes thm2.4 part ``part`` excludes."""
+    excluded = cg.excluded_u(part, p)
+    return [u for u in range(p) if u not in excluded]
+
+
 THEOREMS: Dict[str, Theorem] = {
     "thm2.1": Theorem(("a", "x"), 1, 3, lambda p: (range(p), range(p)),
                       lambda ctx, a, x: [cg.check_theorem_2_1(a, x, ctx)]),
@@ -78,9 +88,9 @@ THEOREMS: Dict[str, Theorem] = {
                       lambda ctx, a, x: [cg.check_theorem_2_2(a, x, ctx)]),
     "thm2.3": Theorem(("a", "m"), 2, 3, lambda p: (range(p), range(1, p)),
                       lambda ctx, a, m: [cg.check_theorem_2_3(a, m, ctx)]),
-    "thm2.4i": Theorem(("u",), 2, 3, lambda p: (range(p),),
+    "thm2.4i": Theorem(("u",), 2, 3, lambda p: (_u_grid("i", p),),
                        lambda ctx, u: [cg.check_theorem_2_4("i", u, ctx)]),
-    "thm2.4ii": Theorem(("u",), 2, 3, lambda p: (range(p),),
+    "thm2.4ii": Theorem(("u",), 2, 3, lambda p: (_u_grid("ii", p),),
                         lambda ctx, u: [cg.check_theorem_2_4("ii", u, ctx)]),
     "cor2.2": Theorem(("m",), 2, 3, lambda p: (range(1, p),),
                       lambda ctx, m: [cg.check_corollary_2_2(f, m, ctx)
@@ -160,13 +170,19 @@ def _reports_for_prime(
 ) -> List[dict]:
     """All CheckReports (as dicts) for one theorem at one prime.
 
+    The grid runs the same checker as explicit parameters.  A grid over two
+    parameters runs on one GridContext, so each sum is a dot product of rows
+    shared by the grid.  In a one-parameter grid each argument serves one
+    point, so a power row would cost more than the streaming sum and keep
+    O(p) memory per point; it runs on a plain context.
     Explicit parameters that do not apply at p give one vacuous record and
-    no checker call.  A grid point in an excluded class is skipped; an
-    explicit one is an error.
+    no checker call; explicit parameters in an excluded class are an error.
     """
     spec = THEOREMS[theorem]
     if exhaustive:
-        points = product(*spec.grid(p))
+        axes = spec.grid(p)
+        ctx = (GridContext if len(axes) > 1 else make_context)(p, spec.e)
+        points = product(*axes)
     else:
         given = {n: params[n] for n in spec.params}
         if not _usable(p, given):
@@ -175,15 +191,9 @@ def _reports_for_prime(
                 theorem, p, spec.e, shown, False, True, {}, "vacuous"
             )
             return [vacuous.as_dict()]
+        ctx = make_context(p, spec.e)
         points = (tuple(given.values()),)
-    ctx = make_context(p, spec.e)
-    out: List[cg.CheckReport] = []
-    for point in points:
-        try:
-            out.extend(spec.check(ctx, *point))
-        except ExcludedU:
-            if not exhaustive:
-                raise
+    out = [r for point in points for r in spec.check(ctx, *point)]
     log.debug("p=%d: %d report(s) for %s", p, len(out), theorem)
     return [r.as_dict() for r in out]
 
@@ -269,10 +279,15 @@ def sweep_family(
 # ---------------------------------------------------------------------------
 # Report writers
 
+# json.dumps builds a new encoder per call; one shared encoder writes the
+# same bytes.
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def write_jsonl(reports: List[dict], path: str) -> None:
+    encode = _JSON.encode
     with open(path, "w", encoding="utf-8") as fh:
-        for r in reports:
-            fh.write(json.dumps(r, sort_keys=True) + "\n")
+        fh.writelines(encode(r) + "\n" for r in reports)
 
 
 _CSV_COLUMNS = (
@@ -402,7 +417,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     return 0
 
 
-# Per oracle target: the size option it reads, its default and its cap.
+# Per oracle target: the size option it reads, its default and its cap.  The
+# other size options are rejected.
 _ORACLE_SIZES = {
     "lemma2.1": ("n_max", oracle.LEMMA_2_1_BOUND, oracle.LEMMA_2_1_BOUND),
     "lemma2.2": ("n_max", oracle.LEMMA_2_2_BOUND, oracle.LEMMA_2_2_BOUND),
@@ -474,6 +490,15 @@ def _run_oracle_target(target: str, args: argparse.Namespace) -> Tuple[bool, str
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    read = _ORACLE_SIZES[args.target][0]
+    unread = [
+        "--" + name.replace("_", "-")
+        for name in dict.fromkeys(size[0] for size in _ORACLE_SIZES.values())
+        if name != read and getattr(args, name) is not None
+    ]
+    if unread:
+        print(f"error: {args.target} takes no {' '.join(unread)}", file=sys.stderr)
+        return 2
     ok, message = _run_oracle_target(args.target, args)
     print(f"oracle {args.target}: {'ok' if ok else 'MISMATCH'} -- {message}")
     return 0 if ok else 1

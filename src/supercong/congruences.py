@@ -1,11 +1,17 @@
 """Truncated binomial-product sums over Z/p^e and the congruence checkers.
 
 Every sum is a term-ratio spec (constant, linear factors in k, power of k in
-the denominator) evaluated by the division-free kernel
-:func:`~supercong.modring.hyper_sum`, one prime at a time, or, for a family
-sum at a fixed x, by :func:`~supercong.modring.hyper_sums` for a whole prime
-list at once.  Checkers wrap the sums into :class:`CheckReport` records
-whose status follows one fixed rule.
+the denominator, last index) evaluated at one reduced x by its context's
+``series``: on a plain :class:`~supercong.modring.PrimeContext` that is one
+streaming :func:`~supercong.modring.hyper_sum`, on a
+:class:`~supercong.modring.GridContext` a dot product of the spec's cached
+coefficient row with x's cached power row.  A family sum at a fixed x runs
+on :func:`~supercong.modring.hyper_sums` for a whole prime list at once.
+
+Checkers take integer parameters without a Fraction round trip, reduce
+every parameter once, and wrap the sums into :class:`CheckReport` records
+whose status follows one fixed rule; explicit parameters and grid points go
+through the same checker, on the two kinds of context.
 """
 
 from __future__ import annotations
@@ -19,18 +25,17 @@ from typing import Dict, Iterable, List, Tuple
 from .errors import (
     BadExponent,
     ExcludedU,
-    NotPIntegral,
     RangeError,
     WrongResidueClass,
     ZeroM,
 )
-from .legendre import legendre_square_at_sqrt
+from .legendre import legendre_square_spec
 from .modring import (
     PrimeContext,
     Rational,
     ResidueZ,
+    Spec,
     ap_of,
-    hyper_sum,
     hyper_sums,
     reduce_rational,
 )
@@ -70,42 +75,47 @@ class FamilyTag(enum.Enum):
         return comb(2 * k, k) * comb(3 * k, k) * comb(6 * k, 3 * k)
 
 
-def _pair_factors(a: Rational, ctx: PrimeContext) -> Tuple[Tuple[int, int], ...]:
-    """(a-k+1)(-a-k): the ratio factors of C(a,k) C(-1-a,k), over k^2."""
-    ah = reduce_rational(a, ctx).value
-    return (-1, ah + 1), (-1, -ah)
+def _residue(q: Rational, ctx: PrimeContext) -> int:
+    """q mod p^e; NotPIntegral if p divides its denominator."""
+    if isinstance(q, int):
+        return q % ctx.modulus
+    return reduce_rational(q, ctx).value
+
+
+def _core_spec(ah: int, p: int) -> Spec:
+    """C(2k,k) C(a,k) C(-1-a,k) for a = ah mod p^e: term ratio
+    2(2k-1)(a-k+1)(-a-k) / k^3.  At e == 1 the tail k > (p-1)/2 vanishes
+    (p | 2k-1 at k = (p+1)/2), and the series stops there."""
+    return 2, ((2, -1), (-1, ah + 1), (-1, -ah)), 3, p - 1
+
+
+def _plain_spec(ah: int, p: int) -> Spec:
+    """C(a,k) C(-1-a,k): term ratio (a-k+1)(-a-k) / k^2."""
+    return 1, ((-1, ah + 1), (-1, -ah)), 2, p - 1
+
+
+def _family_spec(f: FamilyTag, p: int) -> Spec:
+    """N_f(k) from the family's term ratio.  The p-factors of the numerator
+    accumulate in the term numerator, which stays 0 once they reach p^e, so
+    the series stops there."""
+    return f.const, f.factors, 3, p - 1
 
 
 def core_sum(a: Rational, x: Rational, ctx: PrimeContext) -> ResidueZ:
-    """sum_{k=0}^{p-1} C(2k,k) C(a,k) C(-1-a,k) x^k mod p^e.
-
-    Term ratio 2(2k-1)(a-k+1)(-a-k) x / k^3.  At e == 1 the tail
-    k > (p-1)/2 vanishes (p | 2k-1 at k = (p+1)/2), and the kernel stops
-    there.
-    """
-    factors = ((2, -1), *_pair_factors(a, ctx))
-    xh = reduce_rational(x, ctx).value
-    return ResidueZ(hyper_sum(2 * xh, factors, 3, ctx.p - 1, ctx), ctx)
+    """sum_{k=0}^{p-1} C(2k,k) C(a,k) C(-1-a,k) x^k mod p^e."""
+    spec = _core_spec(_residue(a, ctx), ctx.p)
+    return ResidueZ(ctx.series(spec, _residue(x, ctx)), ctx)
 
 
 def plain_sum(a: Rational, x: Rational, ctx: PrimeContext) -> ResidueZ:
-    """sum_{k=0}^{p-1} C(a,k) C(-1-a,k) x^k mod p^e.
-
-    Term ratio (a-k+1)(-a-k) x / k^2.
-    """
-    factors = _pair_factors(a, ctx)
-    xh = reduce_rational(x, ctx).value
-    return ResidueZ(hyper_sum(xh, factors, 2, ctx.p - 1, ctx), ctx)
+    """sum_{k=0}^{p-1} C(a,k) C(-1-a,k) x^k mod p^e."""
+    spec = _plain_spec(_residue(a, ctx), ctx.p)
+    return ResidueZ(ctx.series(spec, _residue(x, ctx)), ctx)
 
 
 def family_sum(f: FamilyTag, x: Rational, ctx: PrimeContext) -> ResidueZ:
-    """sum_{k=0}^{p-1} N_f(k) x^k mod p^e from the family's term ratio.
-
-    The p-factors of the numerator accumulate in the kernel's term
-    numerator, which stays 0 once they reach p^e, so the loop stops there.
-    """
-    xh = reduce_rational(x, ctx).value
-    return ResidueZ(hyper_sum(f.const * xh, f.factors, 3, ctx.p - 1, ctx), ctx)
+    """sum_{k=0}^{p-1} N_f(k) x^k mod p^e."""
+    return ResidueZ(ctx.series(_family_spec(f, ctx.p), _residue(x, ctx)), ctx)
 
 
 def family_sums(
@@ -197,6 +207,8 @@ def _report(
 
 
 def format_rational(q: Rational) -> str:
+    if isinstance(q, int):
+        return str(q)
     q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
@@ -208,6 +220,15 @@ def _require_e(ctx: PrimeContext, e: int) -> None:
         raise BadExponent(f"this check runs at e == {e}, got context {ctx}")
 
 
+def _unit_m(m: Rational, ctx: PrimeContext) -> int:
+    """m mod p^e, for m a unit mod p: NotPIntegral if p divides its
+    denominator, ZeroM if p divides its numerator."""
+    mh = _residue(m, ctx)
+    if mh % ctx.p == 0:
+        raise ZeroM(f"m = {format_rational(m)} vanishes mod {ctx.p}")
+    return mh
+
+
 # ---------------------------------------------------------------------------
 # Checkers
 
@@ -215,15 +236,15 @@ def check_theorem_2_1(a: Rational, x: Rational, ctx: PrimeContext) -> CheckRepor
     """Triple congruence mod p: the truncated core sum equals the squared
     Legendre value at sqrt(1-4x) for both the index <a>_p and its mirror."""
     _require_e(ctx, 1)
-    a = Fraction(a)
-    x = Fraction(x)
-    s = core_sum(a, x, ctx).value
+    p = ctx.p
     n = ap_of(a, ctx)
-    r1 = legendre_square_at_sqrt(n, -x, ctx).value
-    r2 = legendre_square_at_sqrt(ctx.p - 1 - n, -x, ctx).value
+    xh = _residue(x, ctx)
+    s = ctx.series(_core_spec(n, p), xh)
+    r1 = ctx.series(legendre_square_spec(n, p), -xh)
+    r2 = ctx.series(legendre_square_spec(p - 1 - n, p), -xh)
     return _report(
         "thm2.1",
-        ctx.p,
+        p,
         1,
         {"a": format_rational(a), "x": format_rational(x)},
         True,
@@ -235,13 +256,14 @@ def check_theorem_2_1(a: Rational, x: Rational, ctx: PrimeContext) -> CheckRepor
 def check_theorem_2_2(a: Rational, x: Rational, ctx: PrimeContext) -> CheckReport:
     """Squared plain sum against the core sum at x(1-x), mod p^2."""
     _require_e(ctx, 2)
-    a = Fraction(a)
-    x = Fraction(x)
-    lhs = plain_sum(a, x, ctx).value ** 2 % ctx.modulus
-    rhs = core_sum(a, x * (1 - x), ctx).value
+    p, m = ctx.p, ctx.modulus
+    ah = _residue(a, ctx)
+    xh = _residue(x, ctx)
+    lhs = ctx.series(_plain_spec(ah, p), xh) ** 2 % m
+    rhs = ctx.series(_core_spec(ah, p), xh * (1 - xh))
     return _report(
         "thm2.2",
-        ctx.p,
+        p,
         2,
         {"a": format_rational(a), "x": format_rational(x)},
         True,
@@ -253,13 +275,8 @@ def check_theorem_2_2(a: Rational, x: Rational, ctx: PrimeContext) -> CheckRepor
 def check_theorem_2_3(a: Rational, m: Rational, ctx: PrimeContext) -> CheckReport:
     """Vanishing mod p of the core sum at 1/m must lift to vanishing mod p^2."""
     _require_e(ctx, 2)
-    a = Fraction(a)
-    m = Fraction(m)
-    if m.denominator % ctx.p == 0:
-        raise NotPIntegral(f"{m} has denominator divisible by {ctx.p}")
-    if m.numerator % ctx.p == 0:
-        raise ZeroM(f"m = {m} vanishes mod {ctx.p}")
-    s = core_sum(a, 1 / m, ctx).value
+    x = pow(_unit_m(m, ctx), -1, ctx.modulus)
+    s = ctx.series(_core_spec(_residue(a, ctx), ctx.p), x)
     hyp = s % ctx.p == 0
     return _report(
         "thm2.3",
@@ -277,12 +294,8 @@ def check_corollary_2_2(
 ) -> CheckReport:
     """The mod-p to mod-p^2 lift for one binomial-product family at 1/m."""
     _require_e(ctx, 2)
-    m = Fraction(m)
-    if m.denominator % ctx.p == 0:
-        raise NotPIntegral(f"{m} has denominator divisible by {ctx.p}")
-    if m.numerator % ctx.p == 0:
-        raise ZeroM(f"m = {m} vanishes mod {ctx.p}")
-    s = family_sum(f, 1 / m, ctx).value
+    x = pow(_unit_m(m, ctx), -1, ctx.modulus)
+    s = ctx.series(_family_spec(f, ctx.p), x)
     hyp = s % ctx.p == 0
     return _report(
         "cor2.2",
@@ -295,41 +308,53 @@ def check_corollary_2_2(
     )
 
 
+_EXCLUDED_U = {
+    "i": (Fraction(1, 4), Fraction(1, 16)),
+    "ii": (Fraction(-1, 3), Fraction(-1, 27)),
+}
+
+
+def excluded_u(part: str, p: int) -> Dict[int, Fraction]:
+    """The classes of u mod p that part ``part`` of thm2.4 excludes, each
+    with the first value it stands for.  A value with p in its denominator
+    has no class mod p."""
+    out: Dict[int, Fraction] = {}
+    for r in _EXCLUDED_U[part]:
+        if r.denominator % p:
+            out.setdefault(r.numerator * pow(r.denominator, -1, p) % p, r)
+    return out
+
+
 def check_theorem_2_4(part: str, u: Rational, ctx: PrimeContext) -> CheckReport:
     """The two rational-argument implications between family sums.
 
     Part i: vanishing mod p at u^2/(1-4u)^3 forces vanishing mod p^2 at
     -u/(1-16u)^3 (family C(2k,k)^2 C(3k,k)), for u outside {1/4, 1/16} mod p.
     Part ii: same with C(2k,k)^2 C(4k,2k), arguments u^3/(1+3u)^4 and
-    u/(1+27u)^4, excluding u in {-1/3, -1/27} mod p.
+    u/(1+27u)^4, excluding u in {-1/3, -1/27} mod p.  Outside the excluded
+    classes every denominator of the two arguments is a unit mod p.
     """
     _require_e(ctx, 2)
-    if part not in ("i", "ii"):
+    if part not in _EXCLUDED_U:
         raise ValueError(f"part must be 'i' or 'ii', got {part!r}")
-    u = Fraction(u)
+    p, m = ctx.p, ctx.modulus
+    uh = _residue(u, ctx)
+    r = excluded_u(part, p).get(uh % p)
+    if r is not None:
+        raise ExcludedU(f"u = {format_rational(u)} is congruent to {r} mod {p}")
     if part == "i":
         tag = FamilyTag.TWO_THREE
-        excluded = (Fraction(1, 4), Fraction(1, 16))
+        hyp_x = uh**2 * pow(1 - 4 * uh, -3, m)
+        con_x = -uh * pow(1 - 16 * uh, -3, m)
     else:
         tag = FamilyTag.TWO_FOUR
-        excluded = (Fraction(-1, 3), Fraction(-1, 27))
-    up = ap_of(u, ctx)
-    for r in excluded:
-        if r.denominator % ctx.p == 0:
-            continue  # that residue class does not exist mod p
-        if up == ap_of(r, ctx):
-            raise ExcludedU(f"u = {u} is congruent to {r} mod {ctx.p}")
-    if part == "i":
-        hyp_x = u**2 / (1 - 4 * u) ** 3
-        con_x = -u / (1 - 16 * u) ** 3
-    else:
-        hyp_x = u**3 / (1 + 3 * u) ** 4
-        con_x = u / (1 + 27 * u) ** 4
-    hyp_val = family_sum(tag, hyp_x, ctx).value % ctx.p
-    con_val = family_sum(tag, con_x, ctx).value
+        hyp_x = uh**3 * pow(1 + 3 * uh, -4, m)
+        con_x = uh * pow(1 + 27 * uh, -4, m)
+    hyp_val = ctx.series(_family_spec(tag, p), hyp_x) % p
+    con_val = ctx.series(_family_spec(tag, p), con_x)
     return _report(
         f"thm2.4{part}",
-        ctx.p,
+        p,
         2,
         {"u": format_rational(u)},
         hyp_val == 0,
@@ -402,13 +427,9 @@ def check_identity_1_3(m: Rational, ctx: PrimeContext) -> CheckReport:
     p = ctx.p
     if p <= 3:
         raise RangeError("stated for p > 3")
-    m = Fraction(m)
-    if m.denominator % p == 0:
-        raise NotPIntegral(f"{m} has denominator divisible by {p}")
-    if m.numerator % p == 0:
-        raise ZeroM(f"m = {m} vanishes mod {p}")
-    lhs = family_sum(FamilyTag.CUBE, 1 / m, ctx).value
-    rhs = legendre_square_at_sqrt((p - 1) // 2, Fraction(-16) / m, ctx).value
+    x = pow(_unit_m(m, ctx), -1, ctx.modulus)
+    lhs = ctx.series(_family_spec(FamilyTag.CUBE, p), x)
+    rhs = ctx.series(legendre_square_spec((p - 1) // 2, p), -16 * x)
     return _report(
         "eq1.3",
         p,

@@ -1,16 +1,21 @@
 """Exact arithmetic in Z/p^e: canonical residues, rational reduction, and
 the division-free hypergeometric kernel behind every truncated sum, one
-prime at a time or, over n = p - 1, for a whole prime list at once.
+prime at a time, over n = p - 1 for a whole prime list at once, or as the
+coefficient row of a series that a parameter grid evaluates at many x.
 
-Everything is pure and immutable: a :class:`PrimeContext` is built once and
-can be shared freely across threads and fork workers.
+A :class:`PrimeContext` is built once, never mutates, and can be shared
+freely across threads and fork workers.  A :class:`GridContext` is a
+PrimeContext that caches the coefficient and power rows of one prime's
+parameter grid; it belongs to the worker that builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from operator import mul
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     BadExponent,
@@ -23,16 +28,24 @@ from .errors import (
 
 Rational = Union[Fraction, int]
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24 (in
-# particular the whole sweep range below 2^64).
+# A term-ratio spec (c, factors, d, n): the series sum_{k=0}^{n} t_k x^k with
+# t_0 = 1 and t_k / t_{k-1} = c * prod_i (s_i k + r_i) / k^d (see hyper_sum).
+Spec = Tuple[int, Tuple[Tuple[int, int], ...], int, int]
+
+# Deterministic Miller-Rabin witness sets: the full set is exact for all
+# n < 3.3e24 (in particular the whole sweep range below 2^64), the first four
+# bases for all n below the smallest strong pseudoprime to all of them.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_SMALL = _MR_WITNESSES[:4]
+_MR_SMALL_BOUND = 3_215_031_751
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
     if n < 2:
         return False
-    for q in _MR_WITNESSES:
+    witnesses = _MR_SMALL if n < _MR_SMALL_BOUND else _MR_WITNESSES
+    for q in witnesses:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -40,7 +53,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for w in _MR_WITNESSES:
+    for w in witnesses:
         x = pow(w, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -69,6 +82,12 @@ class PrimeContext:
         self.e = e
         self.modulus = p**e
 
+    def series(self, spec: Spec, x: int) -> int:
+        """The series of ``spec`` at the integer x, mod p^e: one streaming
+        :func:`hyper_sum`, in O(1) memory."""
+        c, factors, d, n = spec
+        return hyper_sum(c * x, factors, d, n, self)
+
     def residue(self, value: Rational) -> "ResidueZ":
         """Embed an integer or p-integral rational into Z/p^e."""
         if isinstance(value, int):
@@ -85,6 +104,36 @@ class PrimeContext:
 
     def __repr__(self) -> str:
         return f"PrimeContext(p={self.p}, e={self.e})"
+
+
+class GridContext(PrimeContext):
+    """A PrimeContext for a parameter grid at one prime.
+
+    :meth:`series` evaluates a spec from its coefficient row
+    (:func:`hyper_terms`) and x from its power row [1, x, ..., x^(p-1)], as
+    one dot product; each row is built on first use and kept.  A grid over
+    two parameters at p meets at most p parameter residues and p argument
+    residues, so each row serves up to p points.  For one point alone a row
+    costs more than :func:`hyper_sum` and O(p) memory instead of O(1), so
+    explicit parameters and one-parameter grids, whose arguments each serve
+    one point, use a plain PrimeContext.
+    """
+
+    def __init__(self, p: int, e: int) -> None:
+        super().__init__(p, e)
+        self._rows: Dict[Spec, List[int]] = {}
+        self._powers: Dict[int, List[int]] = {}
+
+    def series(self, spec: Spec, x: int) -> int:
+        m = self.modulus
+        x %= m
+        row = self._rows.get(spec)
+        if row is None:
+            row = self._rows[spec] = hyper_terms(*spec, self)
+        powers = self._powers.get(x)
+        if powers is None:
+            powers = self._powers[x] = list(map(pow, repeat(x), range(self.p), repeat(m)))
+        return sum(map(mul, row, powers)) % m
 
 
 def make_context(p: int, e: int) -> PrimeContext:
@@ -123,6 +172,40 @@ def hyper_sum(
         den = den * kd % m
         acc = (acc * kd + u) % m
     return acc * pow(den, -1, m) % m
+
+
+def hyper_terms(
+    c: int, factors: Sequence[Tuple[int, int]], d: int, n: int, ctx: PrimeContext
+) -> List[int]:
+    """The terms [t_0, ..., t_K] mod p^e of :func:`hyper_sum`'s series with
+    x left out, so that hyper_sum(c * x, ...) == sum_k t_k x^k mod p^e.
+
+    The row ends where hyper_sum's loop stops: K = n, or K = k - 1 for the
+    first k whose term numerator U vanishes mod p^e.  D = (K!)^d is inverted
+    once, and that inverse walked back to each (k!)^-d, so t_k = U_k (k!)^-d
+    exactly.
+    """
+    if not 0 <= n < ctx.p:
+        raise RangeError(f"hypergeometric sums run to n < {ctx.p}, got {n}")
+    m = ctx.modulus
+    (s1, f1), (s2, f2), (s3, f3) = (*factors, *((0, 1),) * (3 - len(factors)))
+    s1, f1 = c * s1 % m, c * f1 % m  # fold c into the first factor
+    row = [1]
+    u = den = 1
+    for k in range(1, n + 1):
+        f1 += s1
+        f2 += s2
+        f3 += s3
+        u = u * f1 * f2 * f3 % m
+        if not u:
+            break
+        row.append(u)
+        den = den * k**d % m
+    inv = pow(den, -1, m)
+    for k in range(len(row) - 1, 0, -1):
+        row[k] = row[k] * inv % m
+        inv = inv * k**d % m
+    return row
 
 
 # An upper-triangular integer matrix [[a, b], [0, d]], stored as (a, b, d).
@@ -311,8 +394,10 @@ def reduce_rational(q: Rational, ctx: PrimeContext) -> ResidueZ:
 
 def ap_of(a: Rational, ctx: PrimeContext) -> int:
     """The canonical residue of a mod p, in [0, p-1]."""
-    a = Fraction(a)
     p = ctx.p
+    if isinstance(a, int):
+        return a % p
+    a = Fraction(a)
     if a.denominator % p == 0:
         raise NotPIntegral(f"{a} has denominator divisible by {p}")
     return a.numerator * pow(a.denominator, -1, p) % p

@@ -2,8 +2,9 @@
 
 Quadratic-residue machinery, the quadratic extension F_p[sqrt(d)], the
 three-term Legendre recurrence and P_n(sqrt(t)) by its even/odd
-decomposition.  The package evaluates only P_n(sqrt(1+4x))^2, on the
-hypergeometric kernel; these helpers reach the same values by other roads
+decomposition.  The package evaluates only P_n(sqrt(1+4x))^2, as the series
+of one term-ratio spec (:func:`legendre_square_at_sqrt` below applies it to
+a rational or residue x); these helpers reach the same values by other roads
 (square roots, extension arithmetic, exact integer binomials), so the tests
 can hold the kernel against them.
 """
@@ -15,7 +16,8 @@ from math import comb
 from typing import Optional, Union
 
 from supercong.errors import BadExponent, MixedContext, NTooLarge
-from supercong.modring import PrimeContext, ResidueZ
+from supercong.legendre import legendre_square_spec
+from supercong.modring import PrimeContext, Rational, ResidueZ, reduce_rational
 
 
 def nonresidue(p: int) -> int:
@@ -166,6 +168,21 @@ def _one_like(x: Element) -> Element:
 def _check_degree(n: int, ctx: PrimeContext) -> None:
     if not 0 <= n <= ctx.p - 1:
         raise NTooLarge(f"degree must be in [0, {ctx.p - 1}], got {n}")
+
+
+def legendre_square_at_sqrt(
+    n: int, x: Union[Rational, ResidueZ], ctx: Optional[PrimeContext] = None
+) -> ResidueZ:
+    """P_n(sqrt(1+4x))^2 mod p^e: the package's spec evaluated at x (a
+    residue, or a p-integral rational reduced in ctx)."""
+    if isinstance(x, ResidueZ):
+        ctx = x.ctx
+        xh = x.value
+    else:
+        if ctx is None:
+            raise TypeError("a context is required for rational x")
+        xh = reduce_rational(x, ctx).value
+    return ResidueZ(ctx.series(legendre_square_spec(n, ctx.p), xh), ctx)
 
 
 def legendre_eval_recurrence(n: int, x: Element) -> Element:

@@ -25,7 +25,7 @@ from supercong.cli import (
 )
 from supercong.congruences import FamilyTag
 from supercong.errors import ExcludedU
-from supercong.modring import make_context
+from supercong.modring import GridContext, make_context
 
 REPORT_KEYS = {
     "theorem",
@@ -286,6 +286,41 @@ def test_theorem_table_matches_direct_checker_calls(tmp_path, theorem, params):
     assert code == (1 if any(r["status"] == "FAILED" for r in records) else 0)
 
 
+@pytest.mark.parametrize("theorem", [t for t, spec in THEOREMS.items() if spec.grid])
+def test_exhaustive_grid_equals_per_point_checker_records(tmp_path, theorem):
+    """Every prime from min_p to 101: the grid (evaluated from shared rows
+    when it has two parameters) writes the bytes of the per-point checker
+    calls on plain contexts, each line encoded on its own."""
+    lo = THEOREMS[theorem].min_p
+    want = [r.as_dict() for p in primes_in_range(lo, 101)
+            for r in direct_reports(theorem, p, None)]
+    want.sort(key=lambda d: (d["p"], tuple(sorted(d["params"].items()))))
+    want_bytes = "".join(json.dumps(r, sort_keys=True) + "\n" for r in want).encode()
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}.jsonl"
+        main(["check", theorem, "--primes", f"{lo}..101", "--exhaustive-am",
+              "--jobs", jobs, "--out", str(out)])
+        assert out.read_bytes() == want_bytes, jobs
+
+
+def test_only_two_parameter_grids_build_a_grid_context(monkeypatch):
+    # In a one-parameter grid every argument serves one point, so its power
+    # row would be built for nothing and kept until the prime is done.
+    built = []
+
+    class Spy(GridContext):
+        def __init__(self, p, e):
+            built.append(p)
+            super().__init__(p, e)
+
+    monkeypatch.setattr(cli, "GridContext", Spy)
+    for theorem, spec in THEOREMS.items():
+        if spec.grid:
+            built.clear()
+            assert cli._reports_for_prime(7, theorem, None, True)
+            assert built == ([7] if len(spec.params) > 1 else []), theorem
+
+
 # Each command meets one prime that divides a parameter's denominator or the
 # numerator of m.  The ranges avoid the honest ramified failures (README).
 UNUSABLE = [
@@ -367,6 +402,20 @@ def test_oracle_sizes_are_capped_before_any_work(monkeypatch, capsys, target, fl
         assert main(["oracle", target, flag, str(size)]) == 2
         err = capsys.readouterr().err
         assert flag in err and str(cap) in err
+
+
+@pytest.mark.parametrize("target, unread", [
+    ("lemma2.1", ["--k-max", "5", "--p-max", "7"]),
+    ("lemma2.2", ["--p-max", "7"]),
+    ("eq1.7", ["--n-max", "3"]),
+    ("reduce-equivalence", ["--n-max", "3", "--k-max", "2"]),
+])
+def test_oracle_rejects_size_options_its_target_does_not_read(
+    monkeypatch, capsys, target, unread
+):
+    _no_work(monkeypatch)
+    assert main(["oracle", target, *unread]) == 2
+    assert f"{target} takes no {' '.join(unread[::2])}" in capsys.readouterr().err
 
 
 def test_oracle_sizes_up_to_the_cap_run(capsys):

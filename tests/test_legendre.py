@@ -10,11 +10,12 @@ from reference import (
     QuadExtElem,
     legendre_at_sqrt,
     legendre_eval_recurrence,
+    legendre_square_at_sqrt,
     legendre_symbol,
     sqrt_mod_p,
 )
 from supercong.errors import BadExponent, BoundExceeded, NTooLarge
-from supercong.legendre import legendre_exact, legendre_square_at_sqrt
+from supercong.legendre import legendre_exact
 from supercong.modring import make_context, reduce_rational
 
 

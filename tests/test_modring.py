@@ -3,6 +3,7 @@ roots, residue symbols and F_p^2 of tests/reference.py."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -14,10 +15,13 @@ from supercong.errors import (
     NotPIntegral,
     RangeError,
 )
+from supercong import modring
 from supercong.modring import (
+    GridContext,
     PrimeContext,
     hyper_sum,
     hyper_sums,
+    hyper_terms,
     is_prime,
     make_context,
     reduce_rational,
@@ -41,6 +45,15 @@ def test_is_prime_large_cases():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
     assert is_prime(99991)
     assert not is_prime(99991 * 99989)
+
+
+def test_is_prime_small_witness_set_is_exact_below_its_bound(monkeypatch):
+    # strong pseudoprimes to bases 2, 3, 5 and to bases 2, 3, 5, 7
+    assert not is_prime(25326001)
+    assert not is_prime(3215031751)
+    small = [is_prime(n) for n in range(2 * 10**5)]
+    monkeypatch.setattr(modring, "_MR_SMALL", modring._MR_WITNESSES)
+    assert small == [is_prime(n) for n in range(2 * 10**5)]
 
 
 def test_make_context_builds_factorial_tables():
@@ -69,6 +82,37 @@ def test_hyper_sum_binomial_series_and_range():
                 assert got == pow(1 + x, n, ctx.modulus), (p, e, n, x)
     with pytest.raises(RangeError):
         hyper_sum(1, ((-1, 8),), 1, 7, make_context(7, 2))
+
+
+def test_hyper_terms_are_the_kernel_series_without_x():
+    # (1+x)^n: the terms C(n, k), units for n < p, so the row runs to n
+    for p, e in ((7, 1), (11, 2), (13, 3)):
+        ctx = make_context(p, e)
+        for n in range(p):
+            row = hyper_terms(1, ((-1, n + 1),), 1, n, ctx)
+            assert row == [comb(n, k) % ctx.modulus for k in range(n + 1)]
+    # C(2k, k), ratio 2(2k-1)/k: the numerator takes the factor 11 at k = 6,
+    # so the row ends at k = 5 mod 11 and runs to n = 10 mod 11^2
+    assert len(hyper_terms(2, ((2, -1),), 1, 10, make_context(11, 1))) == 6
+    assert hyper_terms(2, ((2, -1),), 1, 10, make_context(11, 2)) == [
+        comb(2 * k, k) % 121 for k in range(11)
+    ]
+    with pytest.raises(RangeError):
+        hyper_terms(1, ((-1, 8),), 1, 7, make_context(7, 2))
+
+
+def test_grid_context_series_equals_the_streaming_kernel():
+    rng = random.Random(5)
+    for p, e in ((5, 1), (13, 2), (31, 3)):
+        grid, plain = GridContext(p, e), make_context(p, e)
+        assert grid == plain
+        for _ in range(200):
+            factors = tuple(
+                (rng.randint(-6, 6), rng.randint(-9, 9)) for _ in range(rng.randint(1, 3))
+            )
+            spec = (rng.randint(-9, 9), factors, rng.randint(1, 3), rng.randrange(p))
+            x = rng.choice((0, 1, p, rng.randrange(-10**4, 10**4)))
+            assert grid.series(spec, x) == plain.series(spec, x), (p, e, spec, x)
 
 
 def test_hyper_sums_match_the_scalar_kernel():

@@ -5,15 +5,15 @@ Draws are derandomized and bounded, so the suite stays deterministic.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import legendre_square_at_sqrt
 from supercong.cli import primes_in_range
 from supercong.congruences import FamilyTag, core_sum, family_sum, family_sums, plain_sum
-from supercong.legendre import legendre_square_at_sqrt
-from supercong.modring import make_context, reduce_rational
+from supercong.modring import hyper_sum, hyper_terms, make_context, reduce_rational
 from supercong.oracle import exact_reduce_sum
 
 PRIMES = primes_in_range(3, 199)
@@ -76,3 +76,54 @@ def test_legendre_square_matches_exact(case, n):
     n %= ctx.p
     exact = sum(comb(n, k) * comb(n + k, k) * comb(2 * k, k) * x**k for k in range(n + 1))
     assert legendre_square_at_sqrt(n, x, ctx) == reduce_rational(exact, ctx)
+
+
+@st.composite
+def term_specs(draw):
+    """A context and a random term-ratio spec (c, factors, d, n); constants
+    are sometimes multiples of p, so numerators vanish mod p^e early."""
+    ctx = make_context(draw(st.sampled_from(PRIMES)), draw(st.sampled_from((1, 2, 3))))
+    p = ctx.p
+    small = st.integers(-9, 9) | st.integers(-3, 3).map(lambda t: t * p)
+    factors = draw(st.lists(st.tuples(st.integers(-6, 6), small), min_size=1, max_size=3))
+    spec = (draw(small), tuple(factors), draw(st.integers(1, 3)), draw(st.integers(0, p - 1)))
+    return ctx, spec
+
+
+def _dot(row, x, ctx):
+    m = ctx.modulus
+    return sum(t * pow(x, k, m) for k, t in enumerate(row)) % m
+
+
+@bounded
+@given(term_specs(), st.integers(-10**4, 10**4))
+def test_hyper_terms_sum_to_the_kernel_and_end_where_it_stops(case, x):
+    ctx, (c, factors, d, n) = case
+    row = hyper_terms(c, factors, d, n, ctx)
+    assert _dot(row, x, ctx) == hyper_sum(c * x, factors, d, n, ctx)
+    u, end = 1, n + 1
+    for k in range(1, n + 1):
+        u = u * c * prod(s * k + r for s, r in factors) % ctx.modulus
+        if not u:
+            end = k
+            break
+    assert len(row) == end
+
+
+@bounded
+@given(sum_cases())
+def test_hyper_terms_rows_match_exact(case):
+    """Core, plain and family rows, each at the reduced x, against the exact
+    rational sums."""
+    ctx, a, x = case
+    p = ctx.p
+    ah = reduce_rational(a, ctx).value
+    xh = reduce_rational(x, ctx).value
+    pair = ((-1, ah + 1), (-1, -ah))
+    core = hyper_terms(2, ((2, -1), *pair), 3, p - 1, ctx)
+    assert _dot(core, xh, ctx) == exact_reduce_sum(a, x, ctx, "core").value
+    plain = hyper_terms(1, pair, 2, p - 1, ctx)
+    assert _dot(plain, xh, ctx) == exact_reduce_sum(a, x, ctx, "plain").value
+    for f in FamilyTag:
+        row = hyper_terms(f.const, f.factors, 3, p - 1, ctx)
+        assert _dot(row, xh, ctx) == exact_reduce_sum(0, x, ctx, f).value, f
