@@ -52,9 +52,9 @@ from .modring import (
     reduce_rational,
 )
 from .oracle import (
-    RatPoly,
     binom_frac,
     exact_reduce_sum,
+    exact_reduce_sums,
     identity_1_7_check,
     lemma_2_1_exact_check,
     lemma_2_2_sides,

@@ -37,8 +37,8 @@ from typing import (
 
 from . import congruences as cg
 from . import oracle
-from .errors import BoundExceeded, SupercongError
-from .modring import GridContext, make_context
+from .errors import BoundExceeded, RangeError, SupercongError
+from .modring import GridContext, PrimeContext, make_context
 
 log = logging.getLogger("supercong")
 
@@ -417,24 +417,28 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     return 0
 
 
-# Per oracle target: the size option it reads, its default and its cap.  The
-# other size options are rejected.
+# Per oracle target: the size option it reads, its minimum, its default and
+# its cap.  The other size options are rejected.  reduce-equivalence starts
+# at p = 3, so a smaller --p-max would compare nothing.
 _ORACLE_SIZES = {
-    "lemma2.1": ("n_max", oracle.LEMMA_2_1_BOUND, oracle.LEMMA_2_1_BOUND),
-    "lemma2.2": ("n_max", oracle.LEMMA_2_2_BOUND, oracle.LEMMA_2_2_BOUND),
-    "eq1.7": ("k_max", oracle.IDENTITY_1_7_BOUND, oracle.IDENTITY_1_7_BOUND),
-    "reduce-equivalence": ("p_max", 97, oracle.REDUCE_P_BOUND),
+    "lemma2.1": ("n_max", 0, oracle.LEMMA_2_1_BOUND, oracle.LEMMA_2_1_BOUND),
+    "lemma2.2": ("n_max", 0, oracle.LEMMA_2_2_BOUND, oracle.LEMMA_2_2_BOUND),
+    "eq1.7": ("k_max", 0, oracle.IDENTITY_1_7_BOUND, oracle.IDENTITY_1_7_BOUND),
+    "reduce-equivalence": ("p_max", 3, 97, oracle.REDUCE_P_BOUND),
 }
 
 
 def _oracle_size(target: str, args: argparse.Namespace) -> int:
-    """The target's size: the user's, checked against the cap, or the default."""
-    name, default, cap = _ORACLE_SIZES[target]
+    """The target's size: the user's, checked against the minimum and the
+    cap, or the default."""
+    name, least, default, cap = _ORACLE_SIZES[target]
     size = getattr(args, name)
     if size is None:
         return default
+    flag = "--" + name.replace("_", "-")
+    if size < least:
+        raise RangeError(f"{flag} must be at least {least} for {target}, got {size}")
     if size > cap:
-        flag = "--" + name.replace("_", "-")
         raise BoundExceeded(f"{flag} must be at most {cap} for {target}, got {size}")
     return size
 
@@ -465,22 +469,29 @@ def _run_oracle_target(target: str, args: argparse.Namespace) -> Tuple[bool, str
         return True, f"dictionary exact for all k <= {k_max}"
     if target == "reduce-equivalence":
         p_max = _oracle_size(target, args)
-        for p in primes_in_range(3, p_max):
+        primes = primes_in_range(3, p_max)
+        exact: Dict[tuple, Dict[int, int]] = {}
+
+        def want(a: Fraction, x: Fraction, which, ctx: PrimeContext) -> int:
+            """The exact sum mod p^e, from one pass over all primes at e = 3."""
+            if (a, x, which) not in exact:
+                exact[a, x, which] = oracle.exact_reduce_sums(a, x, which, primes, 3)
+            return exact[a, x, which][ctx.p] % ctx.modulus
+
+        for p in primes:
             for e in (1, 2, 3):
                 ctx = make_context(p, e)
                 for x in oracle.GRID_X:
                     if x.denominator % p == 0:
                         continue
                     for f in cg.FamilyTag:
-                        want = oracle.exact_reduce_sum(0, x, ctx, f).value
-                        if cg.family_sum(f, x, ctx).value != want:
+                        if cg.family_sum(f, x, ctx).value != want(0, x, f, ctx):
                             return False, f"family {f.label} differs at p={p} e={e} x={x}"
                     for a in oracle.GRID_A:
                         if a.denominator % p == 0:
                             continue
                         for which, fn in (("core", cg.core_sum), ("plain", cg.plain_sum)):
-                            want = oracle.exact_reduce_sum(a, x, ctx, which).value
-                            if fn(a, x, ctx).value != want:
+                            if fn(a, x, ctx).value != want(a, x, which, ctx):
                                 return (
                                     False,
                                     f"{which} differs at p={p} e={e} a={a} x={x}",

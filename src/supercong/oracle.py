@@ -1,17 +1,22 @@
-"""Exact big-rational ground truth, independent of the modular pipeline.
+"""Exact ground truth on integers, independent of the modular pipeline.
 
-Dense polynomials in one variable over exact rationals carry the two sides
-of the product-sum identity and its three-term recurrence certificate; the
-remaining checks compare closed forms as exact fractions.  No floating
+The truncated sums come from one prefix pass per series: the exact partial
+sum is kept as an integer pair N / D over the terms' common denominator, and
+is read mod p^e at k = p - 1 for every prime asked for.  The lemmas are
+polynomial identities of known degree in one variable, so agreement at one
+more integer point than the degree proves them: the sides of the product-sum
+identity and each term of its three-term recurrence certificate have degree
+<= 2n in a, and the squared-Legendre expansion has degree n in x.  The
+dictionary check compares closed forms as exact fractions.  No floating
 point anywhere, and no computer-algebra dependency.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
-from typing import List, Tuple, Union
+from itertools import count
+from math import comb, factorial, lcm
+from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
 from .congruences import FamilyTag
 from .errors import BoundExceeded, NotPIntegral
@@ -24,109 +29,6 @@ IDENTITY_1_7_BOUND = 200
 REDUCE_P_BOUND = 512
 
 
-class RatPoly:
-    """Dense univariate polynomial over exact rationals.
-
-    Coefficients are a trimmed tuple of Fractions, lowest degree first;
-    instances are immutable and compare coefficientwise.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()) -> None:
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "RatPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "RatPoly":
-        return cls((1,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return RatPoly(())
-            return RatPoly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RatPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci:
-                for j, cj in enumerate(other.coeffs):
-                    if cj:
-                        out[i + j] += ci * cj
-        return RatPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "RatPoly":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial powers need a non-negative integer")
-        out = RatPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __call__(self, point: Rational) -> Fraction:
-        point = Fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
-
-    def __repr__(self) -> str:
-        return f"RatPoly({list(self.coeffs)!r})"
-
-
 def binom_frac(a: Rational, k: int) -> Fraction:
     """Exact C(a, k) for a rational (or integer) upper argument."""
     a = Fraction(a)
@@ -136,82 +38,96 @@ def binom_frac(a: Rational, k: int) -> Fraction:
     return num / factorial(k)
 
 
-@lru_cache(maxsize=None)
-def _pair_poly(k: int) -> RatPoly:
-    """C(a,k) * C(-1-a,k) as an exact polynomial in a (degree 2k)."""
-    top = RatPoly.one()
-    bot = RatPoly.one()
-    for i in range(k):
-        top = top * RatPoly((-i, 1))  # (a - i)
-        bot = bot * RatPoly((-1 - i, -1))  # (-1 - a - i)
-    return top * bot * Fraction(1, factorial(k) ** 2)
+def _pairs(a: int, n: int) -> List[int]:
+    """[C(a,k) C(-1-a,k) for k = 0..n] at an integer a >= 0.  Each is an
+    integer, since C(-1-a,k) = (-1)^k C(a+k,k); consecutive ones differ by
+    the factor -(a-k+1)(a+k) / k^2."""
+    row = [1]
+    for k in range(1, n + 1):
+        row.append(-row[-1] * (a - k + 1) * (a + k) // (k * k))
+    return row
 
 
-@lru_cache(maxsize=None)
-def _sides(n: int) -> Tuple[RatPoly, RatPoly]:
-    s1 = RatPoly.zero()
-    for k in range(n + 1):
-        s1 = s1 + _pair_poly(k) * _pair_poly(n - k)
-    s2 = RatPoly.zero()
-    for k in range(n + 1):
-        c = comb(2 * k, k) * comb(k, n - k) * (-1) ** (n - k)
-        if c:
-            s2 = s2 + _pair_poly(k) * c
-    return s1, s2
+def _side(n: int, side: int, rows: List[List[int]]) -> Tuple[int, ...]:
+    """Side 1 or side 2 of the convolution identity for n at each point
+    whose pair row (of length > n) is given."""
+    if side == 1:
+        return tuple(sum(r[k] * r[n - k] for k in range(n + 1)) for r in rows)
+    weights = [  # C(k, n-k) vanishes for 2k < n
+        (k, (-1) ** (n - k) * comb(2 * k, k) * comb(k, n - k)) for k in range((n + 1) // 2, n + 1)
+    ]
+    return tuple(sum(w * r[k] for k, w in weights) for r in rows)
 
 
-def lemma_2_2_sides(n: int, bound: int = LEMMA_2_2_BOUND) -> Tuple[RatPoly, RatPoly]:
-    """Both sides of the convolution identity as exact polynomials in a.
+def lemma_2_2_sides(
+    n: int, bound: int = LEMMA_2_2_BOUND
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Both sides of the convolution identity at the points a = 0, ..., 2n.
 
     Side 1 convolves the C(a,k) C(-1-a,k) pairs; side 2 runs the
-    C(2k,k)-weighted alternating form.  Comparing them coefficientwise is a
-    complete proof of the identity for this n.
+    C(2k,k)-weighted alternating form.  Both are polynomials of degree <= 2n
+    in a, so equal values at these 2n + 1 points are a complete proof of the
+    identity for this n.
     """
     if not 0 <= n <= bound:
         raise BoundExceeded(f"n must be in [0, {bound}], got {n}")
-    return _sides(n)
+    rows = [_pairs(a, n) for a in range(2 * n + 1)]
+    return _side(n, 1, rows), _side(n, 2, rows)
+
+
+def _recurrence(n: int, a: int) -> Tuple[int, int, int]:
+    """The certificate's coefficients n^3, q1 and q2 at the point a."""
+    q1 = (2 * n - 1) * (n * n - n - 2 * a * (a + 1))
+    q2 = (n - 1) * (2 * a + n) * (2 * a + 2 - n)
+    return n**3, q1, q2
 
 
 def zeilberger_certificate_check(n: int, side: int, bound: int = LEMMA_2_2_BOUND) -> bool:
     """Verify the certified three-term recurrence at n as a polynomial identity:
 
     n^3 S(n) = (2n-1)(n^2 - n - 2a(a+1)) S(n-1) + (n-1)(2a+n)(2a+2-n) S(n-2).
+
+    Each of the three terms has degree <= 2n in a, so equality at the points
+    a = 0, ..., 2n proves it.
     """
     if not 2 <= n <= bound:
         raise BoundExceeded(f"n must be in [2, {bound}], got {n}")
     if side not in (1, 2):
         raise ValueError(f"side must be 1 or 2, got {side!r}")
-    i = side - 1
-    lhs = _sides(n)[i] * (n**3)
-    q1 = RatPoly((n * n - n, -2, -2)) * (2 * n - 1)
-    q2 = RatPoly((n, 2)) * RatPoly((2 - n, 2)) * (n - 1)
-    rhs = q1 * _sides(n - 1)[i] + q2 * _sides(n - 2)[i]
-    return lhs == rhs
+    rows = [_pairs(a, n) for a in range(2 * n + 1)]
+    s0, s1, s2 = (_side(m, side, rows) for m in (n, n - 1, n - 2))
+    for a in range(2 * n + 1):
+        c0, q1, q2 = _recurrence(n, a)
+        if c0 * s0[a] != q1 * s1[a] + q2 * s2[a]:
+            return False
+    return True
 
 
 def lemma_2_1_exact_check(n: int, bound: int = LEMMA_2_1_BOUND) -> bool:
-    """Expand P_n(y)^2 with y^2 -> 1+4x symbolically and compare it with
-    sum_k C(n,k) C(n+k,k) C(2k,k) x^k, coefficient by coefficient."""
+    """Square P_n(y), substitute y^2 -> 1+4x, and compare the result with
+    sum_k C(n,k) C(n+k,k) C(2k,k) x^k.
+
+    Both sides have degree n in x, so equality at x = 0, ..., n proves it.
+    """
     if not 0 <= n <= bound:
         raise BoundExceeded(f"n must be in [0, {bound}], got {n}")
     c = legendre_exact(n, bound=max(n, 1))
-    sq = [Fraction(0)] * (2 * n + 1)
+    den = lcm(*(q.denominator for q in c))
+    c = [q.numerator * (den // q.denominator) for q in c]  # den * P_n, on integers
+    sq = [0] * (2 * n + 1)
     for i, ci in enumerate(c):
         if ci:
             for j, cj in enumerate(c):
-                if cj:
-                    sq[i + j] += ci * cj
-    if any(sq[j] for j in range(1, 2 * n + 1, 2)):  # parity must kill odd powers
+                sq[i + j] += ci * cj
+    if any(sq[1::2]):  # parity must kill odd powers
         return False
-    lhs = RatPoly.zero()
-    base = RatPoly((1, 4))
-    powt = RatPoly.one()
-    for t in range(n + 1):
-        if sq[2 * t]:
-            lhs = lhs + powt * sq[2 * t]
-        powt = powt * base
-    rhs = RatPoly([comb(n, k) * comb(n + k, k) * comb(2 * k, k) for k in range(n + 1)])
-    return lhs == rhs
+    rhs = [comb(n, k) * comb(n + k, k) * comb(2 * k, k) for k in range(n + 1)]
+    for x in range(n + 1):
+        y2 = 1 + 4 * x
+        lhs = sum(s * y2**t for t, s in enumerate(sq[::2]))
+        if lhs != den * den * sum(r * x**k for k, r in enumerate(rhs)):
+            return False
+    return True
 
 
 def identity_1_7_check(k: int, bound: int = IDENTITY_1_7_BOUND) -> bool:
@@ -233,6 +149,77 @@ def identity_1_7_check(k: int, bound: int = IDENTITY_1_7_BOUND) -> bool:
     )
 
 
+def _terms(a: Fraction, x: Fraction, which: Union[str, FamilyTag]) -> Iterator[Tuple[int, int]]:
+    """(step_k, T_k) for k = 1, 2, ...: the k-th term of the series is
+    T_k / D_k with D_k = step_1 * ... * step_k.
+
+    With x = n/d, a family term is N_f(k) n^k / d^k.  With a = u/v, the
+    core and plain terms carry C(a,k) C(-1-a,k) = prod_{i<k} (u - iv)
+    (-v - u - iv) / (v^2k k!^2), times C(2k,k) for core.
+    """
+    n, d = x.numerator, x.denominator
+    nk = 1
+    if isinstance(which, FamilyTag):
+        for k in count(1):
+            nk *= n
+            yield d, which.numerator(k) * nk
+    else:
+        u, v = a.numerator, a.denominator
+        central = 1
+        for k in count(1):
+            i = k - 1
+            nk *= (u - i * v) * (-v - u - i * v) * n
+            if which == "core":
+                central = central * 2 * (2 * k - 1) // k
+            yield v * v * k * k * d, central * nk
+
+
+def exact_reduce_sums(
+    a: Rational,
+    x: Rational,
+    which: Union[str, FamilyTag],
+    primes: Iterable[int],
+    e: int,
+    max_p: int = REDUCE_P_BOUND,
+) -> Dict[int, int]:
+    """Ground truth: the designated truncated sum as one exact rational,
+    reduced mod p^e at every prime at once: {p: residue}.
+
+    ``which`` is "core", "plain", or a FamilyTag (whose sum ignores ``a``).
+    One pass over k < max(primes) keeps the exact partial sum as the integer
+    pair N / D, D the terms' common denominator, with no gcd; at k = p - 1
+    it reads N * D^-1 mod p^e.  As in ``congruences.family_sums``, a prime
+    dividing the denominator of x (or, for core and plain, of a) has no
+    residue and is left out.  Deliberately independent of the modular
+    pipeline: integer binomial factors and one inversion per prime.
+    """
+    primes = set(primes)
+    if primes and max(primes) > max_p:
+        raise BoundExceeded(f"exact summation is bounded at p <= {max_p}")
+    x = Fraction(x)
+    dens = x.denominator
+    if isinstance(which, FamilyTag):
+        a = Fraction(0)
+    elif which in ("core", "plain"):
+        a = Fraction(a)
+        dens *= a.denominator
+    else:
+        raise ValueError(f"which must be 'core', 'plain' or a FamilyTag, got {which!r}")
+    usable = {p for p in primes if dens % p}
+    out = {}
+    num = den = 1
+    for k, (step, t) in zip(range(1, max(usable, default=1)), _terms(a, x, which)):
+        num = num * step + t
+        den *= step
+        p = k + 1
+        if p in usable:
+            if den % p == 0:  # cannot happen: den is a product of p-units
+                raise NotPIntegral(f"the common denominator at k = {k} is divisible by {p}")
+            m = p**e
+            out[p] = num * pow(den, -1, m) % m
+    return out
+
+
 def exact_reduce_sum(
     a: Rational,
     x: Rational,
@@ -240,47 +227,13 @@ def exact_reduce_sum(
     which: Union[str, FamilyTag],
     max_p: int = REDUCE_P_BOUND,
 ) -> ResidueZ:
-    """Ground truth: the designated truncated sum as one exact rational,
-    then reduced mod p^e.
-
-    ``which`` is "core", "plain", or a FamilyTag (whose sum ignores ``a``).
-    Deliberately independent of the modular pipeline: exact fractions,
-    integer binomials, and one final inversion.
-    """
+    """:func:`exact_reduce_sums` at the context's one prime; NotPIntegral if
+    p divides a denominator that the sum reads."""
     p = ctx.p
-    if p > max_p:
-        raise BoundExceeded(f"exact summation is bounded at p <= {max_p}")
-    x = Fraction(x)
-    if x.denominator % p == 0:
-        raise NotPIntegral(f"{x} has denominator divisible by {p}")
-    total = Fraction(1)
-    if isinstance(which, FamilyTag):
-        xp = Fraction(1)
-        for k in range(1, p):
-            xp *= x
-            total += which.numerator(k) * xp
-    elif which in ("core", "plain"):
-        a = Fraction(a)
-        if a.denominator % p == 0:
-            raise NotPIntegral(f"{a} has denominator divisible by {p}")
-        c = Fraction(-1) - a
-        b_a = Fraction(1)
-        b_c = Fraction(1)
-        xp = Fraction(1)
-        for k in range(1, p):
-            b_a = b_a * (a - k + 1) / k
-            b_c = b_c * (c - k + 1) / k
-            xp *= x
-            t = b_a * b_c * xp
-            if which == "core":
-                t *= comb(2 * k, k)
-            total += t
-    else:
-        raise ValueError(f"which must be 'core', 'plain' or a FamilyTag, got {which!r}")
-    if total.denominator % p == 0:  # cannot happen for p-integral inputs
-        raise NotPIntegral(f"sum {total} is not p-integral")
-    m = ctx.modulus
-    return ResidueZ(total.numerator * pow(total.denominator, -1, m) % m, ctx)
+    sums = exact_reduce_sums(a, x, which, [p], ctx.e, max_p)
+    if p not in sums:
+        raise NotPIntegral(f"a = {a} or x = {x} has denominator divisible by {p}")
+    return ResidueZ(sums[p], ctx)
 
 
 # Deterministic parameter grids for the modular-vs-exact equivalence sweeps;

@@ -1,4 +1,9 @@
-"""Independent mod-p references for the squared Legendre evaluator.
+"""Independent references: the exact sums one Fraction at a time, and mod-p
+machinery for the squared Legendre evaluator.
+
+:func:`exact_reduce_sum` adds the truncated sum term by term as reduced
+Fractions and reduces it once mod p^e; the package's oracle reaches the same
+residues from one gcd-free integer prefix pass over a whole prime list.
 
 Quadratic-residue machinery, the quadratic extension F_p[sqrt(d)], the
 three-term Legendre recurrence and P_n(sqrt(t)) by its even/odd
@@ -12,12 +17,51 @@ can hold the kernel against them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 from typing import Optional, Union
 
-from supercong.errors import BadExponent, MixedContext, NTooLarge
+from supercong.congruences import FamilyTag
+from supercong.errors import BadExponent, MixedContext, NotPIntegral, NTooLarge
 from supercong.legendre import legendre_square_spec
 from supercong.modring import PrimeContext, Rational, ResidueZ, reduce_rational
+
+
+def exact_reduce_sum(
+    a: Rational, x: Rational, ctx: PrimeContext, which: Union[str, FamilyTag]
+) -> int:
+    """The designated truncated sum as one exact rational, then reduced mod
+    p^e.  ``which`` is "core", "plain", or a FamilyTag (whose sum ignores ``a``)."""
+    p = ctx.p
+    x = Fraction(x)
+    if x.denominator % p == 0:
+        raise NotPIntegral(f"{x} has denominator divisible by {p}")
+    total = Fraction(1)
+    if isinstance(which, FamilyTag):
+        xp = Fraction(1)
+        for k in range(1, p):
+            xp *= x
+            total += which.numerator(k) * xp
+    elif which in ("core", "plain"):
+        a = Fraction(a)
+        if a.denominator % p == 0:
+            raise NotPIntegral(f"{a} has denominator divisible by {p}")
+        c = Fraction(-1) - a
+        b_a = Fraction(1)
+        b_c = Fraction(1)
+        xp = Fraction(1)
+        for k in range(1, p):
+            b_a = b_a * (a - k + 1) / k
+            b_c = b_c * (c - k + 1) / k
+            xp *= x
+            t = b_a * b_c * xp
+            if which == "core":
+                t *= comb(2 * k, k)
+            total += t
+    else:
+        raise ValueError(f"which must be 'core', 'plain' or a FamilyTag, got {which!r}")
+    m = ctx.modulus
+    return total.numerator * pow(total.denominator, -1, m) % m
 
 
 def nonresidue(p: int) -> int:

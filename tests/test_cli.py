@@ -25,7 +25,7 @@ from supercong.cli import (
 )
 from supercong.congruences import FamilyTag
 from supercong.errors import ExcludedU
-from supercong.modring import GridContext, make_context
+from supercong.modring import GridContext, ResidueZ, make_context
 
 REPORT_KEYS = {
     "theorem",
@@ -380,7 +380,8 @@ def _no_work(monkeypatch):
     monkeypatch.setattr(cli, "primes_in_range", no_work)
     monkeypatch.setattr(cli, "make_context", no_work)
     for name in ("lemma_2_1_exact_check", "lemma_2_2_sides",
-                 "zeilberger_certificate_check", "identity_1_7_check"):
+                 "zeilberger_certificate_check", "identity_1_7_check",
+                 "exact_reduce_sums"):
         monkeypatch.setattr(oracle, name, no_work)
 
 
@@ -389,6 +390,30 @@ def test_oracle_p_max_is_bounded_before_any_work(monkeypatch, capsys):
     too_big = str(oracle.REDUCE_P_BOUND + 1)
     assert main(["oracle", "reduce-equivalence", "--p-max", too_big]) == 2
     assert str(oracle.REDUCE_P_BOUND) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p_max", ["0", "1", "2"])
+def test_oracle_p_max_below_the_first_prime_is_rejected_before_any_work(
+    monkeypatch, capsys, p_max
+):
+    _no_work(monkeypatch)
+    assert main(["oracle", "reduce-equivalence", "--p-max", p_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--p-max must be at least 3" in captured.err
+
+
+def test_oracle_mismatch_names_the_point(monkeypatch, capsys):
+    real = cg.plain_sum
+
+    def off_by_one(a, x, ctx):
+        return ResidueZ(real(a, x, ctx).value + 1, ctx)
+
+    monkeypatch.setattr(cg, "plain_sum", off_by_one)
+    assert main(["oracle", "reduce-equivalence", "--p-max", "5"]) == 1
+    assert capsys.readouterr().out == (
+        "oracle reduce-equivalence: MISMATCH -- plain differs at p=3 e=1 a=0 x=0\n"
+    )
 
 
 @pytest.mark.parametrize("target, flag, cap", [

@@ -1,41 +1,27 @@
-"""Exact-rational polynomial oracles and the ground-truth sum reduction."""
+"""Exact oracles: the lemmas by point evaluation and the ground-truth sum
+reduction by one prefix pass."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from supercong import oracle
 from supercong.congruences import FamilyTag, core_sum, family_sum, plain_sum
 from supercong.errors import BoundExceeded, NotPIntegral
 from supercong.modring import make_context
 from supercong.oracle import (
     GRID_A,
     GRID_X,
-    RatPoly,
+    REDUCE_P_BOUND,
     binom_frac,
     exact_reduce_sum,
+    exact_reduce_sums,
     identity_1_7_check,
     lemma_2_1_exact_check,
     lemma_2_2_sides,
     zeilberger_certificate_check,
 )
-
-
-def test_ratpoly_basics():
-    p = RatPoly((1, 2, 0, 0))
-    assert p.coeffs == (Fraction(1), Fraction(2))
-    assert p.degree == 1
-    assert RatPoly(()).is_zero and RatPoly(()).degree == -1
-    q = RatPoly((0, 1))
-    assert (p + q).coeffs == (Fraction(1), Fraction(3))
-    assert (p - p).is_zero
-    assert (p * q).coeffs == (Fraction(0), Fraction(1), Fraction(2))
-    assert (p * Fraction(1, 2)).coeffs == (Fraction(1, 2), Fraction(1))
-    assert (q ** 3).coeffs == (0, 0, 0, 1)
-    assert p(Fraction(3)) == 7
-    assert RatPoly((1, 2)) == RatPoly([1, 2])
-    with pytest.raises(AttributeError):
-        p.coeffs = ()
 
 
 def test_binom_frac_matches_comb_and_handles_rationals():
@@ -48,15 +34,17 @@ def test_binom_frac_matches_comb_and_handles_rationals():
     assert binom_frac(Fraction(-1, 3), 1) == Fraction(-1, 3)
 
 
+def _pair(a, k):
+    return binom_frac(a, k) * binom_frac(-1 - a, k)
+
+
 def test_lemma_2_2_sides_small_cases():
-    s1, s2 = lemma_2_2_sides(0)
-    assert s1 == s2 == RatPoly((1,))
-    s1, s2 = lemma_2_2_sides(1)
-    # -2a(a+1) = -2a - 2a^2
-    assert s1 == s2 == RatPoly((0, -2, -2))
+    assert lemma_2_2_sides(0) == ((1,), (1,))
+    # S(1) = -2a(a+1) at a = 0, 1, 2
+    assert lemma_2_2_sides(1) == ((0, -4, -12), (0, -4, -12))
     s1, s2 = lemma_2_2_sides(5)
-    assert s1 == s2
-    assert s1.degree == 10
+    want = tuple(sum(_pair(a, k) * _pair(a, 5 - k) for k in range(6)) for a in range(11))
+    assert s1 == s2 == want
     with pytest.raises(BoundExceeded):
         lemma_2_2_sides(41)
 
@@ -64,6 +52,7 @@ def test_lemma_2_2_sides_small_cases():
 def test_lemma_2_2_sides_equal_up_to_15():
     for n in range(16):
         s1, s2 = lemma_2_2_sides(n)
+        assert len(s1) == 2 * n + 1
         assert s1 == s2, n
 
 
@@ -75,6 +64,19 @@ def test_zeilberger_certificate():
         zeilberger_certificate_check(1, 1)
     with pytest.raises(ValueError):
         zeilberger_certificate_check(3, 0)
+
+
+def test_points_reject_a_wrong_certificate(monkeypatch):
+    """q1's factor (2n-1) replaced by (2n+1): the points must see it."""
+    right = oracle._recurrence
+
+    def wrong(n, a):
+        c0, q1, q2 = right(n, a)
+        return c0, q1 // (2 * n - 1) * (2 * n + 1), q2
+
+    monkeypatch.setattr(oracle, "_recurrence", wrong)
+    for side in (1, 2):
+        assert not all(zeilberger_certificate_check(n, side) for n in range(2, 6))
 
 
 def test_lemma_2_1_exact_small_cases():
@@ -108,6 +110,20 @@ def test_exact_reduce_sum_cases():
     with pytest.raises(BoundExceeded):
         exact_reduce_sum(1, 1, make_context(521, 1), "core")
     assert exact_reduce_sum(1, 1, make_context(521, 1), "core", max_p=521).value >= 0
+
+
+def test_exact_reduce_sums_reads_every_usable_prime_from_one_pass():
+    a, x = Fraction(1, 3), Fraction(-2, 5)
+    got = exact_reduce_sums(a, x, "core", [13, 3, 7, 5, 13, 7], 2)
+    assert list(got) == [7, 13]  # 3 divides a's and 5 x's denominator
+    for p, value in got.items():
+        assert value == exact_reduce_sum(a, x, make_context(p, 2), "core").value
+    assert list(exact_reduce_sums(a, x, FamilyTag.CUBE, [7, 3, 5], 1)) == [3, 7]
+    assert exact_reduce_sums(a, x, "plain", [], 3) == {}
+    with pytest.raises(BoundExceeded):
+        exact_reduce_sums(a, x, "core", [3, REDUCE_P_BOUND + 1], 1)
+    with pytest.raises(ValueError):
+        exact_reduce_sums(a, x, "family", [3], 1)
 
 
 def test_oracle_equivalence_small_grid():

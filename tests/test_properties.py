@@ -1,5 +1,6 @@
 """Property tests: every truncated sum on the hypergeometric kernel equals
-the exact rational sum reduced once mod p^e.
+the exact rational sum reduced once mod p^e, and the oracle's prefix pass
+equals the Fraction-per-step reference.
 
 Draws are derandomized and bounded, so the suite stays deterministic.
 """
@@ -10,11 +11,12 @@ from math import comb, prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from reference import legendre_square_at_sqrt
 from supercong.cli import primes_in_range
 from supercong.congruences import FamilyTag, core_sum, family_sum, family_sums, plain_sum
 from supercong.modring import hyper_sum, hyper_terms, make_context, reduce_rational
-from supercong.oracle import exact_reduce_sum
+from supercong.oracle import exact_reduce_sum, exact_reduce_sums
 
 PRIMES = primes_in_range(3, 199)
 
@@ -67,6 +69,35 @@ def test_batched_family_sums_match_exact(primes, e, f, x):
         if x.denominator % p
     }
     assert family_sums(f, x, primes, e) == want
+
+
+@st.composite
+def prefix_cases(draw):
+    """A prime list with duplicates in any order, an exponent, a series, and
+    a and x that may be negative, with numerators and denominators that are
+    sometimes multiples of listed primes."""
+    primes = draw(st.lists(st.sampled_from(PRIMES[:18]), min_size=1, max_size=6))
+    e = draw(st.sampled_from((1, 2, 3)))
+    which = draw(st.sampled_from(("core", "plain", *FamilyTag)))
+    listed = st.sampled_from((1, 1, *primes))
+
+    def rational():
+        num = draw(st.integers(-10**3, 10**3)) * draw(listed)
+        return Fraction(num, draw(st.integers(1, 12)) * draw(listed))
+
+    return primes, e, which, rational(), rational()
+
+
+@bounded
+@given(prefix_cases())
+def test_prefix_pass_matches_the_fraction_reference(case):
+    primes, e, which, a, x = case
+    got = exact_reduce_sums(a, x, which, primes, e)
+    dens = x.denominator * (a.denominator if which in ("core", "plain") else 1)
+    unusable = {p for p in primes if dens % p == 0}
+    assert set(got) == set(primes) - unusable
+    for p, value in got.items():
+        assert value == reference.exact_reduce_sum(a, x, make_context(p, e), which), p
 
 
 @bounded
