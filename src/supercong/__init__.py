@@ -8,7 +8,6 @@ driven by one theorem table.
 """
 
 from .congruences import (
-    CheckReport,
     FamilyTag,
     check_corollary_2_2,
     check_corollary_2_3,
@@ -52,7 +51,6 @@ from .modring import (
     reduce_rational,
 )
 from .oracle import (
-    binom_frac,
     exact_reduce_sum,
     exact_reduce_sums,
     identity_1_7_check,

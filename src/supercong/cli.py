@@ -14,23 +14,32 @@ is distributed over primes: each worker owns its context.  A two-parameter
 --exhaustive-am grid runs its checker at every point on one GridContext per
 prime, which evaluates each sum from cached coefficient and power rows;
 one-parameter grids and explicit parameters run on a plain PrimeContext.
-Results are sorted by (p, theorem, parameters), so report files are
-byte-identical regardless of --jobs.
+
+Records are encoded where they are computed (:func:`encode`): each worker
+sorts its prime's records by (theorem, parameters), the parameters compared
+as strings, and returns them as JSONL and CSV text with their status counts
+and first FAILED records.  The parent adds up the counts and writes the
+chunks in prime order, so report files are byte-identical regardless of
+--jobs.  A statement at fixed arguments and remark2.3 go through the same
+encoder in this process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import os
 import re
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import islice, product
+from operator import itemgetter
 from typing import (
     Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -61,9 +70,9 @@ class Theorem(NamedTuple):
     is the exponent of its records, ``min_p`` the smallest prime it covers,
     ``grid(p)`` the values the --exhaustive-am sweep takes each of ``params``
     over at p (thm2.4 leaves out the classes of u its checker excludes), and
-    ``check(ctx, *params)`` the reports for one parameter tuple.  A
+    ``check(ctx, *params)`` the records for one parameter tuple.  A
     statement at fixed arguments has no grid (None); its ``check(primes)``
-    gives the reports for the whole prime list in one pass.  Checkers are
+    gives the records for the whole prime list in one pass.  Checkers are
     looked up on the module at call time, so rebinding
     ``congruences.check_*`` reaches every entry.
     """
@@ -72,7 +81,7 @@ class Theorem(NamedTuple):
     e: int
     min_p: int
     grid: Optional[Callable[[int], Tuple[range, ...]]]
-    check: Callable[..., Sequence[cg.CheckReport]]
+    check: Callable[..., List[dict]]
 
 
 def _u_grid(part: str, p: int) -> List[int]:
@@ -114,15 +123,14 @@ def primes_in_range(lo: int, hi: int) -> List[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(range(i * i, hi + 1, i)))
     start = max(lo, 3)
-    return [n for n in range(start, hi + 1) if sieve[n] and n != 2]
+    return [n for n in range(start, hi + 1) if sieve[n]]
 
 
 def parse_rational(text: str) -> Fraction:
     """CLI rationals: optional sign, "num/den" or a bare integer."""
     if not _RATIONAL_RE.match(text):
         raise argparse.ArgumentTypeError(f"not a rational 'num/den': {text!r}")
-    q = Fraction(text)
-    return q
+    return Fraction(text)
 
 
 def parse_prime_range(text: str) -> Tuple[int, int]:
@@ -167,8 +175,9 @@ def _reports_for_prime(
     theorem: str,
     params: Optional[Dict[str, Fraction]],
     exhaustive: bool,
-) -> List[dict]:
-    """All CheckReports (as dicts) for one theorem at one prime.
+    formats: Sequence[str] = (),
+) -> Chunk:
+    """All records for one theorem at one prime, encoded in ``formats``.
 
     The grid runs the same checker as explicit parameters.  A grid over two
     parameters runs on one GridContext, so each sum is a dot product of rows
@@ -187,19 +196,12 @@ def _reports_for_prime(
         given = {n: params[n] for n in spec.params}
         if not _usable(p, given):
             shown = {n: cg.format_rational(q) for n, q in given.items()}
-            vacuous = cg.CheckReport(
-                theorem, p, spec.e, shown, False, True, {}, "vacuous"
-            )
-            return [vacuous.as_dict()]
+            return encode([cg._report(theorem, p, spec.e, shown, False, True, {})], formats)
         ctx = make_context(p, spec.e)
         points = (tuple(given.values()),)
-    out = [r for point in points for r in spec.check(ctx, *point)]
-    log.debug("p=%d: %d report(s) for %s", p, len(out), theorem)
-    return [r.as_dict() for r in out]
-
-
-def _report_sort_key(d: dict):
-    return (d["p"], d["theorem"], tuple(sorted(d["params"].items())))
+    records = [r for point in points for r in spec.check(ctx, *point)]
+    log.debug("p=%d: %d report(s) for %s", p, len(records), theorem)
+    return encode(records, formats)
 
 
 def _resolve_jobs(jobs: Optional[int], n_items: int) -> int:
@@ -215,8 +217,8 @@ def _parallel_map(fn, items: Sequence, jobs: int) -> list:
     if jobs <= 1:
         return [fn(item) for item in items]
     # Small contiguous chunks keep the workers balanced when per-item cost
-    # grows along the list (larger primes later); output order is restored
-    # by the callers' sort.
+    # grows along the list (larger primes later); map returns the results in
+    # item order.
     chunk = max(1, min(32, len(items) // (8 * jobs)))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
@@ -228,36 +230,30 @@ def run_checks(
     params: Optional[Dict[str, Fraction]] = None,
     exhaustive: bool = False,
     jobs: Optional[int] = None,
-) -> List[dict]:
-    """Run one theorem's checker over primes, sorted output.  A statement at
-    fixed arguments runs once over the whole list; any other runs prime by
-    prime, in parallel over ``jobs`` workers."""
+    formats: Sequence[str] = (),
+) -> List[Chunk]:
+    """Run one theorem's checker over primes, encoded in ``formats``: one
+    chunk per prime in ascending order, in parallel over ``jobs`` workers,
+    or, for a statement at fixed arguments, one chunk from one pass over
+    the whole list."""
     spec = THEOREMS[theorem]
-    qualifying = [p for p in primes if p >= spec.min_p]
+    qualifying = sorted(p for p in primes if p >= spec.min_p)
     if spec.grid is None:
         log.info("checking %s over %d prime(s) in one pass", theorem, len(qualifying))
-        reports = [r.as_dict() for r in spec.check(qualifying)]
-    else:
-        jobs = _resolve_jobs(jobs, len(qualifying))
-        log.info(
-            "checking %s over %d prime(s) with %d job(s)", theorem, len(qualifying), jobs
-        )
-        fn = partial(
-            _reports_for_prime, theorem=theorem, params=params, exhaustive=exhaustive
-        )
-        chunks = _parallel_map(fn, qualifying, jobs)
-        reports = [r for chunk in chunks for r in chunk]
-    reports.sort(key=_report_sort_key)
-    return reports
+        return [encode(spec.check(qualifying), formats)]
+    jobs = _resolve_jobs(jobs, len(qualifying))
+    log.info("checking %s over %d prime(s) with %d job(s)", theorem, len(qualifying), jobs)
+    fn = partial(_reports_for_prime, theorem=theorem, params=params,
+                 exhaustive=exhaustive, formats=formats)
+    return _parallel_map(fn, qualifying, jobs)
 
 
 def run_exploration(primes: Iterable[int]) -> List[dict]:
-    """remark2.3 residues mod p^3 over the qualifying primes (p = 5 mod 6)."""
-    qualifying = [p for p in primes if p % 6 == 5]
+    """remark2.3 records mod p^3 over the qualifying primes (p = 5 mod 6),
+    in ascending p."""
+    qualifying = sorted(p for p in primes if p % 6 == 5)
     log.info("exploring remark2.3 over %d prime(s)", len(qualifying))
-    reports = [r.as_dict() for r in cg.explore_remark_2_3(qualifying)]
-    reports.sort(key=_report_sort_key)
-    return reports
+    return cg.explore_remark_2_3(qualifying)
 
 
 def sweep_family(
@@ -277,66 +273,67 @@ def sweep_family(
 
 
 # ---------------------------------------------------------------------------
-# Report writers
+# Report encoding and writers
 
 # json.dumps builds a new encoder per call; one shared encoder writes the
 # same bytes.
 _JSON = json.JSONEncoder(sort_keys=True)
 
+# FAILED records a summary prints, and so the most a chunk keeps.
+FAILED_SHOWN = 5
 
-def write_jsonl(reports: List[dict], path: str) -> None:
-    encode = _JSON.encode
+_PARAM_COLUMNS = ("a", "x", "m", "u", "family")
+_CSV_COLUMNS = ("theorem", "p", "e", *_PARAM_COLUMNS, "hypothesis_holds",
+                "conclusion_holds", "status", "residues")
+
+
+class Chunk(NamedTuple):
+    """Records as report text: the count per status, the first FAILED_SHOWN
+    FAILED records, and the JSONL lines and CSV rows ("" if not asked for)."""
+
+    counts: Counter
+    failed: List[dict]
+    jsonl: str
+    csv: str
+
+
+def _csv_row(r: dict) -> tuple:
+    """The flat projection of one record: parameters in fixed columns,
+    residues joined as name=value;..."""
+    params = r["params"]
+    residues = ";".join(f"{k}={v}" for k, v in sorted(r["residues"].items()))
+    return (r["theorem"], r["p"], r["e"], *(params.get(n, "") for n in _PARAM_COLUMNS),
+            r["hypothesis_holds"], r["conclusion_holds"], r["status"], residues)
+
+
+def _report_sort_key(d: dict):
+    """Report order: p, theorem, then the parameters as (name, string) pairs,
+    so "10" comes before "2"."""
+    return (d["p"], d["theorem"], tuple(sorted(d["params"].items())))
+
+
+def encode(records: List[dict], formats: Sequence[str] = ()) -> Chunk:
+    """Sort records by :func:`_report_sort_key`, in place, and encode them
+    in each of ``formats`` ("jsonl", "csv"): the one path from a record to
+    report bytes."""
+    records.sort(key=_report_sort_key)
+    failed = list(islice((r for r in records if r["status"] == "FAILED"), FAILED_SHOWN))
+    jsonl = "".join([_JSON.encode(r) + "\n" for r in records]) if "jsonl" in formats else ""
+    rows = io.StringIO()
+    if "csv" in formats:
+        csv.writer(rows).writerows(map(_csv_row, records))
+    return Chunk(Counter(map(itemgetter("status"), records)), failed, jsonl, rows.getvalue())
+
+
+def write_jsonl(chunks: Iterable[Chunk], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(encode(r) + "\n" for r in reports)
+        fh.writelines(c.jsonl for c in chunks)
 
 
-_CSV_COLUMNS = (
-    "theorem",
-    "p",
-    "e",
-    "a",
-    "x",
-    "m",
-    "u",
-    "family",
-    "hypothesis_holds",
-    "conclusion_holds",
-    "status",
-    "residues",
-)
-
-
-def write_csv(reports: List[dict], path: str) -> None:
-    """Flat projection of the JSONL records."""
+def write_csv(chunks: Iterable[Chunk], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        for r in reports:
-            params = r["params"]
-            residues = ";".join(f"{k}={v}" for k, v in sorted(r["residues"].items()))
-            writer.writerow(
-                (
-                    r["theorem"],
-                    r["p"],
-                    r["e"],
-                    params.get("a", ""),
-                    params.get("x", ""),
-                    params.get("m", ""),
-                    params.get("u", ""),
-                    params.get("family", ""),
-                    r["hypothesis_holds"],
-                    r["conclusion_holds"],
-                    r["status"],
-                    residues,
-                )
-            )
-
-
-def _summarize(reports: List[dict]) -> Dict[str, int]:
-    counts = {"verified": 0, "vacuous": 0, "FAILED": 0}
-    for r in reports:
-        counts[r["status"]] += 1
-    return counts
+        csv.writer(fh).writerow(_CSV_COLUMNS)
+        fh.writelines(c.csv for c in chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -373,29 +370,31 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
         return 2
     primes = primes_in_range(*args.primes)
-    reports = run_checks(
+    chunks = run_checks(
         theorem,
         primes,
         params=given or None,
         exhaustive=args.exhaustive_am,
         jobs=args.jobs,
+        formats=[f for f, path in (("jsonl", args.out), ("csv", args.csv)) if path],
     )
-    counts = _summarize(reports)
+    counts: Counter = Counter()
+    for c in chunks:
+        counts.update(c.counts)
     print(
-        f"{theorem}: {len(reports)} check(s) over {len(primes)} prime(s) -- "
+        f"{theorem}: {sum(counts.values())} check(s) over {len(primes)} prime(s) -- "
         f"verified {counts['verified']}, vacuous {counts['vacuous']}, "
         f"FAILED {counts['FAILED']}"
     )
-    failed = [r for r in reports if r["status"] == "FAILED"]
-    for r in failed[:5]:
+    for r in [r for c in chunks for r in c.failed][:FAILED_SHOWN]:
         print(f"  FAILED: p={r['p']} params={r['params']} residues={r['residues']}")
     if args.out:
-        write_jsonl(reports, args.out)
+        write_jsonl(chunks, args.out)
         print(f"wrote {args.out}")
     if args.csv:
-        write_csv(reports, args.csv)
+        write_csv(chunks, args.csv)
         print(f"wrote {args.csv}")
-    return 1 if failed else 0
+    return 1 if counts["FAILED"] else 0
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
@@ -412,7 +411,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                 f"residue {r['residues']['sum_mod_p3']} mod {r['p']}^3"
             )
     if args.out:
-        write_jsonl(reports, args.out)
+        write_jsonl([encode(reports, ("jsonl",))], args.out)
         print(f"wrote {args.out}")
     return 0
 

@@ -9,15 +9,14 @@ coefficient row with x's cached power row.  A family sum at a fixed x runs
 on :func:`~supercong.modring.hyper_sums` for a whole prime list at once.
 
 Checkers take integer parameters without a Fraction round trip, reduce
-every parameter once, and wrap the sums into :class:`CheckReport` records
-whose status follows one fixed rule; explicit parameters and grid points go
-through the same checker, on the two kinds of context.
+every parameter once, and wrap the sums into plain dict records whose status
+follows one fixed rule (:func:`_report`); explicit parameters and grid
+points go through the same checker, on the two kinds of context.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Dict, Iterable, List, Tuple
@@ -135,56 +134,6 @@ def family_sums(
 # ---------------------------------------------------------------------------
 # Check reports
 
-_STATUS_VERIFIED = "verified"
-_STATUS_VACUOUS = "vacuous"
-_STATUS_FAILED = "FAILED"
-
-
-def _status_of(hypothesis: bool, conclusion: bool) -> str:
-    if not hypothesis:
-        return _STATUS_VACUOUS
-    return _STATUS_VERIFIED if conclusion else _STATUS_FAILED
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """One checker outcome.
-
-    ``status`` is forced by the two booleans: FAILED iff the hypothesis holds
-    and the conclusion does not, vacuous iff the hypothesis fails.  Rational
-    parameters are serialized as "num/den" strings for lossless round-trips.
-    """
-
-    theorem: str
-    p: int
-    e: int
-    params: Dict[str, str]
-    hypothesis_holds: bool
-    conclusion_holds: bool
-    residues: Dict[str, int]
-    status: str
-
-    def __post_init__(self) -> None:
-        expected = _status_of(self.hypothesis_holds, self.conclusion_holds)
-        if self.status != expected:
-            raise ValueError(
-                f"status {self.status!r} contradicts hypothesis/conclusion "
-                f"({self.hypothesis_holds}, {self.conclusion_holds})"
-            )
-
-    def as_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "p": self.p,
-            "e": self.e,
-            "params": dict(self.params),
-            "hypothesis_holds": self.hypothesis_holds,
-            "conclusion_holds": self.conclusion_holds,
-            "residues": dict(self.residues),
-            "status": self.status,
-        }
-
-
 def _report(
     theorem: str,
     p: int,
@@ -193,17 +142,23 @@ def _report(
     hypothesis: bool,
     conclusion: bool,
     residues: Dict[str, int],
-) -> CheckReport:
-    return CheckReport(
-        theorem,
-        p,
-        e,
-        params,
-        hypothesis,
-        conclusion,
-        residues,
-        _status_of(hypothesis, conclusion),
-    )
+) -> dict:
+    """One checker outcome as a plain record.
+
+    ``status`` is forced by the two booleans: FAILED iff the hypothesis holds
+    and the conclusion does not, vacuous iff the hypothesis fails.  Rational
+    parameters are serialized as "num/den" strings for lossless round-trips.
+    """
+    return {
+        "theorem": theorem,
+        "p": p,
+        "e": e,
+        "params": params,
+        "hypothesis_holds": hypothesis,
+        "conclusion_holds": conclusion,
+        "residues": residues,
+        "status": ("verified" if conclusion else "FAILED") if hypothesis else "vacuous",
+    }
 
 
 def format_rational(q: Rational) -> str:
@@ -232,7 +187,7 @@ def _unit_m(m: Rational, ctx: PrimeContext) -> int:
 # ---------------------------------------------------------------------------
 # Checkers
 
-def check_theorem_2_1(a: Rational, x: Rational, ctx: PrimeContext) -> CheckReport:
+def check_theorem_2_1(a: Rational, x: Rational, ctx: PrimeContext) -> dict:
     """Triple congruence mod p: the truncated core sum equals the squared
     Legendre value at sqrt(1-4x) for both the index <a>_p and its mirror."""
     _require_e(ctx, 1)
@@ -253,7 +208,7 @@ def check_theorem_2_1(a: Rational, x: Rational, ctx: PrimeContext) -> CheckRepor
     )
 
 
-def check_theorem_2_2(a: Rational, x: Rational, ctx: PrimeContext) -> CheckReport:
+def check_theorem_2_2(a: Rational, x: Rational, ctx: PrimeContext) -> dict:
     """Squared plain sum against the core sum at x(1-x), mod p^2."""
     _require_e(ctx, 2)
     p, m = ctx.p, ctx.modulus
@@ -272,7 +227,7 @@ def check_theorem_2_2(a: Rational, x: Rational, ctx: PrimeContext) -> CheckRepor
     )
 
 
-def check_theorem_2_3(a: Rational, m: Rational, ctx: PrimeContext) -> CheckReport:
+def check_theorem_2_3(a: Rational, m: Rational, ctx: PrimeContext) -> dict:
     """Vanishing mod p of the core sum at 1/m must lift to vanishing mod p^2."""
     _require_e(ctx, 2)
     x = pow(_unit_m(m, ctx), -1, ctx.modulus)
@@ -291,7 +246,7 @@ def check_theorem_2_3(a: Rational, m: Rational, ctx: PrimeContext) -> CheckRepor
 
 def check_corollary_2_2(
     f: FamilyTag, m: Rational, ctx: PrimeContext
-) -> CheckReport:
+) -> dict:
     """The mod-p to mod-p^2 lift for one binomial-product family at 1/m."""
     _require_e(ctx, 2)
     x = pow(_unit_m(m, ctx), -1, ctx.modulus)
@@ -325,7 +280,7 @@ def excluded_u(part: str, p: int) -> Dict[int, Fraction]:
     return out
 
 
-def check_theorem_2_4(part: str, u: Rational, ctx: PrimeContext) -> CheckReport:
+def check_theorem_2_4(part: str, u: Rational, ctx: PrimeContext) -> dict:
     """The two rational-argument implications between family sums.
 
     Part i: vanishing mod p at u^2/(1-4u)^3 forces vanishing mod p^2 at
@@ -370,7 +325,7 @@ def _above_3(primes: Iterable[int]) -> List[int]:
     return primes
 
 
-def check_rodriguez_villegas(primes: Iterable[int]) -> List[CheckReport]:
+def check_rodriguez_villegas(primes: Iterable[int]) -> List[dict]:
     """The three residue-class zero congruences mod p^2, for every prime.
 
     C(2k,k)^2 C(3k,k)/108^k for p = 2 mod 3; C(2k,k)^2 C(4k,2k)/256^k for
@@ -400,7 +355,7 @@ def check_rodriguez_villegas(primes: Iterable[int]) -> List[CheckReport]:
     ]
 
 
-def check_corollary_2_3(primes: Iterable[int]) -> List[CheckReport]:
+def check_corollary_2_3(primes: Iterable[int]) -> List[dict]:
     """The two derived zero congruences for the C(2k,k)^2 C(3k,k) family:
     1/1458 vanishes mod p^2 when p = 5 mod 6, 1/3375 when p = 11, 14 mod 15.
     Two reports per prime, in that order."""
@@ -420,7 +375,7 @@ def check_corollary_2_3(primes: Iterable[int]) -> List[CheckReport]:
     return out
 
 
-def check_identity_1_3(m: Rational, ctx: PrimeContext) -> CheckReport:
+def check_identity_1_3(m: Rational, ctx: PrimeContext) -> dict:
     """C(2k,k)^3/m^k summed mod p^2 against the squared Legendre value
     P_{(p-1)/2}(sqrt(1-64/m))^2."""
     _require_e(ctx, 2)
@@ -441,7 +396,7 @@ def check_identity_1_3(m: Rational, ctx: PrimeContext) -> CheckReport:
     )
 
 
-def explore_remark_2_3(primes: Iterable[int]) -> List[CheckReport]:
+def explore_remark_2_3(primes: Iterable[int]) -> List[dict]:
     """Evaluate the 1/1458 family sum mod p^3 for primes p = 5 mod 6 and
     record whether it vanishes, one report per prime.  Conjecture-grade:
     callers surface non-vanishing records but never turn them into failures."""

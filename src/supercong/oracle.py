@@ -7,8 +7,8 @@ polynomial identities of known degree in one variable, so agreement at one
 more integer point than the degree proves them: the sides of the product-sum
 identity and each term of its three-term recurrence certificate have degree
 <= 2n in a, and the squared-Legendre expansion has degree n in x.  The
-dictionary check compares closed forms as exact fractions.  No floating
-point anywhere, and no computer-algebra dependency.
+dictionary check compares both closed forms cross-multiplied to integers.
+No floating point anywhere, and no computer-algebra dependency.
 """
 
 from __future__ import annotations
@@ -27,15 +27,6 @@ LEMMA_2_2_BOUND = 40
 LEMMA_2_1_BOUND = 30
 IDENTITY_1_7_BOUND = 200
 REDUCE_P_BOUND = 512
-
-
-def binom_frac(a: Rational, k: int) -> Fraction:
-    """Exact C(a, k) for a rational (or integer) upper argument."""
-    a = Fraction(a)
-    num = Fraction(1)
-    for i in range(k):
-        num *= a - i
-    return num / factorial(k)
 
 
 def _pairs(a: int, n: int) -> List[int]:
@@ -130,22 +121,34 @@ def lemma_2_1_exact_check(n: int, bound: int = LEMMA_2_1_BOUND) -> bool:
     return True
 
 
+def _falling(r: int, s: int, k: int) -> int:
+    """prod_{i<k} (-r - i s) = s^k k! C(-r/s, k), an integer."""
+    out = 1
+    for i in range(k):
+        out *= -r - i * s
+    return out
+
+
 def identity_1_7_check(k: int, bound: int = IDENTITY_1_7_BOUND) -> bool:
-    """All four dictionary equalities at this k, as exact rationals."""
+    """All four dictionary equalities at this k, on integers.
+
+    C(-r1/s, k) C(-r2/s, k) = c / N^k holds iff the falling products satisfy
+    prod (-r1 - i s) prod (-r2 - i s) N^k == c (s^k k!)^2.
+    """
     if not 0 <= k <= bound:
         raise BoundExceeded(f"k must be in [0, {bound}], got {k}")
     c2 = comb(2 * k, k)
     c3 = comb(3 * k, k)
     c4 = comb(4 * k, 2 * k)
     c6 = comb(6 * k, 3 * k)
-    return (
-        binom_frac(Fraction(-1, 2), k) ** 2 == Fraction(c2 * c2, 16**k)
-        and binom_frac(Fraction(-1, 3), k) * binom_frac(Fraction(-2, 3), k)
-        == Fraction(c2 * c3, 27**k)
-        and binom_frac(Fraction(-1, 4), k) * binom_frac(Fraction(-3, 4), k)
-        == Fraction(c2 * c4, 64**k)
-        and binom_frac(Fraction(-1, 6), k) * binom_frac(Fraction(-5, 6), k)
-        == Fraction(c3 * c6, 432**k)
+    return all(
+        _falling(r1, s, k) * _falling(r2, s, k) * n**k == c * (s**k * factorial(k)) ** 2
+        for r1, r2, s, n, c in (
+            (1, 1, 2, 16, c2 * c2),
+            (1, 2, 3, 27, c2 * c3),
+            (1, 3, 4, 64, c2 * c4),
+            (1, 5, 6, 432, c3 * c6),
+        )
     )
 
 

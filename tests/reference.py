@@ -1,5 +1,5 @@
-"""Independent references: the exact sums one Fraction at a time, and mod-p
-machinery for the squared Legendre evaluator.
+"""Independent references: the exact sums one Fraction at a time, exact
+rational binomials, and mod-p machinery for the squared Legendre evaluator.
 
 :func:`exact_reduce_sum` adds the truncated sum term by term as reduced
 Fractions and reduces it once mod p^e; the package's oracle reaches the same
@@ -18,13 +18,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Optional, Union
 
 from supercong.congruences import FamilyTag
 from supercong.errors import BadExponent, MixedContext, NotPIntegral, NTooLarge
 from supercong.legendre import legendre_square_spec
 from supercong.modring import PrimeContext, Rational, ResidueZ, reduce_rational
+
+
+def binom_frac(a: Rational, k: int) -> Fraction:
+    """Exact C(a, k) for a rational (or integer) upper argument."""
+    a = Fraction(a)
+    num = Fraction(1)
+    for i in range(k):
+        num *= a - i
+    return num / factorial(k)
 
 
 def exact_reduce_sum(

@@ -45,9 +45,9 @@ def test_criterion_01_rodriguez_villegas_classes():
     t0 = time.perf_counter()
     in_class = 0
     for r in check_rodriguez_villegas(primes_in_range(5, 1999)):
-        assert r.status != "FAILED", r
-        if r.hypothesis_holds:
-            assert r.residues["sum_mod_p2"] == 0, r
+        assert r["status"] != "FAILED", r
+        if r["hypothesis_holds"]:
+            assert r["residues"]["sum_mod_p2"] == 0, r
             in_class += 1
     assert in_class > 400
     _announce(1, f"eq1.2: {in_class} in-class sums exactly 0 mod p^2 for 3 < p < 2000 "
@@ -65,7 +65,7 @@ def test_criterion_02_theorem_2_2_random_triples():
         a = Fraction(rng.randint(-30, 30), rng.choice(dens))
         x = Fraction(rng.randint(-30, 30), rng.choice(dens))
         r = check_theorem_2_2(a, x, make_context(p, 2))
-        assert r.status == "verified", (p, a, x, r.residues)
+        assert r["status"] == "verified", (p, a, x, r["residues"])
         checked += 1
     _announce(2, f"thm2.2: 200 random (a, x, p<500) triples exact mod p^2 "
                  f"({time.perf_counter() - t0:.1f}s)")
@@ -79,9 +79,9 @@ def test_criterion_03_theorem_2_3_exhaustive():
         for a in range(p):
             for m in range(1, p):
                 r = check_theorem_2_3(a, m, ctx)
-                assert r.status != "FAILED", (p, a, m, r.residues)
+                assert r["status"] != "FAILED", (p, a, m, r["residues"])
                 checked += 1
-                lifted += r.status == "verified"
+                lifted += r["status"] == "verified"
     _announce(3, f"thm2.3: exhaustive {checked} (a, m) pairs over 3 < p <= 97, "
                  f"{lifted} hypothesis-true, zero failed lifts "
                  f"({time.perf_counter() - t0:.1f}s)")
@@ -95,7 +95,7 @@ def test_criterion_04_theorem_2_1_exhaustive():
         for a in range(p):
             for x in range(p):
                 r = check_theorem_2_1(a, x, ctx)
-                assert r.status == "verified", (p, a, x, r.residues)
+                assert r["status"] == "verified", (p, a, x, r["residues"])
                 checked += 1
     _announce(4, f"thm2.1: triple congruence exact for all {checked} (a, x) pairs, "
                  f"p < 100 ({time.perf_counter() - t0:.1f}s)")
@@ -112,7 +112,7 @@ def test_criterion_05_theorem_2_4_exhaustive():
                     r = check_theorem_2_4(part, u, ctx)
                 except ExcludedU:
                     continue
-                assert r.status != "FAILED", (p, part, u, r.residues)
+                assert r["status"] != "FAILED", (p, part, u, r["residues"])
                 checked += 1
     _announce(5, f"thm2.4(i)+(ii): exhaustive u sweeps, 3 < p <= 61, {checked} checks, "
                  f"zero failed implications ({time.perf_counter() - t0:.1f}s)")
@@ -125,10 +125,10 @@ def test_criterion_06_corollary_2_3_classes():
     reports = check_corollary_2_3(primes)
     for p, r1458, r3375 in zip(primes, reports[::2], reports[1::2]):
         if p % 6 == 5:
-            assert r1458.status == "verified" and r1458.residues["sum_mod_p2"] == 0, p
+            assert r1458["status"] == "verified" and r1458["residues"]["sum_mod_p2"] == 0, p
             first += 1
         if p % 15 in (11, 14):
-            assert r3375.status == "verified" and r3375.residues["sum_mod_p2"] == 0, p
+            assert r3375["status"] == "verified" and r3375["residues"]["sum_mod_p2"] == 0, p
             second += 1
     _announce(6, f"cor2.3: 1458-sum 0 mod p^2 at {first} primes (5 mod 6), "
                  f"3375-sum 0 at {second} primes (11,14 mod 15), p < 2000 "
@@ -148,7 +148,7 @@ def test_criterion_07_identity_1_3_random_m():
             if num == 0 or num % p == 0 or den % p == 0:
                 continue
             r = check_identity_1_3(Fraction(num, den), ctx)
-            assert r.status == "verified", (p, num, den, r.residues)
+            assert r["status"] == "verified", (p, num, den, r["residues"])
             done += 1
         checked += done
     _announce(7, f"eq1.3: cube-family sum equals squared Legendre value mod p^2 for "

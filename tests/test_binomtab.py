@@ -14,6 +14,7 @@ from math import comb, factorial
 
 import pytest
 
+from reference import binom_frac
 from supercong.errors import NotPIntegral, RangeError
 from supercong.modring import (
     ResidueZ,
@@ -22,7 +23,6 @@ from supercong.modring import (
     make_context,
     reduce_rational,
 )
-from supercong.oracle import binom_frac
 
 
 def kernel_term(c, factors, d, k, ctx) -> ResidueZ:

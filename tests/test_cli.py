@@ -39,6 +39,11 @@ REPORT_KEYS = {
 }
 
 
+def _records(chunks):
+    """The records of run_checks chunks encoded with formats=("jsonl",)."""
+    return [json.loads(line) for c in chunks for line in c.jsonl.splitlines()]
+
+
 def test_primes_in_range():
     assert primes_in_range(5, 20) == [5, 7, 11, 13, 17, 19]
     assert primes_in_range(2, 10) == [3, 5, 7]  # odd primes only
@@ -164,12 +169,19 @@ def test_log_env_validation(monkeypatch, capsys):
 
 
 def test_run_checks_library_surface():
-    reports = run_checks("eq1.3", primes_in_range(5, 20), params={"m": Fraction(64)}, jobs=1)
+    chunks = run_checks("eq1.3", primes_in_range(5, 20), params={"m": Fraction(64)}, jobs=1,
+                        formats=("jsonl",))
+    reports = _records(chunks)
     assert all(r["status"] == "verified" for r in reports)
     assert [r["p"] for r in reports] == [5, 7, 11, 13, 17, 19]
+    assert [c.counts for c in chunks] == [{"verified": 1}] * 6
+    assert all(c.csv == "" and c.failed == [] for c in chunks)
     # p <= 3 is skipped for statements requiring p > 3
-    reports = run_checks("eq1.2", [3, 5], jobs=1)
-    assert {r["p"] for r in reports} == {5}
+    [chunk] = run_checks("eq1.2", [3, 5], jobs=1, formats=("jsonl",))
+    assert {r["p"] for r in _records([chunk])} == {5}
+    # without formats the chunks carry counts and no text
+    [chunk] = run_checks("eq1.2", [3, 5], jobs=1)
+    assert chunk.jsonl == chunk.csv == "" and sum(chunk.counts.values()) == 3
 
 
 def test_run_exploration_and_sweep_family():
@@ -198,13 +210,13 @@ def test_resolve_jobs_is_bounded():
 
 
 def test_jsonl_and_csv_writers_round_trip(tmp_path):
-    reports = run_checks("cor2.3", [5, 11], jobs=1)
+    chunks = run_checks("cor2.3", [11, 5], jobs=1, formats=("jsonl", "csv"))
     jpath = tmp_path / "x.jsonl"
     cpath = tmp_path / "x.csv"
-    write_jsonl(reports, str(jpath))
-    write_csv(reports, str(cpath))
+    write_jsonl(chunks, str(jpath))
+    write_csv(chunks, str(cpath))
     back = [json.loads(line) for line in jpath.read_text().splitlines()]
-    assert back == reports
+    assert back == cg.check_corollary_2_3([5, 11])
     with cpath.open() as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["theorem"] == "cor2.3"
@@ -279,8 +291,7 @@ def test_theorem_table_matches_direct_checker_calls(tmp_path, theorem, params):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     records = [json.loads(line) for line in outs[0].decode().splitlines()]
-    want = [r.as_dict() for p in (5, 7, 11, 13)
-            for r in direct_reports(theorem, p, params)]
+    want = [r for p in (5, 7, 11, 13) for r in direct_reports(theorem, p, params)]
     want.sort(key=lambda d: (d["p"], tuple(sorted(d["params"].items()))))
     assert records == want
     assert code == (1 if any(r["status"] == "FAILED" for r in records) else 0)
@@ -292,8 +303,7 @@ def test_exhaustive_grid_equals_per_point_checker_records(tmp_path, theorem):
     when it has two parameters) writes the bytes of the per-point checker
     calls on plain contexts, each line encoded on its own."""
     lo = THEOREMS[theorem].min_p
-    want = [r.as_dict() for p in primes_in_range(lo, 101)
-            for r in direct_reports(theorem, p, None)]
+    want = [r for p in primes_in_range(lo, 101) for r in direct_reports(theorem, p, None)]
     want.sort(key=lambda d: (d["p"], tuple(sorted(d["params"].items()))))
     want_bytes = "".join(json.dumps(r, sort_keys=True) + "\n" for r in want).encode()
     for jobs in ("1", "2"):
@@ -317,8 +327,66 @@ def test_only_two_parameter_grids_build_a_grid_context(monkeypatch):
     for theorem, spec in THEOREMS.items():
         if spec.grid:
             built.clear()
-            assert cli._reports_for_prime(7, theorem, None, True)
+            assert cli._reports_for_prime(7, theorem, None, True).counts
             assert built == ([7] if len(spec.params) > 1 else []), theorem
+
+
+# ---------------------------------------------------------------------------
+# Records are encoded per prime; the parent writes the chunks in prime order
+
+@pytest.mark.parametrize("reports", [False, True])
+def test_stdout_and_reports_do_not_depend_on_jobs(tmp_path, capsys, reports):
+    # thm2.3 fails at p = 3 (a = 1, m = 1; README): the FAILED line is printed
+    out, csvp = tmp_path / "r.jsonl", tmp_path / "r.csv"
+    files = ["--out", str(out), "--csv", str(csvp)] if reports else []
+    seen = []
+    for jobs in ("1", "2"):
+        code = main(["check", "thm2.3", "--exhaustive-am", "--primes", "3..13",
+                     "--jobs", jobs, *files])
+        assert code == 1
+        seen.append((capsys.readouterr().out,
+                     *(f.read_bytes() for f in (out, csvp) if reports)))
+        for f in (out, csvp):
+            f.unlink(missing_ok=True)
+    assert seen[0] == seen[1]
+    assert "  FAILED: p=3 params={'a': '1', 'm': '1'}" in seen[0][0]
+
+
+def test_summary_shows_the_first_failed_records_in_report_order(capsys):
+    # cor2.2 fails at several m and families per prime (README), so the five
+    # printed records span primes and must follow the global report order
+    failed = [r for p in primes_in_range(5, 31) for r in direct_reports("cor2.2", p, None)
+              if r["status"] == "FAILED"]
+    failed.sort(key=lambda d: (d["p"], tuple(sorted(d["params"].items()))))
+    assert len({r["p"] for r in failed[:5]}) > 1
+    for jobs in ("1", "2"):
+        assert main(["check", "cor2.2", "--exhaustive-am", "--primes", "5..31",
+                     "--jobs", jobs]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(f"FAILED {len(failed)}")
+        assert lines[1:] == [
+            f"  FAILED: p={r['p']} params={r['params']} residues={r['residues']}"
+            for r in failed[:5]
+        ]
+
+
+def test_records_of_one_prime_are_in_string_order_of_their_parameters(tmp_path):
+    out = tmp_path / "r.jsonl"
+    main(["check", "thm2.3", "--exhaustive-am", "--primes", "11..13", "--jobs", "2",
+          "--out", str(out)])
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    keys = [(r["p"], r["params"]["a"], r["params"]["m"]) for r in records]
+    assert keys == sorted(keys)
+    at_11 = [a for p, a, m in keys if p == 11 and m == "1"]
+    assert at_11 == ["0", "1", "10", "2", "3", "4", "5", "6", "7", "8", "9"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_run_that_exits_2_writes_no_report_file(tmp_path, jobs):
+    out, csvp = tmp_path / "f.jsonl", tmp_path / "f.csv"
+    assert main(["check", "thm2.4i", "--primes", "7..13", "--u", "1/4", "--jobs", jobs,
+                 "--out", str(out), "--csv", str(csvp)]) == 2
+    assert not out.exists() and not csvp.exists()
 
 
 # Each command meets one prime that divides a parameter's denominator or the
@@ -348,7 +416,7 @@ def test_unusable_prime_gives_one_vacuous_record(tmp_path, argv, bad_p):
     lo, hi = parse_prime_range(argv[2])
     usable = [p for p in primes_in_range(lo, hi) if p != bad_p]
     params = {k.lstrip("-"): parse_rational(v) for k, v in given.items()}
-    rest = run_checks(argv[0], usable, params=params, jobs=1)
+    rest = _records(run_checks(argv[0], usable, params=params, jobs=1, formats=("jsonl",)))
     assert [r for r in records if r["p"] != bad_p] == rest
 
 

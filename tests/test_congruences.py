@@ -1,14 +1,16 @@
 """Truncated sums, the family dictionary, and every theorem checker."""
 
+import json
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from reference import binom_frac
 from supercong.congruences import (
-    CheckReport,
     FamilyTag,
+    _report,
     check_corollary_2_2,
     check_corollary_2_3,
     check_identity_1_3,
@@ -32,9 +34,9 @@ from supercong.errors import (
     WrongResidueClass,
     ZeroM,
 )
-from supercong.cli import primes_in_range
+from supercong.cli import THEOREMS, primes_in_range, run_checks
 from supercong.modring import ap_of, make_context, reduce_rational
-from supercong.oracle import binom_frac, exact_reduce_sum
+from supercong.oracle import exact_reduce_sum
 
 
 def test_core_sum_trivial_cases():
@@ -129,17 +131,39 @@ def test_tail_terms_vanish_mod_p2():
 
 
 # ---------------------------------------------------------------------------
-# CheckReport plumbing
+# Records
+
+def _status_rule(hypothesis, conclusion):
+    if not hypothesis:
+        return "vacuous"
+    return "verified" if conclusion else "FAILED"
+
 
 def test_report_status_rule():
+    for hypothesis, conclusion, status in [
+        (True, True, "verified"),
+        (True, False, "FAILED"),
+        (False, True, "vacuous"),
+        (False, False, "vacuous"),
+    ]:
+        r = _report("thm2.1", 7, 1, {"a": "0"}, hypothesis, conclusion, {"sum": 1})
+        assert r == {
+            "theorem": "thm2.1", "p": 7, "e": 1, "params": {"a": "0"},
+            "hypothesis_holds": hypothesis, "conclusion_holds": conclusion,
+            "residues": {"sum": 1}, "status": status,
+        }
     r = check_theorem_2_1(0, 3, make_context(7, 1))
-    assert r.status == "verified" and r.hypothesis_holds and r.conclusion_holds
-    with pytest.raises(ValueError):
-        CheckReport("thm2.1", 7, 1, {}, True, False, {}, "verified")
-    with pytest.raises(ValueError):
-        CheckReport("thm2.1", 7, 1, {}, False, True, {}, "verified")
-    vac = CheckReport("thm2.1", 7, 1, {}, False, False, {}, "vacuous")
-    assert vac.as_dict()["status"] == "vacuous"
+    assert r["status"] == "verified" and r["hypothesis_holds"] and r["conclusion_holds"]
+
+
+@pytest.mark.parametrize("theorem", [t for t, spec in THEOREMS.items() if spec.grid])
+def test_every_grid_record_has_the_status_of_its_booleans(theorem):
+    chunks = run_checks(theorem, primes_in_range(3, 13), exhaustive=True, jobs=1,
+                        formats=("jsonl",))
+    records = [json.loads(line) for c in chunks for line in c.jsonl.splitlines()]
+    assert records
+    for r in records:
+        assert r["status"] == _status_rule(r["hypothesis_holds"], r["conclusion_holds"]), r
 
 
 def test_format_rational_round_trip():
@@ -154,9 +178,9 @@ def test_format_rational_round_trip():
 def test_check_theorem_2_1_examples():
     ctx = make_context(7, 1)
     r = check_theorem_2_1(0, 5, ctx)
-    assert r.status == "verified"
-    assert r.residues["sum"] == 1 and r.residues["legendre_sq"] == 1
-    assert check_theorem_2_1(Fraction(-1, 2), Fraction(1, 4), ctx).status == "verified"
+    assert r["status"] == "verified"
+    assert r["residues"]["sum"] == 1 and r["residues"]["legendre_sq"] == 1
+    assert check_theorem_2_1(Fraction(-1, 2), Fraction(1, 4), ctx)["status"] == "verified"
     with pytest.raises(BadExponent):
         check_theorem_2_1(0, 0, make_context(7, 2))
 
@@ -169,25 +193,25 @@ def test_check_theorem_2_1_random_small_sweep():
             dens = [d for d in range(1, 8) if d % p]
             a = Fraction(rng.randint(-20, 20), rng.choice(dens))
             x = Fraction(rng.randint(-20, 20), rng.choice(dens))
-            assert check_theorem_2_1(a, x, ctx).status == "verified", (p, a, x)
+            assert check_theorem_2_1(a, x, ctx)["status"] == "verified", (p, a, x)
 
 
 def test_check_theorem_2_2_examples():
     ctx = make_context(11, 2)
     r = check_theorem_2_2(Fraction(5, 3), 0, ctx)
-    assert r.status == "verified" and r.residues["plain_sum_sq"] == 1
-    assert check_theorem_2_2(Fraction(-1, 4), 3, ctx).status == "verified"
-    assert check_theorem_2_2(Fraction(-1, 3), Fraction(1, 2), ctx).status == "verified"
+    assert r["status"] == "verified" and r["residues"]["plain_sum_sq"] == 1
+    assert check_theorem_2_2(Fraction(-1, 4), 3, ctx)["status"] == "verified"
+    assert check_theorem_2_2(Fraction(-1, 3), Fraction(1, 2), ctx)["status"] == "verified"
 
 
 def test_check_theorem_2_3_examples():
     ctx = make_context(5, 2)
     # hypothesis-true instance: core_sum(-1/3, 1/4) is the 108-family congruence
     r = check_theorem_2_3(Fraction(-1, 3), 4, ctx)
-    assert r.status == "verified"
-    assert r.hypothesis_holds and r.conclusion_holds
+    assert r["status"] == "verified"
+    assert r["hypothesis_holds"] and r["conclusion_holds"]
     r = check_theorem_2_3(0, 3, ctx)
-    assert r.status == "vacuous" and r.residues["sum_mod_p2"] == 1
+    assert r["status"] == "vacuous" and r["residues"]["sum_mod_p2"] == 1
     with pytest.raises(ZeroM):
         check_theorem_2_3(1, 10, ctx)
     with pytest.raises(NotPIntegral):
@@ -199,21 +223,21 @@ def test_check_theorem_2_3_exhaustive_tiny():
         ctx = make_context(p, 2)
         for a in range(p):
             for m in range(1, p):
-                assert check_theorem_2_3(a, m, ctx).status != "FAILED", (p, a, m)
+                assert check_theorem_2_3(a, m, ctx)["status"] != "FAILED", (p, a, m)
 
 
 def test_check_corollary_2_2_families():
     ctx = make_context(5, 2)
     # the 108-instance of the TWO_THREE family is hypothesis-true at p = 5
     r = check_corollary_2_2(FamilyTag.TWO_THREE, 108, ctx)
-    assert r.status == "verified" and r.params["family"] == "two_three"
+    assert r["status"] == "verified" and r["params"]["family"] == "two_three"
     for f in FamilyTag:
         for m in (1, 2, 3, 4, 7, 9):
             # skip the ramified class m = 4*scale mod p, where the stated
             # implication genuinely breaks (see the dedicated test below)
             if m % 5 == 4 * f.scale % 5:
                 continue
-            assert check_corollary_2_2(f, m, ctx).status != "FAILED"
+            assert check_corollary_2_2(f, m, ctx)["status"] != "FAILED"
     with pytest.raises(ZeroM):
         check_corollary_2_2(FamilyTag.CUBE, 5, ctx)
 
@@ -224,9 +248,9 @@ def test_check_corollary_2_2_reports_ramified_failure_honestly():
     # 1 - 4*scale/m = 0 mod p without vanishing exactly).  The checker must
     # report that, not mask it.
     r = check_corollary_2_2(FamilyTag.TWO_THREE, 3, make_context(5, 2))
-    assert r.status == "FAILED"
-    assert r.hypothesis_holds and not r.conclusion_holds
-    assert r.residues["sum_mod_p2"] == 15
+    assert r["status"] == "FAILED"
+    assert r["hypothesis_holds"] and not r["conclusion_holds"]
+    assert r["residues"]["sum_mod_p2"] == 15
 
 
 def test_check_theorem_2_4_examples():
@@ -234,10 +258,10 @@ def test_check_theorem_2_4_examples():
     for p in (5, 11, 17, 23):
         ctx = make_context(p, 2)
         r = check_theorem_2_4("i", Fraction(-1, 2), ctx)
-        assert r.status == "verified", p
-        assert r.hypothesis_holds and r.conclusion_holds
+        assert r["status"] == "verified", p
+        assert r["hypothesis_holds"] and r["conclusion_holds"]
     r = check_theorem_2_4("i", 0, make_context(7, 2))
-    assert r.status == "vacuous"
+    assert r["status"] == "vacuous"
     with pytest.raises(ExcludedU):
         check_theorem_2_4("i", Fraction(1, 4), make_context(7, 2))
     with pytest.raises(ExcludedU):
@@ -257,38 +281,38 @@ def test_check_theorem_2_4_exhaustive_tiny():
                     r = check_theorem_2_4(part, u, ctx)
                 except ExcludedU:
                     continue
-                assert r.status != "FAILED", (p, part, u)
+                assert r["status"] != "FAILED", (p, part, u)
 
 
 def test_check_rodriguez_villegas_classes():
-    reports = {r.params["family"]: r for r in check_rodriguez_villegas([5])}
-    assert reports["two_three"].status == "verified"   # 5 = 2 mod 3
-    assert reports["two_four"].status == "verified"    # 5 mod 8 in {5, 7}
-    assert reports["three_six"].status == "vacuous"    # 5 = 1 mod 4
-    reports = {r.params["family"]: r for r in check_rodriguez_villegas([7])}
-    assert reports["two_three"].status == "vacuous"    # 7 = 1 mod 3
-    assert reports["two_four"].status == "verified"    # 7 mod 8 = 7
-    assert reports["three_six"].status == "verified"   # 7 = 3 mod 4
+    reports = {r["params"]["family"]: r for r in check_rodriguez_villegas([5])}
+    assert reports["two_three"]["status"] == "verified"   # 5 = 2 mod 3
+    assert reports["two_four"]["status"] == "verified"    # 5 mod 8 in {5, 7}
+    assert reports["three_six"]["status"] == "vacuous"    # 5 = 1 mod 4
+    reports = {r["params"]["family"]: r for r in check_rodriguez_villegas([7])}
+    assert reports["two_three"]["status"] == "vacuous"    # 7 = 1 mod 3
+    assert reports["two_four"]["status"] == "verified"    # 7 mod 8 = 7
+    assert reports["three_six"]["status"] == "verified"   # 7 = 3 mod 4
     with pytest.raises(RangeError):
         check_rodriguez_villegas([3])
 
 
 def test_check_corollary_2_3_examples():
     first, second = check_corollary_2_3([5])
-    assert first.status == "verified" and first.params["x"] == "1/1458"
-    assert second.status == "vacuous"  # 3375 shares the factor 5; skipped
+    assert first["status"] == "verified" and first["params"]["x"] == "1/1458"
+    assert second["status"] == "vacuous"  # 3375 shares the factor 5; skipped
     first, second = check_corollary_2_3([7])
-    assert first.status == "vacuous" and second.status == "vacuous"
+    assert first["status"] == "vacuous" and second["status"] == "vacuous"
     first, second = check_corollary_2_3([11])
-    assert first.status == "verified" and second.status == "verified"
+    assert first["status"] == "verified" and second["status"] == "verified"
     with pytest.raises(RangeError):
         check_corollary_2_3([3])
 
 
 def test_check_identity_1_3_examples():
-    assert check_identity_1_3(64, make_context(7, 2)).status == "verified"
-    assert check_identity_1_3(1, make_context(5, 2)).status == "verified"
-    assert check_identity_1_3(Fraction(-3, 7), make_context(11, 2)).status == "verified"
+    assert check_identity_1_3(64, make_context(7, 2))["status"] == "verified"
+    assert check_identity_1_3(1, make_context(5, 2))["status"] == "verified"
+    assert check_identity_1_3(Fraction(-3, 7), make_context(11, 2))["status"] == "verified"
     with pytest.raises(RangeError):
         check_identity_1_3(1, make_context(3, 2))
     with pytest.raises(ZeroM):
@@ -297,10 +321,10 @@ def test_check_identity_1_3_examples():
 
 def test_explore_remark_2_3():
     [r] = explore_remark_2_3([5])
-    assert r.e == 3 and r.p == 5
-    assert "sum_mod_p3" in r.residues
-    assert r.residues["sum_mod_p3"] == 0  # recorded, expected by the conjecture
-    assert explore_remark_2_3([11])[0].residues["sum_mod_p3"] == 0
+    assert r["e"] == 3 and r["p"] == 5
+    assert "sum_mod_p3" in r["residues"]
+    assert r["residues"]["sum_mod_p3"] == 0  # recorded, expected by the conjecture
+    assert explore_remark_2_3([11])[0]["residues"]["sum_mod_p3"] == 0
     with pytest.raises(WrongResidueClass):
         explore_remark_2_3([7])
 

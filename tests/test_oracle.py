@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import binom_frac
 from supercong import oracle
 from supercong.congruences import FamilyTag, core_sum, family_sum, plain_sum
 from supercong.errors import BoundExceeded, NotPIntegral
@@ -14,7 +15,7 @@ from supercong.oracle import (
     GRID_A,
     GRID_X,
     REDUCE_P_BOUND,
-    binom_frac,
+    _falling,
     exact_reduce_sum,
     exact_reduce_sums,
     identity_1_7_check,
@@ -92,6 +93,14 @@ def test_identity_1_7_small_cases():
     assert identity_1_7_check(100)
     with pytest.raises(BoundExceeded):
         identity_1_7_check(201)
+
+
+def test_falling_products_are_scaled_rational_binomials():
+    from math import factorial
+
+    for r, s in ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (1, 6), (5, 6)):
+        for k in range(25):
+            assert _falling(r, s, k) == binom_frac(Fraction(-r, s), k) * s**k * factorial(k)
 
 
 def test_exact_reduce_sum_cases():
