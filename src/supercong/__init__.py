@@ -42,7 +42,6 @@ from .modring import (
     GridContext,
     PrimeContext,
     ResidueZ,
-    ap_of,
     hyper_sum,
     hyper_sums,
     hyper_terms,

@@ -71,9 +71,10 @@ class Theorem(NamedTuple):
     ``grid(p)`` the values the --exhaustive-am sweep takes each of ``params``
     over at p (thm2.4 leaves out the classes of u its checker excludes), and
     ``check(ctx, *params)`` the records for one parameter tuple.  A
-    statement at fixed arguments has no grid (None); its ``check(primes)``
-    gives the records for the whole prime list in one pass.  Checkers are
-    looked up on the module at call time, so rebinding
+    statement at fixed arguments has no grid (None), takes ``e`` and
+    ``min_p`` from its row of ``congruences.FIXED_ARGUMENT``, and its
+    ``check(primes)`` gives the records for the whole prime list in one
+    pass.  Checkers are looked up on the module at call time, so rebinding
     ``congruences.check_*`` reaches every entry.
     """
 
@@ -104,9 +105,9 @@ THEOREMS: Dict[str, Theorem] = {
     "cor2.2": Theorem(("m",), 2, 3, lambda p: (range(1, p),),
                       lambda ctx, m: [cg.check_corollary_2_2(f, m, ctx)
                                       for f in cg.FamilyTag]),
-    "cor2.3": Theorem((), 2, 5, None,
+    "cor2.3": Theorem((), *cg.FIXED_ARGUMENT["cor2.3"][:2], None,
                       lambda primes: cg.check_corollary_2_3(primes)),
-    "eq1.2": Theorem((), 2, 5, None,
+    "eq1.2": Theorem((), *cg.FIXED_ARGUMENT["eq1.2"][:2], None,
                      lambda primes: cg.check_rodriguez_villegas(primes)),
     "eq1.3": Theorem(("m",), 2, 5, lambda p: (range(1, p),),
                      lambda ctx, m: [cg.check_identity_1_3(m, ctx)]),
@@ -127,10 +128,14 @@ def primes_in_range(lo: int, hi: int) -> List[int]:
 
 
 def parse_rational(text: str) -> Fraction:
-    """CLI rationals: optional sign, "num/den" or a bare integer."""
+    """CLI rationals: optional sign, "num/den" or a bare integer, with a
+    nonzero denominator."""
     if not _RATIONAL_RE.match(text):
         raise argparse.ArgumentTypeError(f"not a rational 'num/den': {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator: {text!r}") from None
 
 
 def parse_prime_range(text: str) -> Tuple[int, int]:
@@ -148,14 +153,14 @@ def parse_prime_range(text: str) -> Tuple[int, int]:
     return lo, hi
 
 
-def parse_size(text: str) -> int:
-    """A non-negative integer size."""
+def parse_size(text: str, least: int = 0) -> int:
+    """An integer size of at least ``least``."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    if n < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
     return n
 
 
@@ -249,9 +254,10 @@ def run_checks(
 
 
 def run_exploration(primes: Iterable[int]) -> List[dict]:
-    """remark2.3 records mod p^3 over the qualifying primes (p = 5 mod 6),
-    in ascending p."""
-    qualifying = sorted(p for p in primes if p % 6 == 5)
+    """remark2.3 records over the qualifying primes (those in its class), in
+    ascending p."""
+    [(_, _, mod, classes)] = cg.FIXED_ARGUMENT["remark2.3"].cases
+    qualifying = sorted(p for p in primes if p % mod in classes)
     log.info("exploring remark2.3 over %d prime(s)", len(qualifying))
     return cg.explore_remark_2_3(qualifying)
 
@@ -534,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--u", type=parse_rational, default=None)
     check.add_argument("--exhaustive-am", action="store_true",
                        help="sweep the full integer parameter grid per prime")
-    check.add_argument("--jobs", type=int, default=None,
+    check.add_argument("--jobs", type=partial(parse_size, least=1), default=None,
                        help="parallel workers over primes (default: all cores); "
                             "eq1.2 and cor2.3 run in one pass in this process")
     check.add_argument("--out", default=None, help="JSONL output path")
@@ -545,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("conjecture", choices=("remark2.3",))
     explore.add_argument("--primes", type=parse_prime_range, required=True,
                          metavar="LO..HI")
-    explore.add_argument("--jobs", type=int, default=None,
+    explore.add_argument("--jobs", type=partial(parse_size, least=1), default=None,
                          help="accepted; the sweep is one pass in this process")
     explore.add_argument("--out", default=None, help="JSONL output path")
     explore.set_defaults(func=_cmd_explore)

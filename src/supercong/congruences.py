@@ -11,7 +11,9 @@ on :func:`~supercong.modring.hyper_sums` for a whole prime list at once.
 Checkers take integer parameters without a Fraction round trip, reduce
 every parameter once, and wrap the sums into plain dict records whose status
 follows one fixed rule (:func:`_report`); explicit parameters and grid
-points go through the same checker, on the two kinds of context.
+points go through the same checker, on the two kinds of context.  thm2.3
+and cor2.2 share one lift check; eq1.2, cor2.3 and remark 2.3 are rows of
+one table, :data:`FIXED_ARGUMENT`, and one evaluator builds their records.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 from .errors import (
     BadExponent,
@@ -34,7 +36,6 @@ from .modring import (
     Rational,
     ResidueZ,
     Spec,
-    ap_of,
     hyper_sums,
     reduce_rational,
 )
@@ -192,7 +193,7 @@ def check_theorem_2_1(a: Rational, x: Rational, ctx: PrimeContext) -> dict:
     Legendre value at sqrt(1-4x) for both the index <a>_p and its mirror."""
     _require_e(ctx, 1)
     p = ctx.p
-    n = ap_of(a, ctx)
+    n = _residue(a, ctx)
     xh = _residue(x, ctx)
     s = ctx.series(_core_spec(n, p), xh)
     r1 = ctx.series(legendre_square_spec(n, p), -xh)
@@ -227,40 +228,27 @@ def check_theorem_2_2(a: Rational, x: Rational, ctx: PrimeContext) -> dict:
     )
 
 
+def _lift(theorem: str, params: Dict[str, str], spec: Callable[[], Spec],
+          m: Rational, ctx: PrimeContext) -> dict:
+    """The abstract's lift at 1/m for the series ``spec()``, built once m has
+    passed its checks: vanishing mod p must lift to vanishing mod p^2."""
+    _require_e(ctx, 2)
+    x = pow(_unit_m(m, ctx), -1, ctx.modulus)
+    s = ctx.series(spec(), x)
+    return _report(theorem, ctx.p, 2, params, s % ctx.p == 0, s == 0,
+                   {"sum_mod_p2": s, "sum_mod_p": s % ctx.p})
+
+
 def check_theorem_2_3(a: Rational, m: Rational, ctx: PrimeContext) -> dict:
-    """Vanishing mod p of the core sum at 1/m must lift to vanishing mod p^2."""
-    _require_e(ctx, 2)
-    x = pow(_unit_m(m, ctx), -1, ctx.modulus)
-    s = ctx.series(_core_spec(_residue(a, ctx), ctx.p), x)
-    hyp = s % ctx.p == 0
-    return _report(
-        "thm2.3",
-        ctx.p,
-        2,
-        {"a": format_rational(a), "m": format_rational(m)},
-        hyp,
-        s == 0,
-        {"sum_mod_p2": s, "sum_mod_p": s % ctx.p},
-    )
+    """The core sum at 1/m: vanishing mod p lifts to mod p^2."""
+    return _lift("thm2.3", {"a": format_rational(a), "m": format_rational(m)},
+                 lambda: _core_spec(_residue(a, ctx), ctx.p), m, ctx)
 
 
-def check_corollary_2_2(
-    f: FamilyTag, m: Rational, ctx: PrimeContext
-) -> dict:
-    """The mod-p to mod-p^2 lift for one binomial-product family at 1/m."""
-    _require_e(ctx, 2)
-    x = pow(_unit_m(m, ctx), -1, ctx.modulus)
-    s = ctx.series(_family_spec(f, ctx.p), x)
-    hyp = s % ctx.p == 0
-    return _report(
-        "cor2.2",
-        ctx.p,
-        2,
-        {"family": f.label, "m": format_rational(m)},
-        hyp,
-        s == 0,
-        {"sum_mod_p2": s, "sum_mod_p": s % ctx.p},
-    )
+def check_corollary_2_2(f: FamilyTag, m: Rational, ctx: PrimeContext) -> dict:
+    """The same lift for one binomial-product family at 1/m."""
+    return _lift("cor2.2", {"family": f.label, "m": format_rational(m)},
+                 lambda: _family_spec(f, ctx.p), m, ctx)
 
 
 _EXCLUDED_U = {
@@ -318,63 +306,6 @@ def check_theorem_2_4(part: str, u: Rational, ctx: PrimeContext) -> dict:
     )
 
 
-def _above_3(primes: Iterable[int]) -> List[int]:
-    primes = list(primes)
-    if any(p <= 3 for p in primes):
-        raise RangeError("stated for p > 3")
-    return primes
-
-
-def check_rodriguez_villegas(primes: Iterable[int]) -> List[dict]:
-    """The three residue-class zero congruences mod p^2, for every prime.
-
-    C(2k,k)^2 C(3k,k)/108^k for p = 2 mod 3; C(2k,k)^2 C(4k,2k)/256^k for
-    p = 5, 7 mod 8; C(2k,k) C(3k,k) C(6k,3k)/1728^k for p = 3 mod 4.  The sum
-    is evaluated for every prime; out-of-class instances come back vacuous.
-    Reports run prime by prime, three per prime.
-    """
-    primes = _above_3(primes)
-    cases = (
-        (FamilyTag.TWO_THREE, 108, lambda p: p % 3 == 2),
-        (FamilyTag.TWO_FOUR, 256, lambda p: p % 8 in (5, 7)),
-        (FamilyTag.THREE_SIX, 1728, lambda p: p % 4 == 3),
-    )
-    sums = [family_sums(tag, Fraction(1, scale), primes, 2) for tag, scale, _ in cases]
-    return [
-        _report(
-            "eq1.2",
-            p,
-            2,
-            {"family": tag.label, "x": f"1/{scale}"},
-            in_class(p),
-            s[p] == 0,
-            {"sum_mod_p2": s[p]},
-        )
-        for p in primes
-        for (tag, scale, in_class), s in zip(cases, sums)
-    ]
-
-
-def check_corollary_2_3(primes: Iterable[int]) -> List[dict]:
-    """The two derived zero congruences for the C(2k,k)^2 C(3k,k) family:
-    1/1458 vanishes mod p^2 when p = 5 mod 6, 1/3375 when p = 11, 14 mod 15.
-    Two reports per prime, in that order."""
-    primes = _above_3(primes)
-    cases = ((1458, lambda p: p % 6 == 5), (3375, lambda p: p % 15 in (11, 14)))
-    sums = [family_sums(FamilyTag.TWO_THREE, Fraction(1, scale), primes, 2)
-            for scale, _ in cases]
-    out = []
-    for p in primes:
-        for (scale, in_class), s in zip(cases, sums):
-            params = {"family": FamilyTag.TWO_THREE.label, "x": f"1/{scale}"}
-            if p not in s:  # 1/scale not p-integral; never in class then
-                out.append(_report("cor2.3", p, 2, params, False, True, {}))
-            else:
-                out.append(_report("cor2.3", p, 2, params, in_class(p), s[p] == 0,
-                                   {"sum_mod_p2": s[p]}))
-    return out
-
-
 def check_identity_1_3(m: Rational, ctx: PrimeContext) -> dict:
     """C(2k,k)^3/m^k summed mod p^2 against the squared Legendre value
     P_{(p-1)/2}(sqrt(1-64/m))^2."""
@@ -396,24 +327,64 @@ def check_identity_1_3(m: Rational, ctx: PrimeContext) -> dict:
     )
 
 
-def explore_remark_2_3(primes: Iterable[int]) -> List[dict]:
-    """Evaluate the 1/1458 family sum mod p^3 for primes p = 5 mod 6 and
-    record whether it vanishes, one report per prime.  Conjecture-grade:
-    callers surface non-vanishing records but never turn them into failures."""
+# ---------------------------------------------------------------------------
+# Statements at fixed arguments
+
+class FixedArgument(NamedTuple):
+    """Cases (family, scale, modulus, classes), each claiming that the family
+    sum at x = 1/scale vanishes mod p^e for p >= min_p, p mod modulus in
+    classes.  Another prime's record is vacuous; a ``class_only`` statement
+    rejects it instead."""
+
+    e: int
+    min_p: int
+    cases: Tuple[Tuple[FamilyTag, int, int, Tuple[int, ...]], ...]
+    class_only: bool = False
+
+
+_X_1458 = (FamilyTag.TWO_THREE, 1458, 6, (5,))
+FIXED_ARGUMENT: Dict[str, FixedArgument] = {
+    # Rodriguez-Villegas's three residue-class zero congruences
+    "eq1.2": FixedArgument(2, 5, ((FamilyTag.TWO_THREE, 108, 3, (2,)),
+                                  (FamilyTag.TWO_FOUR, 256, 8, (5, 7)),
+                                  (FamilyTag.THREE_SIX, 1728, 4, (3,)))),
+    "cor2.3": FixedArgument(2, 5, (_X_1458, (FamilyTag.TWO_THREE, 3375, 15, (11, 14)))),
+    "remark2.3": FixedArgument(3, 5, (_X_1458,), class_only=True),
+}
+
+
+def _fixed_argument(theorem: str, primes: Iterable[int]) -> List[dict]:
+    """A statement's records, per prime in list order and per case in table
+    order, from one :func:`family_sums` pass per case.  A prime dividing the
+    scale gets a vacuous record with no residues; at any other, the class
+    test is the hypothesis and "the sum vanishes mod p^e" the conclusion."""
+    e, min_p, cases, class_only = FIXED_ARGUMENT[theorem]
     primes = list(primes)
     for p in primes:
-        if p % 6 != 5:
-            raise WrongResidueClass(f"p = {p} is not 5 mod 6")
-    sums = family_sums(FamilyTag.TWO_THREE, Fraction(1, 1458), primes, 3)
+        for _, _, mod, classes in cases:
+            if class_only and p % mod not in classes:
+                raise WrongResidueClass(f"p = {p} is not {', '.join(map(str, classes))} mod {mod}")
+        if p < min_p:
+            raise RangeError(f"stated for p >= {min_p}")
+    sums = [family_sums(f, Fraction(1, scale), primes, e) for f, scale, _, _ in cases]
     return [
-        _report(
-            "remark2.3",
-            p,
-            3,
-            {"family": FamilyTag.TWO_THREE.label, "x": "1/1458"},
-            True,
-            sums[p] == 0,
-            {"sum_mod_p3": sums[p]},
-        )
-        for p in primes
+        _report(theorem, p, e, {"family": f.label, "x": f"1/{scale}"},
+                *((p % mod in classes, s[p] == 0, {f"sum_mod_p{e}": s[p]}) if p in s
+                  else (False, True, {})))
+        for p in primes for (f, scale, mod, classes), s in zip(cases, sums)
     ]
+
+
+def check_rodriguez_villegas(primes: Iterable[int]) -> List[dict]:
+    """eq1.2 over a prime list: three records per prime."""
+    return _fixed_argument("eq1.2", primes)
+
+
+def check_corollary_2_3(primes: Iterable[int]) -> List[dict]:
+    """cor2.3 over a prime list: two records per prime."""
+    return _fixed_argument("cor2.3", primes)
+
+
+def explore_remark_2_3(primes: Iterable[int]) -> List[dict]:
+    """remark2.3 over a list of primes in its class: one record per prime."""
+    return _fixed_argument("remark2.3", primes)

@@ -26,10 +26,10 @@ def legendre_square_spec(n: int, p: int) -> Spec:
     return 2, ((2, -1), (-1, n + 1), (1, n)), 3, n
 
 
-def legendre_exact(n: int, bound: int = LEGENDRE_EXACT_BOUND) -> List[Fraction]:
+def legendre_exact(n: int) -> List[Fraction]:
     """Exact rational coefficients of P_n, [c_0, ..., c_n], by recurrence."""
-    if n < 0 or n > bound:
-        raise BoundExceeded(f"degree must be in [0, {bound}], got {n}")
+    if not 0 <= n <= LEGENDRE_EXACT_BOUND:
+        raise BoundExceeded(f"degree must be in [0, {LEGENDRE_EXACT_BOUND}], got {n}")
     if n == 0:
         return [Fraction(1)]
     prev = [Fraction(1)]

@@ -391,13 +391,3 @@ def reduce_rational(q: Rational, ctx: PrimeContext) -> ResidueZ:
     m = ctx.modulus
     return ResidueZ(q.numerator * pow(q.denominator, -1, m) % m, ctx)
 
-
-def ap_of(a: Rational, ctx: PrimeContext) -> int:
-    """The canonical residue of a mod p, in [0, p-1]."""
-    p = ctx.p
-    if isinstance(a, int):
-        return a % p
-    a = Fraction(a)
-    if a.denominator % p == 0:
-        raise NotPIntegral(f"{a} has denominator divisible by {p}")
-    return a.numerator * pow(a.denominator, -1, p) % p

@@ -50,9 +50,7 @@ def _side(n: int, side: int, rows: List[List[int]]) -> Tuple[int, ...]:
     return tuple(sum(w * r[k] for k, w in weights) for r in rows)
 
 
-def lemma_2_2_sides(
-    n: int, bound: int = LEMMA_2_2_BOUND
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+def lemma_2_2_sides(n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Both sides of the convolution identity at the points a = 0, ..., 2n.
 
     Side 1 convolves the C(a,k) C(-1-a,k) pairs; side 2 runs the
@@ -60,8 +58,8 @@ def lemma_2_2_sides(
     in a, so equal values at these 2n + 1 points are a complete proof of the
     identity for this n.
     """
-    if not 0 <= n <= bound:
-        raise BoundExceeded(f"n must be in [0, {bound}], got {n}")
+    if not 0 <= n <= LEMMA_2_2_BOUND:
+        raise BoundExceeded(f"n must be in [0, {LEMMA_2_2_BOUND}], got {n}")
     rows = [_pairs(a, n) for a in range(2 * n + 1)]
     return _side(n, 1, rows), _side(n, 2, rows)
 
@@ -73,7 +71,7 @@ def _recurrence(n: int, a: int) -> Tuple[int, int, int]:
     return n**3, q1, q2
 
 
-def zeilberger_certificate_check(n: int, side: int, bound: int = LEMMA_2_2_BOUND) -> bool:
+def zeilberger_certificate_check(n: int, side: int) -> bool:
     """Verify the certified three-term recurrence at n as a polynomial identity:
 
     n^3 S(n) = (2n-1)(n^2 - n - 2a(a+1)) S(n-1) + (n-1)(2a+n)(2a+2-n) S(n-2).
@@ -81,8 +79,8 @@ def zeilberger_certificate_check(n: int, side: int, bound: int = LEMMA_2_2_BOUND
     Each of the three terms has degree <= 2n in a, so equality at the points
     a = 0, ..., 2n proves it.
     """
-    if not 2 <= n <= bound:
-        raise BoundExceeded(f"n must be in [2, {bound}], got {n}")
+    if not 2 <= n <= LEMMA_2_2_BOUND:
+        raise BoundExceeded(f"n must be in [2, {LEMMA_2_2_BOUND}], got {n}")
     if side not in (1, 2):
         raise ValueError(f"side must be 1 or 2, got {side!r}")
     rows = [_pairs(a, n) for a in range(2 * n + 1)]
@@ -94,15 +92,15 @@ def zeilberger_certificate_check(n: int, side: int, bound: int = LEMMA_2_2_BOUND
     return True
 
 
-def lemma_2_1_exact_check(n: int, bound: int = LEMMA_2_1_BOUND) -> bool:
+def lemma_2_1_exact_check(n: int) -> bool:
     """Square P_n(y), substitute y^2 -> 1+4x, and compare the result with
     sum_k C(n,k) C(n+k,k) C(2k,k) x^k.
 
     Both sides have degree n in x, so equality at x = 0, ..., n proves it.
     """
-    if not 0 <= n <= bound:
-        raise BoundExceeded(f"n must be in [0, {bound}], got {n}")
-    c = legendre_exact(n, bound=max(n, 1))
+    if not 0 <= n <= LEMMA_2_1_BOUND:
+        raise BoundExceeded(f"n must be in [0, {LEMMA_2_1_BOUND}], got {n}")
+    c = legendre_exact(n)
     den = lcm(*(q.denominator for q in c))
     c = [q.numerator * (den // q.denominator) for q in c]  # den * P_n, on integers
     sq = [0] * (2 * n + 1)
@@ -129,14 +127,14 @@ def _falling(r: int, s: int, k: int) -> int:
     return out
 
 
-def identity_1_7_check(k: int, bound: int = IDENTITY_1_7_BOUND) -> bool:
+def identity_1_7_check(k: int) -> bool:
     """All four dictionary equalities at this k, on integers.
 
     C(-r1/s, k) C(-r2/s, k) = c / N^k holds iff the falling products satisfy
     prod (-r1 - i s) prod (-r2 - i s) N^k == c (s^k k!)^2.
     """
-    if not 0 <= k <= bound:
-        raise BoundExceeded(f"k must be in [0, {bound}], got {k}")
+    if not 0 <= k <= IDENTITY_1_7_BOUND:
+        raise BoundExceeded(f"k must be in [0, {IDENTITY_1_7_BOUND}], got {k}")
     c2 = comb(2 * k, k)
     c3 = comb(3 * k, k)
     c4 = comb(4 * k, 2 * k)
@@ -183,22 +181,22 @@ def exact_reduce_sums(
     which: Union[str, FamilyTag],
     primes: Iterable[int],
     e: int,
-    max_p: int = REDUCE_P_BOUND,
 ) -> Dict[int, int]:
     """Ground truth: the designated truncated sum as one exact rational,
     reduced mod p^e at every prime at once: {p: residue}.
 
     ``which`` is "core", "plain", or a FamilyTag (whose sum ignores ``a``).
-    One pass over k < max(primes) keeps the exact partial sum as the integer
-    pair N / D, D the terms' common denominator, with no gcd; at k = p - 1
-    it reads N * D^-1 mod p^e.  As in ``congruences.family_sums``, a prime
-    dividing the denominator of x (or, for core and plain, of a) has no
-    residue and is left out.  Deliberately independent of the modular
-    pipeline: integer binomial factors and one inversion per prime.
+    Primes above REDUCE_P_BOUND are refused.  One pass over k < max(primes)
+    keeps the exact partial sum as the integer pair N / D, D the terms'
+    common denominator, with no gcd; at k = p - 1 it reads N * D^-1 mod p^e.
+    As in ``congruences.family_sums``, a prime dividing the denominator of x
+    (or, for core and plain, of a) has no residue and is left out.
+    Deliberately independent of the modular pipeline: integer binomial
+    factors and one inversion per prime.
     """
     primes = set(primes)
-    if primes and max(primes) > max_p:
-        raise BoundExceeded(f"exact summation is bounded at p <= {max_p}")
+    if primes and max(primes) > REDUCE_P_BOUND:
+        raise BoundExceeded(f"exact summation is bounded at p <= {REDUCE_P_BOUND}")
     x = Fraction(x)
     dens = x.denominator
     if isinstance(which, FamilyTag):
@@ -224,16 +222,12 @@ def exact_reduce_sums(
 
 
 def exact_reduce_sum(
-    a: Rational,
-    x: Rational,
-    ctx: PrimeContext,
-    which: Union[str, FamilyTag],
-    max_p: int = REDUCE_P_BOUND,
+    a: Rational, x: Rational, ctx: PrimeContext, which: Union[str, FamilyTag]
 ) -> ResidueZ:
     """:func:`exact_reduce_sums` at the context's one prime; NotPIntegral if
     p divides a denominator that the sum reads."""
     p = ctx.p
-    sums = exact_reduce_sums(a, x, which, [p], ctx.e, max_p)
+    sums = exact_reduce_sums(a, x, which, [p], ctx.e)
     if p not in sums:
         raise NotPIntegral(f"a = {a} or x = {x} has denominator divisible by {p}")
     return ResidueZ(sums[p], ctx)

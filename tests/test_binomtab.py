@@ -1,5 +1,5 @@
 """Binomial coefficients mod p^e as terms of the hypergeometric kernel,
-against exact oracles, and ap_of.
+against exact oracles, and the canonical residue of a mod p.
 
 The kernel sums sum_{j<=n} t_j; its k-th term is the difference of two
 partial sums.  C(a, k), C(2k, k) and (a)_k are the terms of series whose
@@ -18,7 +18,6 @@ from reference import binom_frac
 from supercong.errors import NotPIntegral, RangeError
 from supercong.modring import (
     ResidueZ,
-    ap_of,
     hyper_sum,
     make_context,
     reduce_rational,
@@ -167,11 +166,11 @@ def test_central_binom_matches_comb_and_tracks_valuation():
 
 def test_ap_of_examples():
     ctx = make_context(7, 1)
-    assert ap_of(Fraction(-1, 2), ctx) == 3
-    assert ap_of(4, ctx) == 4
-    assert ap_of(Fraction(-1, 3), ctx) == 2
+    assert reduce_rational(Fraction(-1, 2), ctx).value == 3
+    assert reduce_rational(4, ctx).value == 4
+    assert reduce_rational(Fraction(-1, 3), ctx).value == 2
     with pytest.raises(NotPIntegral):
-        ap_of(Fraction(1, 7), ctx)
+        reduce_rational(Fraction(1, 7), ctx)
 
 
 def test_pochhammer_matches_binomial_identity():

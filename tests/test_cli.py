@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from argparse import ArgumentTypeError
 from fractions import Fraction
 
 import pytest
@@ -540,3 +541,32 @@ def test_check_rejects_m_zero_before_any_work(monkeypatch, capsys, theorem):
     for zero in ("0", "0/5", "-0"):
         assert main(["check", theorem, "--primes", "5..13", f"--m={zero}", *others]) == 2
         assert "--m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--a", "--x", "--m", "--u"])
+def test_zero_denominator_exits_2_before_any_work(monkeypatch, capsys, tmp_path, option):
+    _no_work(monkeypatch)
+    out = tmp_path / "r.jsonl"
+    for bad in ("1/0", "0/0", "-3/00"):
+        with pytest.raises(ArgumentTypeError):
+            parse_rational(bad)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "thm2.2", "--primes", "3..5", f"{option}={bad}", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "zero denominator" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "eq1.2"],
+    ["check", "thm2.3", "--exhaustive-am"],
+    ["explore", "remark2.3"],
+])
+def test_jobs_below_1_exit_2_before_any_work(monkeypatch, capsys, argv):
+    _no_work(monkeypatch)
+    for jobs in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--primes", "5..13", f"--jobs={jobs}"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err

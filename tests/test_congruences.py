@@ -35,7 +35,7 @@ from supercong.errors import (
     ZeroM,
 )
 from supercong.cli import THEOREMS, primes_in_range, run_checks
-from supercong.modring import ap_of, make_context, reduce_rational
+from supercong.modring import make_context, reduce_rational
 from supercong.oracle import exact_reduce_sum
 
 
@@ -218,6 +218,15 @@ def test_check_theorem_2_3_examples():
         check_theorem_2_3(1, Fraction(2, 5), ctx)
 
 
+def test_check_theorem_2_3_checks_m_before_a():
+    # both parameters are bad at p = 5; m's error comes first
+    ctx = make_context(5, 2)
+    with pytest.raises(ZeroM):
+        check_theorem_2_3(Fraction(1, 5), 10, ctx)
+    with pytest.raises(NotPIntegral, match="2/5"):
+        check_theorem_2_3(Fraction(1, 5), Fraction(2, 5), ctx)
+
+
 def test_check_theorem_2_3_exhaustive_tiny():
     for p in (5, 7, 11):
         ctx = make_context(p, 2)
@@ -341,7 +350,7 @@ def test_corollary_2_1_zero_propagation():
                 if core_sum(a, x, ctx).value != 0:
                     continue
                 hits += 1
-                n = ap_of(a, ctx)
+                n = a
                 t = ctx.residue(1 - 4 * x)
                 assert legendre_at_sqrt(n, t).is_zero
                 assert legendre_at_sqrt(p - 1 - n, t).is_zero
