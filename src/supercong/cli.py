@@ -2,11 +2,12 @@
 exploration, exact-oracle runs, and JSONL/CSV report emission.
 
 One table, :data:`THEOREMS`, describes every ``check`` id: its parameters,
-exponent, smallest prime, exhaustive grid and checker call.  A prime that
-divides a given parameter's denominator, or the numerator of m, gets one
-vacuous record instead of a checker call.  --primes and --jobs are
-bounded, parameters a theorem does not take and m = 0 rejected, and the
-oracle sizes checked, before any work starts.
+exponent, smallest prime and checker call.  Whether a parameter applies at a
+prime is one rule, ``congruences.applies``: the --exhaustive-am grid takes
+the residues that apply, and an explicit parameter gives one vacuous record
+at a prime where it does not.  --primes and --jobs are bounded, parameters a
+theorem does not take and excluded values rejected, and the oracle sizes
+checked, before any work starts.
 
 A statement at fixed arguments (eq1.2, cor2.3, remark2.3, the family sweep)
 runs once over the whole prime list in this process.  Every other statement
@@ -66,51 +67,37 @@ PRIME_RANGE_MAX = 10**7
 class Theorem(NamedTuple):
     """One ``check`` id.
 
-    ``params`` names what the statement takes without --exhaustive-am, ``e``
-    is the exponent of its records, ``min_p`` the smallest prime it covers,
-    ``grid(p)`` the values the --exhaustive-am sweep takes each of ``params``
-    over at p (thm2.4 leaves out the classes of u its checker excludes), and
-    ``check(ctx, *params)`` the records for one parameter tuple.  A
-    statement at fixed arguments has no grid (None), takes ``e`` and
-    ``min_p`` from its row of ``congruences.FIXED_ARGUMENT``, and its
-    ``check(primes)`` gives the records for the whole prime list in one
-    pass.  Checkers are looked up on the module at call time, so rebinding
-    ``congruences.check_*`` reaches every entry.
+    ``params`` names what the statement takes, ``e`` is the exponent of its
+    records, ``min_p`` the smallest prime it covers, and
+    ``check(ctx, *params)`` the records for one parameter tuple.  The
+    --exhaustive-am grid takes each parameter over the residues in [0, p-1]
+    that ``congruences.applies`` admits.  A statement at fixed arguments has
+    no ``params``, takes ``e`` and ``min_p`` from its row of
+    ``congruences.FIXED_ARGUMENT``, and its ``check(primes)`` gives the
+    records for the whole prime list in one pass.  Checkers are looked up on
+    the module at call time, so rebinding ``congruences.check_*`` reaches
+    every entry.
     """
 
     params: Tuple[str, ...]
     e: int
     min_p: int
-    grid: Optional[Callable[[int], Tuple[range, ...]]]
     check: Callable[..., List[dict]]
 
 
-def _u_grid(part: str, p: int) -> List[int]:
-    """u in [0, p-1] outside the classes thm2.4 part ``part`` excludes."""
-    excluded = cg.excluded_u(part, p)
-    return [u for u in range(p) if u not in excluded]
-
-
 THEOREMS: Dict[str, Theorem] = {
-    "thm2.1": Theorem(("a", "x"), 1, 3, lambda p: (range(p), range(p)),
-                      lambda ctx, a, x: [cg.check_theorem_2_1(a, x, ctx)]),
-    "thm2.2": Theorem(("a", "x"), 2, 3, lambda p: (range(p), range(p)),
-                      lambda ctx, a, x: [cg.check_theorem_2_2(a, x, ctx)]),
-    "thm2.3": Theorem(("a", "m"), 2, 3, lambda p: (range(p), range(1, p)),
-                      lambda ctx, a, m: [cg.check_theorem_2_3(a, m, ctx)]),
-    "thm2.4i": Theorem(("u",), 2, 3, lambda p: (_u_grid("i", p),),
-                       lambda ctx, u: [cg.check_theorem_2_4("i", u, ctx)]),
-    "thm2.4ii": Theorem(("u",), 2, 3, lambda p: (_u_grid("ii", p),),
-                        lambda ctx, u: [cg.check_theorem_2_4("ii", u, ctx)]),
-    "cor2.2": Theorem(("m",), 2, 3, lambda p: (range(1, p),),
-                      lambda ctx, m: [cg.check_corollary_2_2(f, m, ctx)
-                                      for f in cg.FamilyTag]),
-    "cor2.3": Theorem((), *cg.FIXED_ARGUMENT["cor2.3"][:2], None,
+    "thm2.1": Theorem(("a", "x"), 1, 3, lambda ctx, a, x: [cg.check_theorem_2_1(a, x, ctx)]),
+    "thm2.2": Theorem(("a", "x"), 2, 3, lambda ctx, a, x: [cg.check_theorem_2_2(a, x, ctx)]),
+    "thm2.3": Theorem(("a", "m"), 2, 3, lambda ctx, a, m: [cg.check_theorem_2_3(a, m, ctx)]),
+    "thm2.4i": Theorem(("u",), 2, 3, lambda ctx, u: [cg.check_theorem_2_4("i", u, ctx)]),
+    "thm2.4ii": Theorem(("u",), 2, 3, lambda ctx, u: [cg.check_theorem_2_4("ii", u, ctx)]),
+    "cor2.2": Theorem(("m",), 2, 3, lambda ctx, m: [cg.check_corollary_2_2(f, m, ctx)
+                                                    for f in cg.FamilyTag]),
+    "cor2.3": Theorem((), *cg.FIXED_ARGUMENT["cor2.3"][:2],
                       lambda primes: cg.check_corollary_2_3(primes)),
-    "eq1.2": Theorem((), *cg.FIXED_ARGUMENT["eq1.2"][:2], None,
+    "eq1.2": Theorem((), *cg.FIXED_ARGUMENT["eq1.2"][:2],
                      lambda primes: cg.check_rodriguez_villegas(primes)),
-    "eq1.3": Theorem(("m",), 2, 5, lambda p: (range(1, p),),
-                     lambda ctx, m: [cg.check_identity_1_3(m, ctx)]),
+    "eq1.3": Theorem(("m",), 2, 5, lambda ctx, m: [cg.check_identity_1_3(m, ctx)]),
 }
 
 
@@ -167,14 +154,6 @@ def parse_size(text: str, least: int = 0) -> int:
 # ---------------------------------------------------------------------------
 # Per-prime runners
 
-def _usable(p: int, params: Dict[str, Fraction]) -> bool:
-    """Whether the statement applies at p: p divides no parameter's
-    denominator and, as the paper requires, does not divide m."""
-    return all(Fraction(q).denominator % p for q in params.values()) and (
-        "m" not in params or Fraction(params["m"]).numerator % p != 0
-    )
-
-
 def _reports_for_prime(
     p: int,
     theorem: str,
@@ -190,18 +169,18 @@ def _reports_for_prime(
     point, so a power row would cost more than the streaming sum and keep
     O(p) memory per point; it runs on a plain context.
     Explicit parameters that do not apply at p give one vacuous record and
-    no checker call; explicit parameters in an excluded class are an error.
+    no checker call; the grid leaves out the residues that do not apply.
     """
     spec = THEOREMS[theorem]
     if exhaustive:
-        axes = spec.grid(p)
+        axes = [[r for r in range(p) if cg.applies(theorem, n, r, p)] for n in spec.params]
         ctx = (GridContext if len(axes) > 1 else make_context)(p, spec.e)
         points = product(*axes)
     else:
         given = {n: params[n] for n in spec.params}
-        if not _usable(p, given):
-            shown = {n: cg.format_rational(q) for n, q in given.items()}
-            return encode([cg._report(theorem, p, spec.e, shown, False, True, {})], formats)
+        vacuous = cg.inapplicable(theorem, p, spec.e, given)
+        if vacuous:
+            return encode([vacuous], formats)
         ctx = make_context(p, spec.e)
         points = (tuple(given.values()),)
     records = [r for point in points for r in spec.check(ctx, *point)]
@@ -243,7 +222,7 @@ def run_checks(
     the whole list."""
     spec = THEOREMS[theorem]
     qualifying = sorted(p for p in primes if p >= spec.min_p)
-    if spec.grid is None:
+    if not spec.params:
         log.info("checking %s over %d prime(s) in one pass", theorem, len(qualifying))
         return [encode(spec.check(qualifying), formats)]
     jobs = _resolve_jobs(jobs, len(qualifying))
@@ -357,9 +336,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if unused:
         print(f"error: {theorem} takes no --{' --'.join(unused)}", file=sys.stderr)
         return 2
-    if given.get("m") == 0:
-        print("error: --m must be nonzero: every prime divides m = 0", file=sys.stderr)
-        return 2
+    for name, value in given.items():
+        if value in cg.EXCLUDED.get(theorem, {}).get(name, ()):
+            print(f"error: {theorem} excludes --{name} {value} at every prime", file=sys.stderr)
+            return 2
     if needed and not args.exhaustive_am:
         missing = [n for n in needed if n not in given]
         if missing:

@@ -11,9 +11,11 @@ on :func:`~supercong.modring.hyper_sums` for a whole prime list at once.
 Checkers take integer parameters without a Fraction round trip, reduce
 every parameter once, and wrap the sums into plain dict records whose status
 follows one fixed rule (:func:`_report`); explicit parameters and grid
-points go through the same checker, on the two kinds of context.  thm2.3
-and cor2.2 share one lift check; eq1.2, cor2.3 and remark 2.3 are rows of
-one table, :data:`FIXED_ARGUMENT`, and one evaluator builds their records.
+points go through the same checker, on the two kinds of context.  Each
+parameter's excluded values are stated once, in :data:`EXCLUDED`, and
+:func:`applies` is the one rule that reads them.  thm2.3 and cor2.2 share
+one lift check; eq1.2, cor2.3 and remark 2.3 are rows of one table,
+:data:`FIXED_ARGUMENT`, and one evaluator builds their records.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import (
     BadExponent,
@@ -176,13 +178,51 @@ def _require_e(ctx: PrimeContext, e: int) -> None:
         raise BadExponent(f"this check runs at e == {e}, got context {ctx}")
 
 
-def _unit_m(m: Rational, ctx: PrimeContext) -> int:
-    """m mod p^e, for m a unit mod p: NotPIntegral if p divides its
-    denominator, ZeroM if p divides its numerator."""
-    mh = _residue(m, ctx)
-    if mh % ctx.p == 0:
-        raise ZeroM(f"m = {format_rational(m)} vanishes mod {ctx.p}")
-    return mh
+# ---------------------------------------------------------------------------
+# Excluded parameter values
+
+# The paper's p ∤ m, and the u at which a thm2.4 argument has p in its denominator.
+EXCLUDED: Dict[str, Dict[str, Tuple[Fraction, ...]]] = {
+    **dict.fromkeys(("thm2.3", "cor2.2", "eq1.3"), {"m": (Fraction(0),)}),
+    "thm2.4i": {"u": (Fraction(1, 4), Fraction(1, 16))},
+    "thm2.4ii": {"u": (Fraction(-1, 3), Fraction(-1, 27))},
+}
+
+
+def _excluded_class(theorem: str, name: str, q: Rational, p: int) -> Optional[Fraction]:
+    """The first excluded value of ``name`` congruent to the p-integral q mod
+    p, or None.  No q is congruent to a value with p in its denominator."""
+    n, d = q.numerator, q.denominator
+    for r in EXCLUDED.get(theorem, {}).get(name, ()):
+        if (n * r.denominator - r.numerator * d) % p == 0:
+            return r
+    return None
+
+
+def applies(theorem: str, name: str, q: Rational, p: int) -> bool:
+    """The one rule for a parameter at a prime: ``name`` = q applies at p iff
+    p does not divide its denominator and it is in no excluded class."""
+    return q.denominator % p != 0 and _excluded_class(theorem, name, q, p) is None
+
+
+def inapplicable(theorem: str, p: int, e: int, params: Dict[str, Rational]) -> Optional[dict]:
+    """The vacuous record, with no residues, of explicit ``params`` at a
+    prime where one of them does not apply; None where all apply."""
+    if all(applies(theorem, n, q, p) for n, q in params.items()):
+        return None
+    return _report(theorem, p, e, {n: format_rational(q) for n, q in params.items()},
+                   False, True, {})
+
+
+def _admitted(theorem: str, name: str, q: Rational, ctx: PrimeContext) -> int:
+    """Parameter ``name`` = q mod p^e: NotPIntegral if p divides its
+    denominator, ZeroM (m) or ExcludedU (u) if it is in an excluded class."""
+    qh = _residue(q, ctx)
+    r = _excluded_class(theorem, name, qh, ctx.p)
+    if r is not None:
+        raise (ZeroM if name == "m" else ExcludedU)(
+            f"{name} = {format_rational(q)} is congruent to {format_rational(r)} mod {ctx.p}")
+    return qh
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +273,7 @@ def _lift(theorem: str, params: Dict[str, str], spec: Callable[[], Spec],
     """The abstract's lift at 1/m for the series ``spec()``, built once m has
     passed its checks: vanishing mod p must lift to vanishing mod p^2."""
     _require_e(ctx, 2)
-    x = pow(_unit_m(m, ctx), -1, ctx.modulus)
+    x = pow(_admitted(theorem, "m", m, ctx), -1, ctx.modulus)
     s = ctx.series(spec(), x)
     return _report(theorem, ctx.p, 2, params, s % ctx.p == 0, s == 0,
                    {"sum_mod_p2": s, "sum_mod_p": s % ctx.p})
@@ -251,40 +291,20 @@ def check_corollary_2_2(f: FamilyTag, m: Rational, ctx: PrimeContext) -> dict:
                  lambda: _family_spec(f, ctx.p), m, ctx)
 
 
-_EXCLUDED_U = {
-    "i": (Fraction(1, 4), Fraction(1, 16)),
-    "ii": (Fraction(-1, 3), Fraction(-1, 27)),
-}
-
-
-def excluded_u(part: str, p: int) -> Dict[int, Fraction]:
-    """The classes of u mod p that part ``part`` of thm2.4 excludes, each
-    with the first value it stands for.  A value with p in its denominator
-    has no class mod p."""
-    out: Dict[int, Fraction] = {}
-    for r in _EXCLUDED_U[part]:
-        if r.denominator % p:
-            out.setdefault(r.numerator * pow(r.denominator, -1, p) % p, r)
-    return out
-
-
 def check_theorem_2_4(part: str, u: Rational, ctx: PrimeContext) -> dict:
     """The two rational-argument implications between family sums.
 
     Part i: vanishing mod p at u^2/(1-4u)^3 forces vanishing mod p^2 at
-    -u/(1-16u)^3 (family C(2k,k)^2 C(3k,k)), for u outside {1/4, 1/16} mod p.
-    Part ii: same with C(2k,k)^2 C(4k,2k), arguments u^3/(1+3u)^4 and
-    u/(1+27u)^4, excluding u in {-1/3, -1/27} mod p.  Outside the excluded
-    classes every denominator of the two arguments is a unit mod p.
+    -u/(1-16u)^3 (family C(2k,k)^2 C(3k,k)).  Part ii: same with
+    C(2k,k)^2 C(4k,2k), arguments u^3/(1+3u)^4 and u/(1+27u)^4.  Outside
+    the classes of u that :data:`EXCLUDED` lists for each part, every
+    denominator of the two arguments is a unit mod p.
     """
     _require_e(ctx, 2)
-    if part not in _EXCLUDED_U:
+    if part not in ("i", "ii"):
         raise ValueError(f"part must be 'i' or 'ii', got {part!r}")
     p, m = ctx.p, ctx.modulus
-    uh = _residue(u, ctx)
-    r = excluded_u(part, p).get(uh % p)
-    if r is not None:
-        raise ExcludedU(f"u = {format_rational(u)} is congruent to {r} mod {p}")
+    uh = _admitted(f"thm2.4{part}", "u", u, ctx)
     if part == "i":
         tag = FamilyTag.TWO_THREE
         hyp_x = uh**2 * pow(1 - 4 * uh, -3, m)
@@ -313,7 +333,7 @@ def check_identity_1_3(m: Rational, ctx: PrimeContext) -> dict:
     p = ctx.p
     if p <= 3:
         raise RangeError("stated for p > 3")
-    x = pow(_unit_m(m, ctx), -1, ctx.modulus)
+    x = pow(_admitted("eq1.3", "m", m, ctx), -1, ctx.modulus)
     lhs = ctx.series(_family_spec(FamilyTag.CUBE, p), x)
     rhs = ctx.series(legendre_square_spec((p - 1) // 2, p), -16 * x)
     return _report(

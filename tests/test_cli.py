@@ -125,7 +125,7 @@ def test_check_config_errors():
     # explicit params and exhaustive are mutually exclusive
     assert main(["check", "thm2.3", "--primes", "5..7", "--a", "1", "--m", "2",
                  "--exhaustive-am"]) == 2
-    # excluded residue class for an explicit u is a config error
+    # an explicit u equal to an excluded value is a config error
     assert main(["check", "thm2.4i", "--primes", "7..7", "--u", "1/4"]) == 2
     # argparse-level failures exit 2 via SystemExit
     with pytest.raises(SystemExit) as exc:
@@ -298,7 +298,7 @@ def test_theorem_table_matches_direct_checker_calls(tmp_path, theorem, params):
     assert code == (1 if any(r["status"] == "FAILED" for r in records) else 0)
 
 
-@pytest.mark.parametrize("theorem", [t for t, spec in THEOREMS.items() if spec.grid])
+@pytest.mark.parametrize("theorem", [t for t, spec in THEOREMS.items() if spec.params])
 def test_exhaustive_grid_equals_per_point_checker_records(tmp_path, theorem):
     """Every prime from min_p to 101: the grid (evaluated from shared rows
     when it has two parameters) writes the bytes of the per-point checker
@@ -326,7 +326,7 @@ def test_only_two_parameter_grids_build_a_grid_context(monkeypatch):
 
     monkeypatch.setattr(cli, "GridContext", Spy)
     for theorem, spec in THEOREMS.items():
-        if spec.grid:
+        if spec.params:
             built.clear()
             assert cli._reports_for_prime(7, theorem, None, True).counts
             assert built == ([7] if len(spec.params) > 1 else []), theorem
@@ -390,14 +390,17 @@ def test_a_run_that_exits_2_writes_no_report_file(tmp_path, jobs):
     assert not out.exists() and not csvp.exists()
 
 
-# Each command meets one prime that divides a parameter's denominator or the
-# numerator of m.  The ranges avoid the honest ramified failures (README).
+# Each command meets one prime that divides a parameter's denominator, or at
+# which a parameter is in an excluded class (p | m; u = 5 = 1/4 mod 19; u = 3 =
+# -1/3 mod 5).  The ranges avoid the honest ramified failures (README).
 UNUSABLE = [
     (["thm2.2", "--primes", "3..30", "--a", "1/3", "--x", "1"], 3),
     (["thm2.1", "--primes", "3..30", "--a", "1", "--x", "1/7"], 7),
     (["cor2.2", "--primes", "3..7", "--m", "1/5"], 5),
     (["thm2.3", "--primes", "5..30", "--a", "1", "--m", "7"], 7),
     (["eq1.3", "--primes", "3..30", "--m", "7"], 7),
+    (["thm2.4i", "--primes", "3..30", "--u", "5"], 19),
+    (["thm2.4ii", "--primes", "3..30", "--u", "3"], 5),
 ]
 
 
@@ -419,6 +422,29 @@ def test_unusable_prime_gives_one_vacuous_record(tmp_path, argv, bad_p):
     params = {k.lstrip("-"): parse_rational(v) for k, v in given.items()}
     rest = _records(run_checks(argv[0], usable, params=params, jobs=1, formats=("jsonl",)))
     assert [r for r in records if r["p"] != bad_p] == rest
+
+
+@pytest.mark.parametrize("theorem", [t for t, spec in THEOREMS.items() if len(spec.params) == 1])
+def test_grid_leaves_out_exactly_the_residues_that_give_the_no_checker_record(theorem):
+    # One rule: the residues missing from a grid are those at which an explicit
+    # run writes the vacuous record of a parameter that does not apply.
+    [name] = THEOREMS[theorem].params
+    for p in (5, 7, 11, 13):
+        [chunk] = run_checks(theorem, [p], exhaustive=True, jobs=1, formats=("jsonl",))
+        in_grid = {r["params"][name] for r in _records([chunk])}
+        assert in_grid == {r["params"][name] for r in direct_reports(theorem, p, None)}
+        no_checker = set()
+        for r in range(p):
+            records = _records(run_checks(theorem, [p], params={name: Fraction(r)}, jobs=1,
+                                          formats=("jsonl",)))
+            if any(rec["residues"] == {} for rec in records):
+                assert records == [{
+                    "theorem": theorem, "p": p, "e": 2, "params": {name: str(r)},
+                    "hypothesis_holds": False, "conclusion_holds": True,
+                    "residues": {}, "status": "vacuous",
+                }]
+                no_checker.add(str(r))
+        assert {str(r) for r in range(p)} - in_grid == no_checker, p
 
 
 def test_prime_range_is_capped_before_the_sieve(monkeypatch):
@@ -534,13 +560,18 @@ def test_check_rejects_parameters_the_theorem_does_not_take(monkeypatch, capsys,
     assert named in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("theorem", [t for t, spec in THEOREMS.items() if "m" in spec.params])
-def test_check_rejects_m_zero_before_any_work(monkeypatch, capsys, theorem):
+@pytest.mark.parametrize("theorem", list(cg.EXCLUDED))
+def test_check_rejects_an_excluded_value_before_any_work(monkeypatch, capsys, theorem):
+    # An excluded value applies at no prime: every record would be vacuous.
     _no_work(monkeypatch)
-    others = [f"--{n}=1" for n in THEOREMS[theorem].params if n != "m"]
-    for zero in ("0", "0/5", "-0"):
-        assert main(["check", theorem, "--primes", "5..13", f"--m={zero}", *others]) == 2
-        assert "--m" in capsys.readouterr().err
+    for name, values in cg.EXCLUDED[theorem].items():
+        others = [f"--{n}=1" for n in THEOREMS[theorem].params if n != name]
+        for value in values:
+            n, d = value.numerator, value.denominator
+            for text in (str(value), f"{3 * n}/{3 * d}", f"-{-value}" if n <= 0 else f"+{value}"):
+                assert main(["check", theorem, "--primes", "5..13", f"--{name}={text}",
+                             *others]) == 2
+                assert f"{theorem} excludes --{name} {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", ["--a", "--x", "--m", "--u"])

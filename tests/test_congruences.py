@@ -156,7 +156,7 @@ def test_report_status_rule():
     assert r["status"] == "verified" and r["hypothesis_holds"] and r["conclusion_holds"]
 
 
-@pytest.mark.parametrize("theorem", [t for t, spec in THEOREMS.items() if spec.grid])
+@pytest.mark.parametrize("theorem", [t for t, spec in THEOREMS.items() if spec.params])
 def test_every_grid_record_has_the_status_of_its_booleans(theorem):
     chunks = run_checks(theorem, primes_in_range(3, 13), exhaustive=True, jobs=1,
                         formats=("jsonl",))
