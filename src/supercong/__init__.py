@@ -4,7 +4,7 @@ Exact arithmetic over Z/p^e, one division-free kernel for the truncated
 hypergeometric sums sum_k C(2k,k) C(a,k) C(-1-a,k) x^k and for the squared
 Legendre values P_n(sqrt(1+4x))^2 mod p^e, checkers for the associated
 congruence statements, exact integer oracles, and a prime-sweeping CLI
-driven by one theorem table.
+driven by one statement table.
 """
 
 from .congruences import (
@@ -34,7 +34,6 @@ from .errors import (
     NTooLarge,
     RangeError,
     SupercongError,
-    WrongResidueClass,
     ZeroM,
 )
 from .legendre import legendre_exact, legendre_square_spec

@@ -1,13 +1,15 @@
 """Command-line front end: theorem checks over prime ranges, conjecture
 exploration, exact-oracle runs, and JSONL/CSV report emission.
 
-One table, :data:`THEOREMS`, describes every ``check`` id: its parameters,
-exponent, smallest prime and checker call.  Whether a parameter applies at a
-prime is one rule, ``congruences.applies``: the --exhaustive-am grid takes
-the residues that apply, and an explicit parameter gives one vacuous record
-at a prime where it does not.  --primes and --jobs are bounded, parameters a
-theorem does not take and excluded values rejected, and the oracle sizes
-checked, before any work starts.
+Every ``check`` id and the ``explore`` conjecture is a row of
+``congruences.STATEMENTS``, which gives its parameters, exponent, smallest
+prime and checker call; this module states none of them.  Whether a
+parameter applies at a prime is one rule, ``congruences.applies``: the
+--exhaustive-am grid takes the residues that apply, and an explicit
+parameter gives one vacuous record at a prime where it does not.  --primes
+and --jobs are bounded; parameters a statement does not take, excluded
+values and --exhaustive-am for a statement without parameters rejected; and
+the oracle sizes checked, before any work starts.
 
 A statement at fixed arguments (eq1.2, cor2.3, remark2.3, the family sweep)
 runs once over the whole prime list in this process.  Every other statement
@@ -41,9 +43,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import islice, product
 from operator import itemgetter
-from typing import (
-    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
-)
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import congruences as cg
 from . import oracle
@@ -62,43 +62,6 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 # Largest --primes upper bound; the sieve allocates hi + 1 bytes.
 PRIME_RANGE_MAX = 10**7
-
-
-class Theorem(NamedTuple):
-    """One ``check`` id.
-
-    ``params`` names what the statement takes, ``e`` is the exponent of its
-    records, ``min_p`` the smallest prime it covers, and
-    ``check(ctx, *params)`` the records for one parameter tuple.  The
-    --exhaustive-am grid takes each parameter over the residues in [0, p-1]
-    that ``congruences.applies`` admits.  A statement at fixed arguments has
-    no ``params``, takes ``e`` and ``min_p`` from its row of
-    ``congruences.FIXED_ARGUMENT``, and its ``check(primes)`` gives the
-    records for the whole prime list in one pass.  Checkers are looked up on
-    the module at call time, so rebinding ``congruences.check_*`` reaches
-    every entry.
-    """
-
-    params: Tuple[str, ...]
-    e: int
-    min_p: int
-    check: Callable[..., List[dict]]
-
-
-THEOREMS: Dict[str, Theorem] = {
-    "thm2.1": Theorem(("a", "x"), 1, 3, lambda ctx, a, x: [cg.check_theorem_2_1(a, x, ctx)]),
-    "thm2.2": Theorem(("a", "x"), 2, 3, lambda ctx, a, x: [cg.check_theorem_2_2(a, x, ctx)]),
-    "thm2.3": Theorem(("a", "m"), 2, 3, lambda ctx, a, m: [cg.check_theorem_2_3(a, m, ctx)]),
-    "thm2.4i": Theorem(("u",), 2, 3, lambda ctx, u: [cg.check_theorem_2_4("i", u, ctx)]),
-    "thm2.4ii": Theorem(("u",), 2, 3, lambda ctx, u: [cg.check_theorem_2_4("ii", u, ctx)]),
-    "cor2.2": Theorem(("m",), 2, 3, lambda ctx, m: [cg.check_corollary_2_2(f, m, ctx)
-                                                    for f in cg.FamilyTag]),
-    "cor2.3": Theorem((), *cg.FIXED_ARGUMENT["cor2.3"][:2],
-                      lambda primes: cg.check_corollary_2_3(primes)),
-    "eq1.2": Theorem((), *cg.FIXED_ARGUMENT["eq1.2"][:2],
-                     lambda primes: cg.check_rodriguez_villegas(primes)),
-    "eq1.3": Theorem(("m",), 2, 5, lambda ctx, m: [cg.check_identity_1_3(m, ctx)]),
-}
 
 
 def primes_in_range(lo: int, hi: int) -> List[int]:
@@ -171,14 +134,14 @@ def _reports_for_prime(
     Explicit parameters that do not apply at p give one vacuous record and
     no checker call; the grid leaves out the residues that do not apply.
     """
-    spec = THEOREMS[theorem]
+    spec = cg.STATEMENTS[theorem]
     if exhaustive:
         axes = [[r for r in range(p) if cg.applies(theorem, n, r, p)] for n in spec.params]
         ctx = (GridContext if len(axes) > 1 else make_context)(p, spec.e)
         points = product(*axes)
     else:
         given = {n: params[n] for n in spec.params}
-        vacuous = cg.inapplicable(theorem, p, spec.e, given)
+        vacuous = cg.inapplicable(theorem, p, given)
         if vacuous:
             return encode([vacuous], formats)
         ctx = make_context(p, spec.e)
@@ -220,7 +183,7 @@ def run_checks(
     chunk per prime in ascending order, in parallel over ``jobs`` workers,
     or, for a statement at fixed arguments, one chunk from one pass over
     the whole list."""
-    spec = THEOREMS[theorem]
+    spec = cg.STATEMENTS[theorem]
     qualifying = sorted(p for p in primes if p >= spec.min_p)
     if not spec.params:
         log.info("checking %s over %d prime(s) in one pass", theorem, len(qualifying))
@@ -235,7 +198,7 @@ def run_checks(
 def run_exploration(primes: Iterable[int]) -> List[dict]:
     """remark2.3 records over the qualifying primes (those in its class), in
     ascending p."""
-    [(_, _, mod, classes)] = cg.FIXED_ARGUMENT["remark2.3"].cases
+    [(_, _, mod, classes)] = cg.STATEMENTS["remark2.3"].cases
     qualifying = sorted(p for p in primes if p % mod in classes)
     log.info("exploring remark2.3 over %d prime(s)", len(qualifying))
     return cg.explore_remark_2_3(qualifying)
@@ -331,24 +294,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
         for name, value in (("a", args.a), ("x", args.x), ("m", args.m), ("u", args.u))
         if value is not None
     }
-    needed = THEOREMS[theorem].params
+    needed = cg.STATEMENTS[theorem].params
     unused = [n for n in given if n not in needed]
+    if args.exhaustive_am and not needed:
+        unused.append("exhaustive-am")
     if unused:
         print(f"error: {theorem} takes no --{' --'.join(unused)}", file=sys.stderr)
         return 2
     for name, value in given.items():
-        if value in cg.EXCLUDED.get(theorem, {}).get(name, ()):
+        if value in needed[name]:
             print(f"error: {theorem} excludes --{name} {value} at every prime", file=sys.stderr)
             return 2
-    if needed and not args.exhaustive_am:
-        missing = [n for n in needed if n not in given]
-        if missing:
-            print(
-                f"error: {theorem} needs --{' --'.join(missing)} "
-                "(or --exhaustive-am)",
-                file=sys.stderr,
-            )
-            return 2
+    missing = [n for n in needed if n not in given]
+    if missing and not args.exhaustive_am:
+        print(f"error: {theorem} needs --{' --'.join(missing)} (or --exhaustive-am)",
+              file=sys.stderr)
+        return 2
     if args.exhaustive_am and given:
         print(
             "error: --exhaustive-am and explicit parameters are mutually exclusive",
@@ -511,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run a theorem checker over a prime range")
-    check.add_argument("theorem", choices=tuple(THEOREMS))
+    check.add_argument("theorem", choices=[t for t in cg.STATEMENTS if t != "remark2.3"])
     check.add_argument("--primes", type=parse_prime_range, required=True,
                        metavar="LO..HI")
     check.add_argument("--a", type=parse_rational, default=None)

@@ -8,14 +8,17 @@ streaming :func:`~supercong.modring.hyper_sum`, on a
 coefficient row with x's cached power row.  A family sum at a fixed x runs
 on :func:`~supercong.modring.hyper_sums` for a whole prime list at once.
 
-Checkers take integer parameters without a Fraction round trip, reduce
-every parameter once, and wrap the sums into plain dict records whose status
-follows one fixed rule (:func:`_report`); explicit parameters and grid
-points go through the same checker, on the two kinds of context.  Each
-parameter's excluded values are stated once, in :data:`EXCLUDED`, and
-:func:`applies` is the one rule that reads them.  thm2.3 and cor2.2 share
-one lift check; eq1.2, cor2.3 and remark 2.3 are rows of one table,
-:data:`FIXED_ARGUMENT`, and one evaluator builds their records.
+One table, :data:`STATEMENTS`, states each statement once: its exponent,
+smallest prime, parameters with their excluded values, checker and, for a
+statement at fixed arguments, its cases.  Everything else reads its row:
+:func:`applies`, the one rule for a parameter at a prime; :func:`_require`,
+the checkers' guard on the context; and :func:`_report`, which wraps the
+sums into plain dict records whose status follows one fixed rule.
+Checkers take integer parameters without a Fraction round trip and reduce
+every parameter once; explicit parameters and grid points go through the
+same checker, on the two kinds of context.  thm2.3 and cor2.2 share one
+lift check, and one evaluator builds the records of eq1.2, cor2.3 and
+remark 2.3 from their cases.
 """
 
 from __future__ import annotations
@@ -25,13 +28,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .errors import (
-    BadExponent,
-    ExcludedU,
-    RangeError,
-    WrongResidueClass,
-    ZeroM,
-)
+from .errors import BadExponent, ExcludedU, RangeError, ZeroM
 from .legendre import legendre_square_spec
 from .modring import (
     PrimeContext,
@@ -140,13 +137,12 @@ def family_sums(
 def _report(
     theorem: str,
     p: int,
-    e: int,
     params: Dict[str, str],
     hypothesis: bool,
     conclusion: bool,
     residues: Dict[str, int],
 ) -> dict:
-    """One checker outcome as a plain record.
+    """One checker outcome as a plain record, at the statement's e.
 
     ``status`` is forced by the two booleans: FAILED iff the hypothesis holds
     and the conclusion does not, vacuous iff the hypothesis fails.  Rational
@@ -155,7 +151,7 @@ def _report(
     return {
         "theorem": theorem,
         "p": p,
-        "e": e,
+        "e": STATEMENTS[theorem].e,
         "params": params,
         "hypothesis_holds": hypothesis,
         "conclusion_holds": conclusion,
@@ -173,19 +169,64 @@ def format_rational(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _require_e(ctx: PrimeContext, e: int) -> None:
-    if ctx.e != e:
-        raise BadExponent(f"this check runs at e == {e}, got context {ctx}")
+def _require(theorem: str, ctx: PrimeContext) -> None:
+    """BadExponent unless ctx has the statement's e; RangeError below its
+    smallest prime."""
+    row = STATEMENTS[theorem]
+    if ctx.e != row.e:
+        raise BadExponent(f"this check runs at e == {row.e}, got context {ctx}")
+    if ctx.p < row.min_p:
+        raise RangeError(f"stated for p >= {row.min_p}")
 
 
 # ---------------------------------------------------------------------------
-# Excluded parameter values
+# Statements
+
+class Statement(NamedTuple):
+    """One statement: a ``check`` id, or remark2.3.
+
+    Its records have exponent ``e``, and it covers the primes p >= ``min_p``.
+    ``params`` maps each parameter, in CLI order, to the values it excludes,
+    and ``check(ctx, *params)`` gives the records at one parameter tuple.  A
+    statement at fixed arguments has no ``params`` but ``cases`` (family,
+    scale, modulus, classes), each claiming that the family sum at x =
+    1/scale vanishes mod p^e for p mod modulus in classes; its
+    ``check(primes)`` gives the records for a whole prime list in one pass.
+    ``check`` looks up ``check_*`` on this module at call time, so rebinding
+    one reaches its row.
+    """
+
+    e: int
+    min_p: int
+    params: Dict[str, Tuple[Fraction, ...]]
+    check: Callable[..., List[dict]]
+    cases: Tuple[Tuple[FamilyTag, int, int, Tuple[int, ...]], ...] = ()
+
 
 # The paper's p ∤ m, and the u at which a thm2.4 argument has p in its denominator.
-EXCLUDED: Dict[str, Dict[str, Tuple[Fraction, ...]]] = {
-    **dict.fromkeys(("thm2.3", "cor2.2", "eq1.3"), {"m": (Fraction(0),)}),
-    "thm2.4i": {"u": (Fraction(1, 4), Fraction(1, 16))},
-    "thm2.4ii": {"u": (Fraction(-1, 3), Fraction(-1, 27))},
+_M = {"m": (Fraction(0),)}
+_X_1458 = (FamilyTag.TWO_THREE, 1458, 6, (5,))
+STATEMENTS: Dict[str, Statement] = {
+    "thm2.1": Statement(1, 3, {"a": (), "x": ()},
+                        lambda ctx, a, x: [check_theorem_2_1(a, x, ctx)]),
+    "thm2.2": Statement(2, 3, {"a": (), "x": ()},
+                        lambda ctx, a, x: [check_theorem_2_2(a, x, ctx)]),
+    "thm2.3": Statement(2, 3, {"a": (), **_M}, lambda ctx, a, m: [check_theorem_2_3(a, m, ctx)]),
+    "thm2.4i": Statement(2, 3, {"u": (Fraction(1, 4), Fraction(1, 16))},
+                         lambda ctx, u: [check_theorem_2_4("i", u, ctx)]),
+    "thm2.4ii": Statement(2, 3, {"u": (Fraction(-1, 3), Fraction(-1, 27))},
+                          lambda ctx, u: [check_theorem_2_4("ii", u, ctx)]),
+    "cor2.2": Statement(2, 3, _M, lambda ctx, m: [check_corollary_2_2(f, m, ctx)
+                                                  for f in FamilyTag]),
+    "cor2.3": Statement(2, 5, {}, lambda primes: check_corollary_2_3(primes),
+                        (_X_1458, (FamilyTag.TWO_THREE, 3375, 15, (11, 14)))),
+    # Rodriguez-Villegas's three residue-class zero congruences
+    "eq1.2": Statement(2, 5, {}, lambda primes: check_rodriguez_villegas(primes),
+                       ((FamilyTag.TWO_THREE, 108, 3, (2,)),
+                        (FamilyTag.TWO_FOUR, 256, 8, (5, 7)),
+                        (FamilyTag.THREE_SIX, 1728, 4, (3,)))),
+    "eq1.3": Statement(2, 5, _M, lambda ctx, m: [check_identity_1_3(m, ctx)]),
+    "remark2.3": Statement(3, 5, {}, lambda primes: explore_remark_2_3(primes), (_X_1458,)),
 }
 
 
@@ -193,7 +234,7 @@ def _excluded_class(theorem: str, name: str, q: Rational, p: int) -> Optional[Fr
     """The first excluded value of ``name`` congruent to the p-integral q mod
     p, or None.  No q is congruent to a value with p in its denominator."""
     n, d = q.numerator, q.denominator
-    for r in EXCLUDED.get(theorem, {}).get(name, ()):
+    for r in STATEMENTS[theorem].params[name]:
         if (n * r.denominator - r.numerator * d) % p == 0:
             return r
     return None
@@ -205,12 +246,12 @@ def applies(theorem: str, name: str, q: Rational, p: int) -> bool:
     return q.denominator % p != 0 and _excluded_class(theorem, name, q, p) is None
 
 
-def inapplicable(theorem: str, p: int, e: int, params: Dict[str, Rational]) -> Optional[dict]:
+def inapplicable(theorem: str, p: int, params: Dict[str, Rational]) -> Optional[dict]:
     """The vacuous record, with no residues, of explicit ``params`` at a
     prime where one of them does not apply; None where all apply."""
     if all(applies(theorem, n, q, p) for n, q in params.items()):
         return None
-    return _report(theorem, p, e, {n: format_rational(q) for n, q in params.items()},
+    return _report(theorem, p, {n: format_rational(q) for n, q in params.items()},
                    False, True, {})
 
 
@@ -231,7 +272,7 @@ def _admitted(theorem: str, name: str, q: Rational, ctx: PrimeContext) -> int:
 def check_theorem_2_1(a: Rational, x: Rational, ctx: PrimeContext) -> dict:
     """Triple congruence mod p: the truncated core sum equals the squared
     Legendre value at sqrt(1-4x) for both the index <a>_p and its mirror."""
-    _require_e(ctx, 1)
+    _require("thm2.1", ctx)
     p = ctx.p
     n = _residue(a, ctx)
     xh = _residue(x, ctx)
@@ -241,7 +282,6 @@ def check_theorem_2_1(a: Rational, x: Rational, ctx: PrimeContext) -> dict:
     return _report(
         "thm2.1",
         p,
-        1,
         {"a": format_rational(a), "x": format_rational(x)},
         True,
         s == r1 == r2,
@@ -251,7 +291,7 @@ def check_theorem_2_1(a: Rational, x: Rational, ctx: PrimeContext) -> dict:
 
 def check_theorem_2_2(a: Rational, x: Rational, ctx: PrimeContext) -> dict:
     """Squared plain sum against the core sum at x(1-x), mod p^2."""
-    _require_e(ctx, 2)
+    _require("thm2.2", ctx)
     p, m = ctx.p, ctx.modulus
     ah = _residue(a, ctx)
     xh = _residue(x, ctx)
@@ -260,7 +300,6 @@ def check_theorem_2_2(a: Rational, x: Rational, ctx: PrimeContext) -> dict:
     return _report(
         "thm2.2",
         p,
-        2,
         {"a": format_rational(a), "x": format_rational(x)},
         True,
         lhs == rhs,
@@ -272,10 +311,10 @@ def _lift(theorem: str, params: Dict[str, str], spec: Callable[[], Spec],
           m: Rational, ctx: PrimeContext) -> dict:
     """The abstract's lift at 1/m for the series ``spec()``, built once m has
     passed its checks: vanishing mod p must lift to vanishing mod p^2."""
-    _require_e(ctx, 2)
+    _require(theorem, ctx)
     x = pow(_admitted(theorem, "m", m, ctx), -1, ctx.modulus)
     s = ctx.series(spec(), x)
-    return _report(theorem, ctx.p, 2, params, s % ctx.p == 0, s == 0,
+    return _report(theorem, ctx.p, params, s % ctx.p == 0, s == 0,
                    {"sum_mod_p2": s, "sum_mod_p": s % ctx.p})
 
 
@@ -297,14 +336,15 @@ def check_theorem_2_4(part: str, u: Rational, ctx: PrimeContext) -> dict:
     Part i: vanishing mod p at u^2/(1-4u)^3 forces vanishing mod p^2 at
     -u/(1-16u)^3 (family C(2k,k)^2 C(3k,k)).  Part ii: same with
     C(2k,k)^2 C(4k,2k), arguments u^3/(1+3u)^4 and u/(1+27u)^4.  Outside
-    the classes of u that :data:`EXCLUDED` lists for each part, every
-    denominator of the two arguments is a unit mod p.
+    the classes of u that each part's row of :data:`STATEMENTS` excludes,
+    every denominator of the two arguments is a unit mod p.
     """
-    _require_e(ctx, 2)
     if part not in ("i", "ii"):
         raise ValueError(f"part must be 'i' or 'ii', got {part!r}")
+    theorem = f"thm2.4{part}"
+    _require(theorem, ctx)
     p, m = ctx.p, ctx.modulus
-    uh = _admitted(f"thm2.4{part}", "u", u, ctx)
+    uh = _admitted(theorem, "u", u, ctx)
     if part == "i":
         tag = FamilyTag.TWO_THREE
         hyp_x = uh**2 * pow(1 - 4 * uh, -3, m)
@@ -316,9 +356,8 @@ def check_theorem_2_4(part: str, u: Rational, ctx: PrimeContext) -> dict:
     hyp_val = ctx.series(_family_spec(tag, p), hyp_x) % p
     con_val = ctx.series(_family_spec(tag, p), con_x)
     return _report(
-        f"thm2.4{part}",
+        theorem,
         p,
-        2,
         {"u": format_rational(u)},
         hyp_val == 0,
         con_val == 0,
@@ -329,17 +368,14 @@ def check_theorem_2_4(part: str, u: Rational, ctx: PrimeContext) -> dict:
 def check_identity_1_3(m: Rational, ctx: PrimeContext) -> dict:
     """C(2k,k)^3/m^k summed mod p^2 against the squared Legendre value
     P_{(p-1)/2}(sqrt(1-64/m))^2."""
-    _require_e(ctx, 2)
+    _require("eq1.3", ctx)
     p = ctx.p
-    if p <= 3:
-        raise RangeError("stated for p > 3")
     x = pow(_admitted("eq1.3", "m", m, ctx), -1, ctx.modulus)
     lhs = ctx.series(_family_spec(FamilyTag.CUBE, p), x)
     rhs = ctx.series(legendre_square_spec((p - 1) // 2, p), -16 * x)
     return _report(
         "eq1.3",
         p,
-        2,
         {"m": format_rational(m)},
         True,
         lhs == rhs,
@@ -350,48 +386,21 @@ def check_identity_1_3(m: Rational, ctx: PrimeContext) -> dict:
 # ---------------------------------------------------------------------------
 # Statements at fixed arguments
 
-class FixedArgument(NamedTuple):
-    """Cases (family, scale, modulus, classes), each claiming that the family
-    sum at x = 1/scale vanishes mod p^e for p >= min_p, p mod modulus in
-    classes.  Another prime's record is vacuous; a ``class_only`` statement
-    rejects it instead."""
-
-    e: int
-    min_p: int
-    cases: Tuple[Tuple[FamilyTag, int, int, Tuple[int, ...]], ...]
-    class_only: bool = False
-
-
-_X_1458 = (FamilyTag.TWO_THREE, 1458, 6, (5,))
-FIXED_ARGUMENT: Dict[str, FixedArgument] = {
-    # Rodriguez-Villegas's three residue-class zero congruences
-    "eq1.2": FixedArgument(2, 5, ((FamilyTag.TWO_THREE, 108, 3, (2,)),
-                                  (FamilyTag.TWO_FOUR, 256, 8, (5, 7)),
-                                  (FamilyTag.THREE_SIX, 1728, 4, (3,)))),
-    "cor2.3": FixedArgument(2, 5, (_X_1458, (FamilyTag.TWO_THREE, 3375, 15, (11, 14)))),
-    "remark2.3": FixedArgument(3, 5, (_X_1458,), class_only=True),
-}
-
-
 def _fixed_argument(theorem: str, primes: Iterable[int]) -> List[dict]:
     """A statement's records, per prime in list order and per case in table
     order, from one :func:`family_sums` pass per case.  A prime dividing the
     scale gets a vacuous record with no residues; at any other, the class
     test is the hypothesis and "the sum vanishes mod p^e" the conclusion."""
-    e, min_p, cases, class_only = FIXED_ARGUMENT[theorem]
+    row = STATEMENTS[theorem]
     primes = list(primes)
-    for p in primes:
-        for _, _, mod, classes in cases:
-            if class_only and p % mod not in classes:
-                raise WrongResidueClass(f"p = {p} is not {', '.join(map(str, classes))} mod {mod}")
-        if p < min_p:
-            raise RangeError(f"stated for p >= {min_p}")
-    sums = [family_sums(f, Fraction(1, scale), primes, e) for f, scale, _, _ in cases]
+    if any(p < row.min_p for p in primes):
+        raise RangeError(f"stated for p >= {row.min_p}")
+    sums = [family_sums(f, Fraction(1, scale), primes, row.e) for f, scale, _, _ in row.cases]
     return [
-        _report(theorem, p, e, {"family": f.label, "x": f"1/{scale}"},
-                *((p % mod in classes, s[p] == 0, {f"sum_mod_p{e}": s[p]}) if p in s
+        _report(theorem, p, {"family": f.label, "x": f"1/{scale}"},
+                *((p % mod in classes, s[p] == 0, {f"sum_mod_p{row.e}": s[p]}) if p in s
                   else (False, True, {})))
-        for p in primes for (f, scale, mod, classes), s in zip(cases, sums)
+        for p in primes for (f, scale, mod, classes), s in zip(row.cases, sums)
     ]
 
 
@@ -406,5 +415,6 @@ def check_corollary_2_3(primes: Iterable[int]) -> List[dict]:
 
 
 def explore_remark_2_3(primes: Iterable[int]) -> List[dict]:
-    """remark2.3 over a list of primes in its class: one record per prime."""
+    """remark2.3 over a prime list: one record per prime, vacuous outside its
+    class."""
     return _fixed_argument("remark2.3", primes)

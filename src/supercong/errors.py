@@ -43,7 +43,3 @@ class ZeroM(SupercongError):
 
 class ExcludedU(SupercongError):
     """Parameter u falls in a residue class excluded by the hypothesis."""
-
-
-class WrongResidueClass(SupercongError):
-    """Prime lies outside the residue class the statement applies to."""

@@ -12,7 +12,6 @@ from supercong import cli, oracle
 from supercong import congruences as cg
 from supercong.cli import (
     PRIME_RANGE_MAX,
-    THEOREMS,
     _resolve_jobs,
     main,
     parse_prime_range,
@@ -25,7 +24,7 @@ from supercong.cli import (
     write_jsonl,
 )
 from supercong.congruences import FamilyTag
-from supercong.errors import ExcludedU
+from supercong.errors import BadExponent, ExcludedU, RangeError
 from supercong.modring import GridContext, ResidueZ, make_context
 
 REPORT_KEYS = {
@@ -279,11 +278,16 @@ def _cli_params(params):
 
 @pytest.mark.parametrize(
     "theorem, params",
-    [(t, None) for t in THEOREMS] + [(t, q) for t, q in EXPLICIT.items()],
+    [(t, None) for t in cg.STATEMENTS if t != "remark2.3"]
+    + [(t, q) for t, q in EXPLICIT.items()],
 )
 def test_theorem_table_matches_direct_checker_calls(tmp_path, theorem, params):
-    assert set(EXPLICIT) == {t for t, spec in THEOREMS.items() if spec.params}
-    args = _cli_params(params) if params else ["--exhaustive-am"]
+    assert set(EXPLICIT) == {t for t, spec in cg.STATEMENTS.items() if spec.params}
+    # a statement at fixed arguments takes no --exhaustive-am
+    if params:
+        args = _cli_params(params)
+    else:
+        args = ["--exhaustive-am"] if cg.STATEMENTS[theorem].params else []
     outs = []
     for jobs in ("1", "2"):
         out = tmp_path / f"j{jobs}.jsonl"
@@ -298,12 +302,12 @@ def test_theorem_table_matches_direct_checker_calls(tmp_path, theorem, params):
     assert code == (1 if any(r["status"] == "FAILED" for r in records) else 0)
 
 
-@pytest.mark.parametrize("theorem", [t for t, spec in THEOREMS.items() if spec.params])
+@pytest.mark.parametrize("theorem", [t for t, spec in cg.STATEMENTS.items() if spec.params])
 def test_exhaustive_grid_equals_per_point_checker_records(tmp_path, theorem):
     """Every prime from min_p to 101: the grid (evaluated from shared rows
     when it has two parameters) writes the bytes of the per-point checker
     calls on plain contexts, each line encoded on its own."""
-    lo = THEOREMS[theorem].min_p
+    lo = cg.STATEMENTS[theorem].min_p
     want = [r for p in primes_in_range(lo, 101) for r in direct_reports(theorem, p, None)]
     want.sort(key=lambda d: (d["p"], tuple(sorted(d["params"].items()))))
     want_bytes = "".join(json.dumps(r, sort_keys=True) + "\n" for r in want).encode()
@@ -325,11 +329,46 @@ def test_only_two_parameter_grids_build_a_grid_context(monkeypatch):
             super().__init__(p, e)
 
     monkeypatch.setattr(cli, "GridContext", Spy)
-    for theorem, spec in THEOREMS.items():
+    for theorem, spec in cg.STATEMENTS.items():
         if spec.params:
             built.clear()
             assert cli._reports_for_prime(7, theorem, None, True).counts
             assert built == ([7] if len(spec.params) > 1 else []), theorem
+
+
+@pytest.mark.parametrize("theorem", list(cg.STATEMENTS))
+def test_every_statement_guards_its_e_and_smallest_prime(tmp_path, theorem):
+    row = cg.STATEMENTS[theorem]
+    out = tmp_path / "r.jsonl"
+    if theorem == "remark2.3":
+        argv = ["explore", theorem]
+    else:
+        argv = ["check", theorem, *(["--exhaustive-am"] if row.params else [])]
+    main([*argv, "--primes", "3..13", "--jobs", "1", "--out", str(out)])
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert records
+    assert all(r["e"] == row.e and r["p"] >= row.min_p for r in records)
+    ones = [Fraction(1)] * len(row.params)
+    if row.params:
+        with pytest.raises(BadExponent):
+            row.check(make_context(7, 2 if row.e == 1 else 1), *ones)
+    if row.min_p > 3:
+        at_3 = (make_context(3, row.e), *ones) if row.params else ([3],)
+        with pytest.raises(RangeError, match=f"^stated for p >= {row.min_p}$"):
+            row.check(*at_3)
+
+
+def _choices(command, dest):
+    [sub] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    [action] = [a for a in sub.choices[command]._actions if a.dest == dest]
+    return list(action.choices)
+
+
+def test_check_and_explore_choices_are_exactly_the_statement_rows():
+    # No row is unreachable, and remark2.3 is explore's, never a check id.
+    check, explore = _choices("check", "theorem"), _choices("explore", "conjecture")
+    assert sorted(check + explore) == sorted(cg.STATEMENTS)
+    assert explore == ["remark2.3"]
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +463,12 @@ def test_unusable_prime_gives_one_vacuous_record(tmp_path, argv, bad_p):
     assert [r for r in records if r["p"] != bad_p] == rest
 
 
-@pytest.mark.parametrize("theorem", [t for t, spec in THEOREMS.items() if len(spec.params) == 1])
+@pytest.mark.parametrize("theorem",
+                         [t for t, spec in cg.STATEMENTS.items() if len(spec.params) == 1])
 def test_grid_leaves_out_exactly_the_residues_that_give_the_no_checker_record(theorem):
     # One rule: the residues missing from a grid are those at which an explicit
     # run writes the vacuous record of a parameter that does not apply.
-    [name] = THEOREMS[theorem].params
+    [name] = cg.STATEMENTS[theorem].params
     for p in (5, 7, 11, 13):
         [chunk] = run_checks(theorem, [p], exhaustive=True, jobs=1, formats=("jsonl",))
         in_grid = {r["params"][name] for r in _records([chunk])}
@@ -560,18 +600,27 @@ def test_check_rejects_parameters_the_theorem_does_not_take(monkeypatch, capsys,
     assert named in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("theorem", list(cg.EXCLUDED))
+@pytest.mark.parametrize("theorem",
+                         [t for t, spec in cg.STATEMENTS.items() if any(spec.params.values())])
 def test_check_rejects_an_excluded_value_before_any_work(monkeypatch, capsys, theorem):
     # An excluded value applies at no prime: every record would be vacuous.
     _no_work(monkeypatch)
-    for name, values in cg.EXCLUDED[theorem].items():
-        others = [f"--{n}=1" for n in THEOREMS[theorem].params if n != name]
+    for name, values in cg.STATEMENTS[theorem].params.items():
+        others = [f"--{n}=1" for n in cg.STATEMENTS[theorem].params if n != name]
         for value in values:
             n, d = value.numerator, value.denominator
             for text in (str(value), f"{3 * n}/{3 * d}", f"-{-value}" if n <= 0 else f"+{value}"):
                 assert main(["check", theorem, "--primes", "5..13", f"--{name}={text}",
                              *others]) == 2
                 assert f"{theorem} excludes --{name} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "theorem", [t for t, spec in cg.STATEMENTS.items() if not spec.params and t != "remark2.3"])
+def test_exhaustive_am_without_parameters_exits_2_before_any_work(monkeypatch, capsys, theorem):
+    _no_work(monkeypatch)
+    assert main(["check", theorem, "--primes", "5..13", "--exhaustive-am"]) == 2
+    assert f"error: {theorem} takes no --exhaustive-am" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", ["--a", "--x", "--m", "--u"])

@@ -9,6 +9,7 @@ import pytest
 
 from reference import binom_frac
 from supercong.congruences import (
+    STATEMENTS,
     FamilyTag,
     _report,
     check_corollary_2_2,
@@ -31,10 +32,9 @@ from supercong.errors import (
     ExcludedU,
     NotPIntegral,
     RangeError,
-    WrongResidueClass,
     ZeroM,
 )
-from supercong.cli import THEOREMS, primes_in_range, run_checks
+from supercong.cli import primes_in_range, run_checks
 from supercong.modring import make_context, reduce_rational
 from supercong.oracle import exact_reduce_sum
 
@@ -146,7 +146,7 @@ def test_report_status_rule():
         (False, True, "vacuous"),
         (False, False, "vacuous"),
     ]:
-        r = _report("thm2.1", 7, 1, {"a": "0"}, hypothesis, conclusion, {"sum": 1})
+        r = _report("thm2.1", 7, {"a": "0"}, hypothesis, conclusion, {"sum": 1})
         assert r == {
             "theorem": "thm2.1", "p": 7, "e": 1, "params": {"a": "0"},
             "hypothesis_holds": hypothesis, "conclusion_holds": conclusion,
@@ -156,7 +156,7 @@ def test_report_status_rule():
     assert r["status"] == "verified" and r["hypothesis_holds"] and r["conclusion_holds"]
 
 
-@pytest.mark.parametrize("theorem", [t for t, spec in THEOREMS.items() if spec.params])
+@pytest.mark.parametrize("theorem", [t for t, spec in STATEMENTS.items() if spec.params])
 def test_every_grid_record_has_the_status_of_its_booleans(theorem):
     chunks = run_checks(theorem, primes_in_range(3, 13), exhaustive=True, jobs=1,
                         formats=("jsonl",))
@@ -334,8 +334,10 @@ def test_explore_remark_2_3():
     assert "sum_mod_p3" in r["residues"]
     assert r["residues"]["sum_mod_p3"] == 0  # recorded, expected by the conjecture
     assert explore_remark_2_3([11])[0]["residues"]["sum_mod_p3"] == 0
-    with pytest.raises(WrongResidueClass):
-        explore_remark_2_3([7])
+    # 7 = 1 mod 6 is outside the remark's class: a vacuous record, as in eq1.2
+    [r] = explore_remark_2_3([7])
+    assert not r["hypothesis_holds"] and r["status"] == "vacuous"
+    assert set(r["residues"]) == {"sum_mod_p3"}
 
 
 def test_corollary_2_1_zero_propagation():
