@@ -21,9 +21,12 @@ one-parameter grids and explicit parameters run on a plain PrimeContext.
 Records are encoded where they are computed (:func:`encode`): each worker
 sorts its prime's records by (theorem, parameters), the parameters compared
 as strings, and returns them as JSONL and CSV text with their status counts
-and first FAILED records.  The parent adds up the counts and writes the
-chunks in prime order, so report files are byte-identical regardless of
---jobs.  A statement at fixed arguments and remark2.3 go through the same
+and first FAILED records.  A record fills the %-format template of its
+shape (theorem, parameter names, residue names), built once per process,
+which writes the bytes of ``json.dumps(record, sort_keys=True)`` and of
+``csv.writer`` over the flat projection.  The parent adds up the counts
+and writes the chunks in prime order, so report files are byte-identical
+regardless of --jobs.  A statement at fixed arguments and remark2.3 go through the same
 encoder in this process.
 """
 
@@ -31,19 +34,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import logging
 import os
 import re
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 from itertools import islice, product
 from operator import itemgetter
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import congruences as cg
 from . import oracle
@@ -167,6 +168,10 @@ def _parallel_map(fn, items: Sequence, jobs: int) -> list:
     # grows along the list (larger primes later); map returns the results in
     # item order.
     chunk = max(1, min(32, len(items) // (8 * jobs)))
+    # Imported here: it loads multiprocessing, which a run that never forks
+    # should not pay for at start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
 
@@ -223,16 +228,16 @@ def sweep_family(
 # ---------------------------------------------------------------------------
 # Report encoding and writers
 
-# json.dumps builds a new encoder per call; one shared encoder writes the
-# same bytes.
-_JSON = json.JSONEncoder(sort_keys=True)
-
 # FAILED records a summary prints, and so the most a chunk keeps.
 FAILED_SHOWN = 5
 
 _PARAM_COLUMNS = ("a", "x", "m", "u", "family")
 _CSV_COLUMNS = ("theorem", "p", "e", *_PARAM_COLUMNS, "hypothesis_holds",
                 "conclusion_holds", "status", "residues")
+
+# The string escape json.dumps applies (ensure_ascii).
+_json_str = json.encoder.encode_basestring_ascii
+_JSON_BOOL = ("false", "true")
 
 
 class Chunk(NamedTuple):
@@ -245,13 +250,63 @@ class Chunk(NamedTuple):
     csv: str
 
 
-def _csv_row(r: dict) -> tuple:
-    """The flat projection of one record: parameters in fixed columns,
-    residues joined as name=value;..."""
-    params = r["params"]
-    residues = ";".join(f"{k}={v}" for k, v in sorted(r["residues"].items()))
-    return (r["theorem"], r["p"], r["e"], *(params.get(n, "") for n in _PARAM_COLUMNS),
-            r["hypothesis_holds"], r["conclusion_holds"], r["status"], residues)
+def _values(names: Tuple[str, ...]) -> Callable[[dict], tuple]:
+    """A function from a dict to the tuple of its values at ``names``."""
+    if len(names) == 1:
+        name = names[0]
+        return lambda d: (d[name],)
+    return itemgetter(*names) if names else lambda d: ()
+
+
+class _Template(NamedTuple):
+    """The report text of one record shape, with %-slots for its fields.
+
+    ``jsonl`` takes the two booleans as JSON, e, p, the escaped parameters
+    in name order, the residues in name order and the escaped status;
+    ``csv`` takes p, e, the parameters in column order, the two booleans,
+    the status and the residues.  The getters pick those values out of a
+    record's ``params`` and ``residues``.
+    """
+
+    jsonl: str
+    csv: str
+    json_params: Callable[[dict], tuple]
+    csv_params: Callable[[dict], tuple]
+    residues: Callable[[dict], tuple]
+
+
+# One template per (theorem, parameter names, residue names): p and e are
+# slots, so a sweep needs a few dozen however many primes it covers.  The
+# entries are pure functions of their key, so every caller may share them.
+_TEMPLATES: Dict[Tuple[str, Tuple[str, ...], Tuple[str, ...]], _Template] = {}
+
+
+def _template(shape: Tuple[str, Tuple[str, ...], Tuple[str, ...]]) -> _Template:
+    """Build and keep the template of one record shape: the bytes of
+    json.dumps(record, sort_keys=True) and of csv.writer over the flat
+    projection, literal parts written once."""
+    theorem, params, residues = shape
+    residues = tuple(sorted(residues))
+    json_params = tuple(sorted(params))
+    csv_params = tuple(n for n in _PARAM_COLUMNS if n in params)
+
+    def lit(text: str) -> str:
+        return text.replace("%", "%%")
+
+    jsonl = "".join((
+        '{"conclusion_holds": %s, "e": %d, "hypothesis_holds": %s, "p": %d, "params": {',
+        ", ".join(lit(_json_str(n)) + ": %s" for n in json_params),
+        '}, "residues": {',
+        ", ".join(lit(_json_str(n)) + ": %d" for n in residues),
+        '}, "status": %s, "theorem": ', lit(_json_str(theorem)), "}\n",
+    ))
+    csv_row = ",".join((
+        lit(theorem), "%d", "%d", *("%s" if n in params else "" for n in _PARAM_COLUMNS),
+        "%s", "%s", "%s", ";".join(lit(n) + "=%d" for n in residues),
+    )) + "\r\n"
+    t = _TEMPLATES[shape] = _Template(jsonl, csv_row, _values(json_params),
+                                      _values(csv_params), _values(residues))
+    return t
 
 
 def _report_sort_key(d: dict):
@@ -263,14 +318,40 @@ def _report_sort_key(d: dict):
 def encode(records: List[dict], formats: Sequence[str] = ()) -> Chunk:
     """Sort records by :func:`_report_sort_key`, in place, and encode them
     in each of ``formats`` ("jsonl", "csv"): the one path from a record to
-    report bytes."""
+    report bytes.
+
+    Each record fills the template of its shape.  A JSONL line is the bytes
+    of ``json.dumps(record, sort_keys=True)``; a CSV row is the bytes
+    ``csv.writer`` writes for the flat projection, and a field that writer
+    would quote (a comma, quote or line break) raises ValueError.
+    """
     records.sort(key=_report_sort_key)
     failed = list(islice((r for r in records if r["status"] == "FAILED"), FAILED_SHOWN))
-    jsonl = "".join([_JSON.encode(r) + "\n" for r in records]) if "jsonl" in formats else ""
-    rows = io.StringIO()
-    if "csv" in formats:
-        csv.writer(rows).writerows(map(_csv_row, records))
-    return Chunk(Counter(map(itemgetter("status"), records)), failed, jsonl, rows.getvalue())
+    lines: List[str] = []
+    rows: List[str] = []
+    if formats:
+        want_jsonl, want_csv = "jsonl" in formats, "csv" in formats
+        get = _TEMPLATES.get
+        for r in records:
+            params, residues = r["params"], r["residues"]
+            shape = (r["theorem"], tuple(params), tuple(residues))
+            t = get(shape) or _template(shape)
+            values = t.residues(residues)
+            hypothesis, conclusion, status = (
+                r["hypothesis_holds"], r["conclusion_holds"], r["status"])
+            if want_jsonl:
+                lines.append(t.jsonl % (
+                    _JSON_BOOL[conclusion], r["e"], _JSON_BOOL[hypothesis], r["p"],
+                    *map(_json_str, t.json_params(params)), *values, _json_str(status)))
+            if want_csv:
+                rows.append(t.csv % (r["p"], r["e"], *t.csv_params(params),
+                                     hypothesis, conclusion, status, *values))
+    csv_text = "".join(rows)
+    n = len(rows)
+    if '"' in csv_text or csv_text.count(",") != (len(_CSV_COLUMNS) - 1) * n or not (
+            csv_text.count("\n") == csv_text.count("\r") == n):
+        raise ValueError("a CSV field holds a comma, a quote or a line break")
+    return Chunk(Counter(map(itemgetter("status"), records)), failed, "".join(lines), csv_text)
 
 
 def write_jsonl(chunks: Iterable[Chunk], path: str) -> None:

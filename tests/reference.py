@@ -1,5 +1,6 @@
 """Independent references: the exact sums one Fraction at a time, exact
-rational binomials, and mod-p machinery for the squared Legendre evaluator.
+rational binomials, mod-p machinery for the squared Legendre evaluator, and
+report text as ``json`` and ``csv`` write it.
 
 :func:`exact_reduce_sum` adds the truncated sum term by term as reduced
 Fractions and reduces it once mod p^e; the package's oracle reaches the same
@@ -16,10 +17,13 @@ can hold the kernel against them.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from supercong.congruences import FamilyTag
 from supercong.errors import BadExponent, MixedContext, NotPIntegral, NTooLarge
@@ -71,6 +75,22 @@ def exact_reduce_sum(
         raise ValueError(f"which must be 'core', 'plain' or a FamilyTag, got {which!r}")
     m = ctx.modulus
     return total.numerator * pow(total.denominator, -1, m) % m
+
+
+def encode_report(records: List[dict]) -> Tuple[str, str]:
+    """Records in list order as JSONL lines, ``json.dumps`` with sorted keys,
+    and as CSV rows, ``csv.writer`` over the flat projection: parameters in
+    the columns a, x, m, u, family and residues joined as name=value;..."""
+    jsonl = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    rows = io.StringIO()
+    csv.writer(rows).writerows(
+        (r["theorem"], r["p"], r["e"],
+         *(r["params"].get(n, "") for n in ("a", "x", "m", "u", "family")),
+         r["hypothesis_holds"], r["conclusion_holds"], r["status"],
+         ";".join(f"{k}={v}" for k, v in sorted(r["residues"].items())))
+        for r in records
+    )
+    return jsonl, rows.getvalue()
 
 
 def nonresidue(p: int) -> int:

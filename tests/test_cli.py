@@ -27,6 +27,8 @@ from supercong.congruences import FamilyTag
 from supercong.errors import BadExponent, ExcludedU, RangeError
 from supercong.modring import GridContext, ResidueZ, make_context
 
+import reference
+
 REPORT_KEYS = {
     "theorem",
     "p",
@@ -420,6 +422,78 @@ def test_records_of_one_prime_are_in_string_order_of_their_parameters(tmp_path):
     at_11 = [a for p, a, m in keys if p == 11 and m == "1"]
     assert at_11 == ["0", "1", "10", "2", "3", "4", "5", "6", "7", "8", "9"]
 
+
+
+# Rational parameters per statement; over 3..31 each has a prime at which one
+# of them does not apply, which gives a vacuous record with no residues.
+ENCODED_EXPLICIT = {
+    "thm2.1": {"a": Fraction(-7, 4), "x": Fraction(1, 5)},
+    "thm2.2": {"a": Fraction(2, 3), "x": Fraction(-1, 4)},
+    "thm2.3": {"a": Fraction(-7, 4), "m": Fraction(9, 7)},
+    "thm2.4i": {"u": Fraction(2, 7)},
+    "thm2.4ii": {"u": Fraction(3)},
+    "cor2.2": {"m": Fraction(3, 2)},
+    "eq1.3": {"m": Fraction(-3, 11)},
+}
+
+
+@pytest.mark.parametrize("theorem", list(cg.STATEMENTS))
+def test_encoder_writes_the_bytes_of_json_dumps_and_csv_writer(monkeypatch, theorem):
+    """The records of the grid over 3..31 and of explicit parameters, or of
+    a fixed-argument statement over 5..200 (for cor2.3 this includes p = 5,
+    which divides its scale 3375), encoded in one chunk."""
+    spec = cg.STATEMENTS[theorem]
+    if spec.params:
+        assert set(ENCODED_EXPLICIT) == {t for t, row in cg.STATEMENTS.items() if row.params}
+        batches = []
+        monkeypatch.setattr(cli, "encode", lambda records, formats=(): batches.append(records))
+        primes = primes_in_range(3, 31)
+        run_checks(theorem, primes, exhaustive=True, jobs=1)
+        run_checks(theorem, primes, params=ENCODED_EXPLICIT[theorem], jobs=1)
+        monkeypatch.undo()
+        records = [r for batch in batches for r in batch]
+    else:
+        records = spec.check(primes_in_range(5, 200))
+    shapes = {(bool(r["params"]), bool(r["residues"])) for r in records}
+    assert (True, True) in shapes
+    assert ((True, False) in shapes) == (theorem not in ("eq1.2", "remark2.3"))
+    chunk = cli.encode(records, ("jsonl", "csv"))
+    jsonl, csv_rows = reference.encode_report(records)
+    # lists of lines, which pytest reports by their first difference
+    assert chunk.jsonl.splitlines(True) == jsonl.splitlines(True)
+    assert chunk.csv.splitlines(True) == csv_rows.splitlines(True)
+
+
+@pytest.mark.parametrize("field", ["1,2", 'say "1"', "1\n2", "1\r2"])
+def test_a_csv_field_csv_writer_would_quote_raises(field):
+    record = cg.check_theorem_2_3(1, 2, make_context(5, 2))
+    record["params"]["a"] = field
+    assert cli.encode([dict(record)], ("jsonl",)).jsonl == reference.encode_report([record])[0]
+    with pytest.raises(ValueError, match="CSV field"):
+        cli.encode([record], ("csv",))
+
+
+def test_a_percent_sign_in_a_name_is_written_as_is():
+    record = {"theorem": "thm%s", "p": 5, "e": 2, "params": {"a%d": "1"},
+              "hypothesis_holds": False, "conclusion_holds": True,
+              "residues": {"r%%": 3}, "status": "vacuous"}
+    chunk = cli.encode([record], ("jsonl", "csv"))
+    assert (chunk.jsonl, chunk.csv) == reference.encode_report([record])
+
+def test_template_cache_holds_one_entry_per_record_shape(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_TEMPLATES", {})
+    out, csvp = tmp_path / "r.jsonl", tmp_path / "r.csv"
+    records = []
+    for argv in (["explore", "remark2.3", "--primes", "3..5000"],
+                 ["check", "eq1.2", "--primes", "5..5000", "--csv", str(csvp)],
+                 ["check", "cor2.3", "--primes", "5..100", "--csv", str(csvp)]):
+        main([*argv, "--out", str(out)])
+        records += [json.loads(line) for line in out.read_text().splitlines()]
+    assert len({r["p"] for r in records}) > 600
+    shapes = {(r["theorem"], tuple(r["params"]), tuple(r["residues"])) for r in records}
+    # remark2.3, eq1.2, and cor2.3 with and without residues (p = 5)
+    assert len(shapes) == len(cli._TEMPLATES) == 4
+    assert set(cli._TEMPLATES) == shapes
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_a_run_that_exits_2_writes_no_report_file(tmp_path, jobs):
