@@ -28,8 +28,6 @@ from .errors import (
     BoundExceeded,
     CompositeModulus,
     ExcludedU,
-    MixedContext,
-    NotInvertible,
     NotPIntegral,
     NTooLarge,
     RangeError,
@@ -40,7 +38,6 @@ from .legendre import legendre_exact, legendre_square_spec
 from .modring import (
     GridContext,
     PrimeContext,
-    ResidueZ,
     hyper_sum,
     hyper_sums,
     hyper_terms,

@@ -33,7 +33,6 @@ from .legendre import legendre_square_spec
 from .modring import (
     PrimeContext,
     Rational,
-    ResidueZ,
     Spec,
     hyper_sums,
     reduce_rational,
@@ -78,7 +77,7 @@ def _residue(q: Rational, ctx: PrimeContext) -> int:
     """q mod p^e; NotPIntegral if p divides its denominator."""
     if isinstance(q, int):
         return q % ctx.modulus
-    return reduce_rational(q, ctx).value
+    return reduce_rational(q, ctx)
 
 
 def _core_spec(ah: int, p: int) -> Spec:
@@ -100,21 +99,19 @@ def _family_spec(f: FamilyTag, p: int) -> Spec:
     return f.const, f.factors, 3, p - 1
 
 
-def core_sum(a: Rational, x: Rational, ctx: PrimeContext) -> ResidueZ:
+def core_sum(a: Rational, x: Rational, ctx: PrimeContext) -> int:
     """sum_{k=0}^{p-1} C(2k,k) C(a,k) C(-1-a,k) x^k mod p^e."""
-    spec = _core_spec(_residue(a, ctx), ctx.p)
-    return ResidueZ(ctx.series(spec, _residue(x, ctx)), ctx)
+    return ctx.series(_core_spec(_residue(a, ctx), ctx.p), _residue(x, ctx))
 
 
-def plain_sum(a: Rational, x: Rational, ctx: PrimeContext) -> ResidueZ:
+def plain_sum(a: Rational, x: Rational, ctx: PrimeContext) -> int:
     """sum_{k=0}^{p-1} C(a,k) C(-1-a,k) x^k mod p^e."""
-    spec = _plain_spec(_residue(a, ctx), ctx.p)
-    return ResidueZ(ctx.series(spec, _residue(x, ctx)), ctx)
+    return ctx.series(_plain_spec(_residue(a, ctx), ctx.p), _residue(x, ctx))
 
 
-def family_sum(f: FamilyTag, x: Rational, ctx: PrimeContext) -> ResidueZ:
+def family_sum(f: FamilyTag, x: Rational, ctx: PrimeContext) -> int:
     """sum_{k=0}^{p-1} N_f(k) x^k mod p^e."""
-    return ResidueZ(ctx.series(_family_spec(f, ctx.p), _residue(x, ctx)), ctx)
+    return ctx.series(_family_spec(f, ctx.p), _residue(x, ctx))
 
 
 def family_sums(

@@ -17,14 +17,6 @@ class NotPIntegral(SupercongError):
     """Rational has p in its denominator and cannot be reduced mod p^e."""
 
 
-class NotInvertible(SupercongError):
-    """Residue shares a factor with the modulus."""
-
-
-class MixedContext(SupercongError):
-    """Operands belong to different moduli or different extensions."""
-
-
 class RangeError(SupercongError):
     """Integer argument outside the range a computation supports."""
 

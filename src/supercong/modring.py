@@ -1,5 +1,5 @@
-"""Exact arithmetic in Z/p^e: canonical residues, rational reduction, and
-the division-free hypergeometric kernel behind every truncated sum, one
+"""Exact arithmetic in Z/p^e on plain ints in [0, p^e): rational reduction
+and the division-free hypergeometric kernel behind every truncated sum, one
 prime at a time, over n = p - 1 for a whole prime list at once, or as the
 coefficient row of a series that a parameter grid evaluates at many x.
 
@@ -11,20 +11,12 @@ parameter grid; it belongs to the worker that builds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import (
-    BadExponent,
-    CompositeModulus,
-    MixedContext,
-    NotInvertible,
-    NotPIntegral,
-    RangeError,
-)
+from .errors import BadExponent, CompositeModulus, NotPIntegral, RangeError
 
 Rational = Union[Fraction, int]
 
@@ -87,20 +79,6 @@ class PrimeContext:
         :func:`hyper_sum`, in O(1) memory."""
         c, factors, d, n = spec
         return hyper_sum(c * x, factors, d, n, self)
-
-    def residue(self, value: Rational) -> "ResidueZ":
-        """Embed an integer or p-integral rational into Z/p^e."""
-        if isinstance(value, int):
-            return ResidueZ(value, self)
-        return reduce_rational(value, self)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PrimeContext):
-            return NotImplemented
-        return self.p == other.p and self.e == other.e
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.e))
 
     def __repr__(self) -> str:
         return f"PrimeContext(p={self.p}, e={self.e})"
@@ -318,76 +296,12 @@ def hyper_sums(
     return out
 
 
-@dataclass(frozen=True)
-class ResidueZ:
-    """An element of Z/p^e as its canonical integer in [0, p^e)."""
-
-    value: int
-    ctx: PrimeContext
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.ctx.modulus)
-
-    def _coerce(self, other) -> Optional[int]:
-        if isinstance(other, ResidueZ):
-            if other.ctx != self.ctx:
-                raise MixedContext(f"cannot mix {self.ctx} with {other.ctx}")
-            return other.value
-        if isinstance(other, int):
-            return other
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return ResidueZ(self.value + v, self.ctx)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return ResidueZ(self.value - v, self.ctx)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return ResidueZ(v - self.value, self.ctx)
-
-    def __neg__(self):
-        return ResidueZ(-self.value, self.ctx)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return ResidueZ(self.value * v, self.ctx)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        try:
-            return ResidueZ(pow(self.value, k, self.ctx.modulus), self.ctx)
-        except ValueError as exc:  # negative k on a non-unit
-            raise NotInvertible(str(exc)) from None
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"ResidueZ({self.value} mod {self.ctx.p}^{self.ctx.e})"
-
-
-def reduce_rational(q: Rational, ctx: PrimeContext) -> ResidueZ:
-    """Reduce a p-integral rational to numerator * denominator^-1 mod p^e."""
+def reduce_rational(q: Rational, ctx: PrimeContext) -> int:
+    """Reduce a p-integral rational to numerator * denominator^-1 mod p^e,
+    the int in [0, p^e)."""
     q = Fraction(q)
     if q.denominator % ctx.p == 0:
         raise NotPIntegral(f"{q} has denominator divisible by {ctx.p}")
     m = ctx.modulus
-    return ResidueZ(q.numerator * pow(q.denominator, -1, m) % m, ctx)
+    return q.numerator * pow(q.denominator, -1, m) % m
 

@@ -10,9 +10,10 @@ Quadratic-residue machinery, the quadratic extension F_p[sqrt(d)], the
 three-term Legendre recurrence and P_n(sqrt(t)) by its even/odd
 decomposition.  The package evaluates only P_n(sqrt(1+4x))^2, as the series
 of one term-ratio spec (:func:`legendre_square_at_sqrt` below applies it to
-a rational or residue x); these helpers reach the same values by other roads
+a rational or integer x); these helpers reach the same values by other roads
 (square roots, extension arithmetic, exact integer binomials), so the tests
-can hold the kernel against them.
+can hold the kernel against them.  A residue mod p^e is a plain int, passed
+with its context.
 """
 
 from __future__ import annotations
@@ -26,9 +27,13 @@ from math import comb, factorial
 from typing import List, Optional, Tuple, Union
 
 from supercong.congruences import FamilyTag
-from supercong.errors import BadExponent, MixedContext, NotPIntegral, NTooLarge
+from supercong.errors import BadExponent, NotPIntegral, NTooLarge
 from supercong.legendre import legendre_square_spec
-from supercong.modring import PrimeContext, Rational, ResidueZ, reduce_rational
+from supercong.modring import PrimeContext, Rational, reduce_rational
+
+
+class MixedContext(Exception):
+    """Extension elements over different primes or different sqrt(d)."""
 
 
 def binom_frac(a: Rational, k: int) -> Fraction:
@@ -101,30 +106,29 @@ def nonresidue(p: int) -> int:
     return d
 
 
-def legendre_symbol(t: ResidueZ) -> int:
+def legendre_symbol(t: int, ctx: PrimeContext) -> int:
     """Euler-criterion Legendre symbol of t mod p (0 iff p | t)."""
-    p = t.ctx.p
-    a = t.value % p
+    p = ctx.p
+    a = t % p
     if a == 0:
         return 0
     ls = pow(a, (p - 1) // 2, p)
     return -1 if ls == p - 1 else ls
 
 
-def sqrt_mod_p(t: ResidueZ) -> Optional[ResidueZ]:
+def sqrt_mod_p(t: int, ctx: PrimeContext) -> Optional[int]:
     """Deterministic square root mod p: the smaller of the two roots.
 
     Returns None for non-residues.  Tonelli-Shanks in the general case,
     with the p % 4 == 3 shortcut.
     """
-    ctx = t.ctx
     if ctx.e != 1:
         raise BadExponent("square roots are a mod-p notion; use an e == 1 context")
     p = ctx.p
-    a = t.value % p
+    a = t % p
     if a == 0:
-        return ResidueZ(0, ctx)
-    if legendre_symbol(t) != 1:
+        return 0
+    if legendre_symbol(a, ctx) != 1:
         return None
     if p % 4 == 3:
         s = pow(a, (p + 1) // 4, p)
@@ -147,7 +151,7 @@ def sqrt_mod_p(t: ResidueZ) -> Optional[ResidueZ]:
             c = g * g % p
             b = b * c % p
             r = i
-    return ResidueZ(min(s, p - s), ctx)
+    return min(s, p - s)
 
 
 @dataclass(frozen=True)
@@ -229,57 +233,42 @@ class QuadExtElem:
         return f"QuadExtElem({self.a0} + {self.a1}*sqrt({self.d}) mod {self.ctx.p})"
 
 
-Element = Union[ResidueZ, QuadExtElem]
-
-
-def _one_like(x: Element) -> Element:
-    if isinstance(x, QuadExtElem):
-        return QuadExtElem(1, 0, x.d, x.ctx)
-    return ResidueZ(1, x.ctx)
-
-
 def _check_degree(n: int, ctx: PrimeContext) -> None:
     if not 0 <= n <= ctx.p - 1:
         raise NTooLarge(f"degree must be in [0, {ctx.p - 1}], got {n}")
 
 
-def legendre_square_at_sqrt(
-    n: int, x: Union[Rational, ResidueZ], ctx: Optional[PrimeContext] = None
-) -> ResidueZ:
-    """P_n(sqrt(1+4x))^2 mod p^e: the package's spec evaluated at x (a
-    residue, or a p-integral rational reduced in ctx)."""
-    if isinstance(x, ResidueZ):
-        ctx = x.ctx
-        xh = x.value
-    else:
-        if ctx is None:
-            raise TypeError("a context is required for rational x")
-        xh = reduce_rational(x, ctx).value
-    return ResidueZ(ctx.series(legendre_square_spec(n, ctx.p), xh), ctx)
+def legendre_square_at_sqrt(n: int, x: Rational, ctx: PrimeContext) -> int:
+    """P_n(sqrt(1+4x))^2 mod p^e: the package's spec evaluated at the
+    p-integral x reduced in ctx."""
+    return ctx.series(legendre_square_spec(n, ctx.p), reduce_rational(x, ctx))
 
 
-def legendre_eval_recurrence(n: int, x: Element) -> Element:
+def legendre_eval_recurrence(
+    n: int, x: Union[int, QuadExtElem], ctx: PrimeContext
+) -> Union[int, QuadExtElem]:
     """P_n(x) by (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}.
 
     Every divisor 2..n stays below p, hence invertible; n >= p would force a
-    division by p.  Works on residues (any e) and on F_p[sqrt(d)] elements.
+    division by p.  Works on ints mod p^e (any e), reduced into [0, p^e),
+    and on F_p[sqrt(d)] elements, which reduce themselves.
     """
-    ctx = x.ctx
     _check_degree(n, ctx)
-    if n == 0:
-        return _one_like(x)
-    if n == 1:
-        return x
     m = ctx.modulus
-    prev: Element = _one_like(x)
-    cur: Element = x
+    if isinstance(x, QuadExtElem):
+        one, reduce = QuadExtElem(1, 0, x.d, ctx), lambda v: v
+    else:
+        one, reduce = 1, lambda v: v % m
+    prev, cur = one, reduce(x)
+    if n == 0:
+        return prev
     for k in range(1, n):
         inv = pow(k + 1, -1, m)
-        prev, cur = cur, (x * cur * (2 * k + 1) - prev * k) * inv
+        prev, cur = cur, reduce((x * cur * (2 * k + 1) - prev * k) * inv)
     return cur
 
 
-def legendre_at_sqrt(n: int, t: ResidueZ) -> QuadExtElem:
+def legendre_at_sqrt(n: int, t: int, ctx: PrimeContext) -> QuadExtElem:
     """P_n(sqrt(t)) in F_p or F_p[sqrt(t)], via the even/odd decomposition.
 
     P_n(sqrt(t)) = sqrt(t)^(n mod 2) * 2^-n *
@@ -287,26 +276,25 @@ def legendre_at_sqrt(n: int, t: ResidueZ) -> QuadExtElem:
     Lands in F_p when n is even or t is a residue (deterministic smaller
     root), else genuinely in the extension with d = t.
     """
-    ctx = t.ctx
     if ctx.e != 1:
         raise BadExponent("legendre_at_sqrt works in the e == 1 context")
     _check_degree(n, ctx)
     p = ctx.p
-    tv = t.value % p
+    tv = t % p
     h = n // 2
     g = sum(
         (-1) ** k * comb(n, k) * comb(2 * n - 2 * k, n) * pow(tv, h - k, p)
         for k in range(h + 1)
     )
     g = g * pow((p + 1) // 2, n, p) % p
-    chi = legendre_symbol(t)
+    chi = legendre_symbol(tv, ctx)
     d = tv if chi == -1 else nonresidue(p)
     if n % 2 == 0:
         return QuadExtElem(g, 0, d, ctx)
     if chi == 0:
         return QuadExtElem(0, 0, d, ctx)
     if chi == 1:
-        root = sqrt_mod_p(t)
+        root = sqrt_mod_p(tv, ctx)
         assert root is not None
-        return QuadExtElem(g * root.value, 0, d, ctx)
+        return QuadExtElem(g * root, 0, d, ctx)
     return QuadExtElem(0, g, d, ctx)

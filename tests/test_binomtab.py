@@ -16,34 +16,30 @@ import pytest
 
 from reference import binom_frac
 from supercong.errors import NotPIntegral, RangeError
-from supercong.modring import (
-    ResidueZ,
-    hyper_sum,
-    make_context,
-    reduce_rational,
-)
+from supercong.modring import hyper_sum, make_context, reduce_rational
 
 
-def kernel_term(c, factors, d, k, ctx) -> ResidueZ:
-    """t_k of the kernel's series, as the difference of two partial sums."""
+def kernel_term(c, factors, d, k, ctx) -> int:
+    """t_k of the kernel's series mod p^e, as the difference of two partial
+    sums."""
     below = hyper_sum(c, factors, d, k - 1, ctx) if k else 0
-    return ResidueZ(hyper_sum(c, factors, d, k, ctx) - below, ctx)
+    return (hyper_sum(c, factors, d, k, ctx) - below) % ctx.modulus
 
 
-def binom_rational(a, k, ctx) -> ResidueZ:
+def binom_rational(a, k, ctx) -> int:
     """C(a, k) mod p^e for p-integral a and 0 <= k < p."""
-    ah = reduce_rational(a, ctx).value
+    ah = reduce_rational(a, ctx)
     return kernel_term(1, ((-1, ah + 1),), 1, k, ctx)
 
 
-def central_binom(k, ctx) -> ResidueZ:
+def central_binom(k, ctx) -> int:
     """C(2k, k) mod p^e for 0 <= k < p."""
     return kernel_term(2, ((2, -1),), 1, k, ctx)
 
 
-def pochhammer_rational(a, k, ctx) -> ResidueZ:
+def pochhammer_rational(a, k, ctx) -> int:
     """Rising factorial (a)_k mod p^e for p-integral a and 0 <= k < p."""
-    ah = reduce_rational(a, ctx).value
+    ah = reduce_rational(a, ctx)
     return kernel_term(1, ((1, ah - 1),), 0, k, ctx)
 
 
@@ -55,7 +51,7 @@ def exact_binom(a: Fraction, k: int) -> Fraction:
     return num / factorial(k)
 
 
-def exact_residue(a, k, ctx) -> ResidueZ:
+def exact_residue(a, k, ctx) -> int:
     """C(a, k) as one exact rational, reduced mod p^e."""
     return reduce_rational(binom_frac(a, k), ctx)
 
@@ -70,10 +66,10 @@ def valuation(n: int, p: int) -> int:
 
 def test_binom_rational_examples():
     ctx = make_context(7, 2)
-    assert binom_rational(0, 3, ctx).value == 0
-    assert binom_rational(Fraction(9, 5), 0, ctx).value == 1
+    assert binom_rational(0, 3, ctx) == 0
+    assert binom_rational(Fraction(9, 5), 0, ctx) == 1
     # (-1/2)(-3/2)/2 = 3/8, and 3/8 = 31 mod 49
-    assert binom_rational(Fraction(-1, 2), 2, ctx).value == 31
+    assert binom_rational(Fraction(-1, 2), 2, ctx) == 31
     assert binom_rational(Fraction(-1, 2), 2, ctx) == reduce_rational(Fraction(3, 8), ctx)
 
 
@@ -105,7 +101,7 @@ def test_binom_rational_integer_tops_match_comb():
         ctx = make_context(p, 2)
         for a in range(p):
             for k in range(p):
-                assert binom_rational(a, k, ctx).value == comb(a, k) % ctx.modulus
+                assert binom_rational(a, k, ctx) == comb(a, k) % ctx.modulus
 
 
 def test_binom_rational_congruence_stability():
@@ -128,7 +124,7 @@ def test_pair_vanishing_in_upper_half():
             a = Fraction(rng.randint(-30, 30), rng.choice(dens))
             for k in range((p + 1) // 2, p):
                 prod = exact_residue(a, k, ctx) * exact_residue(-1 - a, k, ctx)
-                assert prod.value % p == 0, (p, a, k)
+                assert prod % p == 0, (p, a, k)
 
 
 def test_reflection_identity():
@@ -140,15 +136,15 @@ def test_reflection_identity():
             a = Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 4]))
             k = rng.randrange(p)
             lhs = exact_residue(-1 - a, k, ctx)
-            rhs = exact_residue(a + k, k, ctx) * (-1) ** k
+            rhs = exact_residue(a + k, k, ctx) * (-1) ** k % ctx.modulus
             assert lhs == rhs
 
 
 def test_central_binom_examples():
     ctx = make_context(5, 2)
-    assert central_binom(0, ctx).value == 1
-    assert central_binom(3, ctx).value == 20  # C(6,3)
-    assert central_binom(4, ctx).value == 20  # C(8,4) = 70 = 20 mod 25
+    assert central_binom(0, ctx) == 1
+    assert central_binom(3, ctx) == 20  # C(6,3)
+    assert central_binom(4, ctx) == 20  # C(8,4) = 70 = 20 mod 25
     with pytest.raises(RangeError):
         central_binom(5, ctx)
 
@@ -159,16 +155,16 @@ def test_central_binom_matches_comb_and_tracks_valuation():
             ctx = make_context(p, e)
             for k in range(p):
                 n = comb(2 * k, k)
-                assert central_binom(k, ctx).value == n % ctx.modulus
+                assert central_binom(k, ctx) == n % ctx.modulus
                 if k > (p - 1) // 2:
                     assert valuation(n, p) == 1
 
 
 def test_ap_of_examples():
     ctx = make_context(7, 1)
-    assert reduce_rational(Fraction(-1, 2), ctx).value == 3
-    assert reduce_rational(4, ctx).value == 4
-    assert reduce_rational(Fraction(-1, 3), ctx).value == 2
+    assert reduce_rational(Fraction(-1, 2), ctx) == 3
+    assert reduce_rational(4, ctx) == 4
+    assert reduce_rational(Fraction(-1, 3), ctx) == 2
     with pytest.raises(NotPIntegral):
         reduce_rational(Fraction(1, 7), ctx)
 
@@ -182,7 +178,7 @@ def test_pochhammer_matches_binomial_identity():
         for _ in range(20):
             a = Fraction(rng.randint(-15, 15), rng.choice([1, 2, 3]))
             k = rng.randrange(p)
-            lhs = pochhammer_rational(a, k, ctx).value
+            lhs = pochhammer_rational(a, k, ctx)
             kfact = factorial(k)  # k < p, a unit
-            rhs = (-1) ** k * kfact * binom_rational(-a, k, ctx).value % m
+            rhs = (-1) ** k * kfact * binom_rational(-a, k, ctx) % m
             assert lhs == rhs

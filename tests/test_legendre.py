@@ -21,24 +21,24 @@ from supercong.modring import make_context, reduce_rational
 
 def test_recurrence_base_cases_and_example():
     ctx = make_context(7, 1)
-    x = ctx.residue(5)
-    assert legendre_eval_recurrence(0, x).value == 1
-    assert legendre_eval_recurrence(1, x) == x
+    x = 5
+    assert legendre_eval_recurrence(0, x, ctx) == 1
+    assert legendre_eval_recurrence(1, x, ctx) == x
     # P_2(2) = (3*4 - 1)/2 = 11/2 = 2 mod 7
-    assert legendre_eval_recurrence(2, ctx.residue(2)).value == 2
+    assert legendre_eval_recurrence(2, 2, ctx) == 2
     # P_n(1) = 1 and P_n(-1) = (-1)^n
     ctx = make_context(11, 1)
     for n in range(11):
-        assert legendre_eval_recurrence(n, ctx.residue(1)).value == 1
-    assert legendre_eval_recurrence(3, ctx.residue(-1)).value == 10
+        assert legendre_eval_recurrence(n, 1, ctx) == 1
+    assert legendre_eval_recurrence(3, -1, ctx) == 10
 
 
 def test_recurrence_rejects_large_degree():
     ctx = make_context(7, 1)
     with pytest.raises(NTooLarge):
-        legendre_eval_recurrence(7, ctx.residue(1))
+        legendre_eval_recurrence(7, 1, ctx)
     with pytest.raises(NTooLarge):
-        legendre_eval_recurrence(-1, ctx.residue(1))
+        legendre_eval_recurrence(-1, 1, ctx)
 
 
 def test_legendre_exact_coefficients():
@@ -62,7 +62,7 @@ def test_evaluator_agreement_mod_p():
         for _ in range(25):
             n = rng.randrange(p)
             x = rng.randrange(p)
-            r1 = legendre_eval_recurrence(n, ctx.residue(x))
+            r1 = legendre_eval_recurrence(n, x, ctx)
             r3 = eval_exact_mod(n, x, ctx)
             assert r1 == r3, (p, n, x)
 
@@ -73,7 +73,7 @@ def test_recurrence_agrees_at_higher_powers_too():
     for _ in range(15):
         n = rng.randrange(13)
         x = rng.randrange(13**2)
-        assert legendre_eval_recurrence(n, ctx.residue(x)) == eval_exact_mod(n, x, ctx)
+        assert legendre_eval_recurrence(n, x, ctx) == eval_exact_mod(n, x, ctx)
 
 
 def test_parity_property():
@@ -83,8 +83,8 @@ def test_parity_property():
         for _ in range(20):
             n = rng.randrange(p)
             x = rng.randrange(p**2)
-            lhs = legendre_eval_recurrence(n, ctx.residue(-x))
-            rhs = legendre_eval_recurrence(n, ctx.residue(x)) * (-1) ** n
+            lhs = legendre_eval_recurrence(n, -x, ctx)
+            rhs = legendre_eval_recurrence(n, x, ctx) * (-1) ** n % ctx.modulus
             assert lhs == rhs
 
 
@@ -95,20 +95,20 @@ def test_mirror_congruence():
         ctx = make_context(p, 1)
         for _ in range(25):
             n = rng.randrange(p)
-            t = ctx.residue(rng.randrange(p))
-            assert legendre_eval_recurrence(p - 1 - n, t) == legendre_eval_recurrence(n, t)
+            t = rng.randrange(p)
+            assert legendre_eval_recurrence(p - 1 - n, t, ctx) == legendre_eval_recurrence(n, t, ctx)
 
 
 def test_square_at_sqrt_examples():
     ctx = make_context(11, 2)
     for n in range(11):
-        assert legendre_square_at_sqrt(n, 0, ctx).value == 1
+        assert legendre_square_at_sqrt(n, 0, ctx) == 1
     # n = 1: P_1(sqrt(1+4x))^2 = 1 + 4x
     for x in (0, 1, 5, Fraction(3, 7)):
         want = reduce_rational(1 + 4 * Fraction(x), ctx)
         assert legendre_square_at_sqrt(1, x, ctx) == want
     # P_2(sqrt(5))^2 = ((3*5-1)/2)^2 = 49
-    assert legendre_square_at_sqrt(2, 1, ctx).value == 49
+    assert legendre_square_at_sqrt(2, 1, ctx) == 49
 
 
 def test_square_at_sqrt_matches_exact_square():
@@ -134,29 +134,29 @@ def test_square_at_sqrt_consistent_with_recurrence_at_rational_roots():
         for n in range(p):
             for x in range(p):
                 t = (1 + 4 * x) % p
-                s = sqrt_mod_p(ctx.residue(t))
+                s = sqrt_mod_p(t, ctx)
                 if s is None:
                     continue
-                lhs = legendre_square_at_sqrt(n, x, ctx).value
-                pn = legendre_eval_recurrence(n, s).value
+                lhs = legendre_square_at_sqrt(n, x, ctx)
+                pn = legendre_eval_recurrence(n, s, ctx)
                 assert lhs == pn * pn % p, (p, n, x)
 
 
 def test_at_sqrt_examples():
     ctx = make_context(7, 1)
-    e = legendre_at_sqrt(2, ctx.residue(1))
+    e = legendre_at_sqrt(2, 1, ctx)
     assert (e.a0, e.a1) == (1, 0)  # P_2(1) = 1
     # P_1(sqrt(t)) = sqrt(t); t = 3 is a non-residue mod 7
-    e = legendre_at_sqrt(1, ctx.residue(3))
+    e = legendre_at_sqrt(1, 3, ctx)
     assert (e.a0, e.a1, e.d) == (0, 1, 3)
     # P_2(sqrt(3)) = (3*3 - 1)/2 = 4 in F_p
-    e = legendre_at_sqrt(2, ctx.residue(3))
+    e = legendre_at_sqrt(2, 3, ctx)
     assert (e.a0, e.a1) == (4, 0)
     # t = 2 is a residue: P_1(sqrt(2)) = smaller root 3
-    e = legendre_at_sqrt(1, ctx.residue(2))
+    e = legendre_at_sqrt(1, 2, ctx)
     assert (e.a0, e.a1) == (3, 0)
     with pytest.raises(BadExponent):
-        legendre_at_sqrt(1, make_context(7, 2).residue(3))
+        legendre_at_sqrt(1, 3, make_context(7, 2))
 
 
 def test_at_sqrt_agrees_with_quadext_recurrence():
@@ -164,23 +164,23 @@ def test_at_sqrt_agrees_with_quadext_recurrence():
     for p in (7, 11, 13):
         ctx = make_context(p, 1)
         for t in range(1, p):
-            if legendre_symbol(ctx.residue(t)) != -1:
+            if legendre_symbol(t, ctx) != -1:
                 continue
             root = QuadExtElem(0, 1, t, ctx)
             for n in range(p):
-                assert legendre_at_sqrt(n, ctx.residue(t)) == legendre_eval_recurrence(n, root)
+                assert legendre_at_sqrt(n, t, ctx) == legendre_eval_recurrence(n, root, ctx)
 
 
 def test_at_sqrt_agrees_on_residues():
     for p in (7, 13):
         ctx = make_context(p, 1)
         for t in range(p):
-            s = sqrt_mod_p(ctx.residue(t))
+            s = sqrt_mod_p(t, ctx)
             if s is None:
                 continue
             for n in range(p):
-                got = legendre_at_sqrt(n, ctx.residue(t))
-                want = legendre_eval_recurrence(n, s).value
+                got = legendre_at_sqrt(n, t, ctx)
+                want = legendre_eval_recurrence(n, s, ctx)
                 assert got.a1 == 0 and got.a0 == want
 
 
@@ -191,11 +191,11 @@ def test_at_sqrt_square_maps_back_to_square_evaluator():
         ctx = make_context(p, 1)
         for t in range(p):
             for n in range(p):
-                elem = legendre_at_sqrt(n, ctx.residue(t))
+                elem = legendre_at_sqrt(n, t, ctx)
                 sq = elem * elem
                 assert sq.a1 == 0
                 want = legendre_square_at_sqrt(n, Fraction(t - 1, 4), ctx)
-                assert sq.a0 == want.value, (p, t, n)
+                assert sq.a0 == want, (p, t, n)
 
 
 def test_squares_detect_zeros():
@@ -206,8 +206,8 @@ def test_squares_detect_zeros():
         ctx = make_context(p, 1)
         for n in range(p):
             for x in range(p):
-                sq_zero = legendre_square_at_sqrt(n, x, ctx).value == 0
-                elem = legendre_at_sqrt(n, ctx.residue((1 + 4 * x) % p))
+                sq_zero = legendre_square_at_sqrt(n, x, ctx) == 0
+                elem = legendre_at_sqrt(n, (1 + 4 * x) % p, ctx)
                 assert sq_zero == elem.is_zero, (p, n, x)
                 hits += sq_zero
     assert hits > 0  # the sweep must actually exercise true zeros

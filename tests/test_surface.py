@@ -5,9 +5,9 @@ method of such a class, must be loaded, as a name or an attribute, by
 package code outside its own definition.  ``__init__`` re-exports do not
 count as a use, and dunder methods are exempt.  The only exceptions are
 the console entry point ``main``, ``sweep_family``, the library API of the
-acceptance family sweep, ``exact_reduce_sum``, the one-prime oracle that
-the benchmark's output checks and the tests import (package code calls
-``exact_reduce_sums``), and the methods in ``TEST_METHODS``.
+acceptance family sweep, and ``exact_reduce_sum``, the one-prime oracle
+whose record's ``value`` the benchmark's output checks read (package code
+calls ``exact_reduce_sums``).
 """
 
 import ast
@@ -16,11 +16,6 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "supercong"
 ENTRY_POINTS = {"main", "sweep_family", "exact_reduce_sum"}
-# Methods that only the tests call, each with its reason.
-TEST_METHODS = {
-    "PrimeContext.residue": "the tests embed integers and rationals as ResidueZ "
-                            "with it, until ResidueZ leaves the package",
-}
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -61,11 +56,5 @@ def test_every_definition_is_used_by_package_code():
     found = _definitions_and_uses()
     assert len(found) > 50  # the walk really saw the package
     assert "modring.GridContext.series" in dict(found)  # and its methods
-    exempt = ENTRY_POINTS | set(TEST_METHODS)
-    unused = [q for q, used in found if not used and q.split(".", 1)[1] not in exempt]
+    unused = [q for q, used in found if not used and q.split(".", 1)[1] not in ENTRY_POINTS]
     assert unused == []
-
-
-def test_listed_test_methods_exist():
-    found = {qualified.split(".", 1)[1] for qualified, _ in _definitions_and_uses()}
-    assert set(TEST_METHODS) <= found
