@@ -13,10 +13,10 @@ the oracle sizes checked, before any work starts.
 
 A statement at fixed arguments (eq1.2, cor2.3, remark2.3, the family sweep)
 runs once over the whole prime list in this process.  Every other statement
-is distributed over primes: each worker owns its context.  A two-parameter
+is distributed over primes: each worker owns its context.  An
 --exhaustive-am grid runs its checker at every point on one GridContext per
-prime, which evaluates each sum from cached coefficient and power rows;
-one-parameter grids and explicit parameters run on a plain PrimeContext.
+prime, which evaluates each sum from the series' cached coefficient row by
+Horner's rule; explicit parameters run on a plain PrimeContext.
 
 Records are encoded where they are computed (:func:`encode`): each worker
 sorts its prime's records by (theorem, parameters), the parameters compared
@@ -49,7 +49,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 from . import congruences as cg
 from . import oracle
 from .errors import BoundExceeded, RangeError, SupercongError
-from .modring import GridContext, PrimeContext, make_context
+from .modring import GridContext, make_context
 
 log = logging.getLogger("supercong")
 
@@ -127,18 +127,15 @@ def _reports_for_prime(
 ) -> Chunk:
     """All records for one theorem at one prime, encoded in ``formats``.
 
-    The grid runs the same checker as explicit parameters.  A grid over two
-    parameters runs on one GridContext, so each sum is a dot product of rows
-    shared by the grid.  In a one-parameter grid each argument serves one
-    point, so a power row would cost more than the streaming sum and keep
-    O(p) memory per point; it runs on a plain context.
+    The grid runs the same checker as explicit parameters, on one
+    GridContext, so each sum evaluates a coefficient row shared by the grid.
     Explicit parameters that do not apply at p give one vacuous record and
     no checker call; the grid leaves out the residues that do not apply.
     """
     spec = cg.STATEMENTS[theorem]
     if exhaustive:
         axes = [[r for r in range(p) if cg.applies(theorem, n, r, p)] for n in spec.params]
-        ctx = (GridContext if len(axes) > 1 else make_context)(p, spec.e)
+        ctx = GridContext(p, spec.e)
         points = product(*axes)
     else:
         given = {n: params[n] for n in spec.params}
@@ -497,32 +494,19 @@ def _run_oracle_target(target: str, args: argparse.Namespace) -> Tuple[bool, str
     if target == "reduce-equivalence":
         p_max = _oracle_size(target, args)
         primes = primes_in_range(3, p_max)
-        exact: Dict[tuple, Dict[int, int]] = {}
-
-        def want(a: Fraction, x: Fraction, which, ctx: PrimeContext) -> int:
-            """The exact sum mod p^e, from one pass over all primes at e = 3."""
-            if (a, x, which) not in exact:
-                exact[a, x, which] = oracle.exact_reduce_sums(a, x, which, primes, 3)
-            return exact[a, x, which][ctx.p] % ctx.modulus
-
-        for p in primes:
-            for e in (1, 2, 3):
-                ctx = make_context(p, e)
-                for x in oracle.GRID_X:
-                    if x.denominator % p == 0:
-                        continue
-                    for f in cg.FamilyTag:
-                        if cg.family_sum(f, x, ctx) != want(0, x, f, ctx):
-                            return False, f"family {f.label} differs at p={p} e={e} x={x}"
-                    for a in oracle.GRID_A:
-                        if a.denominator % p == 0:
-                            continue
-                        for which, fn in (("core", cg.core_sum), ("plain", cg.plain_sum)):
-                            if fn(a, x, ctx) != want(a, x, which, ctx):
-                                return (
-                                    False,
-                                    f"{which} differs at p={p} e={e} a={a} x={x}",
-                                )
+        contexts = [make_context(p, e) for p in primes for e in (1, 2, 3)]
+        # (a, which, the modular sum at (x, ctx), its name, a in a mismatch)
+        series = [(0, f, partial(cg.family_sum, f), f"family {f.label}", "")
+                  for f in cg.FamilyTag]
+        series += [(a, which, partial(fn, a), which, f" a={a}")
+                   for a in oracle.GRID_A
+                   for which, fn in (("core", cg.core_sum), ("plain", cg.plain_sum))]
+        for x in oracle.GRID_X:
+            for a, which, modular, name, at_a in series:
+                exact = oracle.exact_reduce_sums(a, x, which, primes, 3)
+                for ctx in contexts:
+                    if ctx.p in exact and modular(x, ctx) != exact[ctx.p] % ctx.modulus:
+                        return False, f"{name} differs at p={ctx.p} e={ctx.e}{at_a} x={x}"
         return True, f"modular pipeline matches exact reduction for all p <= {p_max}"
     raise ValueError(f"unknown oracle target {target!r}")
 

@@ -4,9 +4,10 @@ Every sum is a term-ratio spec (constant, linear factors in k, power of k in
 the denominator, last index) evaluated at one reduced x by its context's
 ``series``: on a plain :class:`~supercong.modring.PrimeContext` that is one
 streaming :func:`~supercong.modring.hyper_sum`, on a
-:class:`~supercong.modring.GridContext` a dot product of the spec's cached
-coefficient row with x's cached power row.  A family sum at a fixed x runs
-on :func:`~supercong.modring.hyper_sums` for a whole prime list at once.
+:class:`~supercong.modring.GridContext` the spec's cached coefficient row,
+shared by every point of the grid, evaluated at x by Horner's rule.  A
+family sum at a fixed x runs on :func:`~supercong.modring.hyper_sums` for a
+whole prime list at once.
 
 One table, :data:`STATEMENTS`, states each statement once: its exponent,
 smallest prime, parameters with their excluded values, checker and, for a

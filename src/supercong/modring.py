@@ -5,15 +5,14 @@ coefficient row of a series that a parameter grid evaluates at many x.
 
 A :class:`PrimeContext` is built once, never mutates, and can be shared
 freely across threads and fork workers.  A :class:`GridContext` is a
-PrimeContext that caches the coefficient and power rows of one prime's
-parameter grid; it belongs to the worker that builds it.
+PrimeContext that caches the coefficient row of each series one prime's
+parameter grid meets, shared by every point of the grid and evaluated at
+each x by Horner's rule; it belongs to the worker that builds it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
-from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BadExponent, CompositeModulus, NotPIntegral, RangeError
@@ -87,31 +86,28 @@ class PrimeContext:
 class GridContext(PrimeContext):
     """A PrimeContext for a parameter grid at one prime.
 
-    :meth:`series` evaluates a spec from its coefficient row
-    (:func:`hyper_terms`) and x from its power row [1, x, ..., x^(p-1)], as
-    one dot product; each row is built on first use and kept.  A grid over
-    two parameters at p meets at most p parameter residues and p argument
-    residues, so each row serves up to p points.  For one point alone a row
-    costs more than :func:`hyper_sum` and O(p) memory instead of O(1), so
-    explicit parameters and one-parameter grids, whose arguments each serve
-    one point, use a plain PrimeContext.
+    :meth:`series` evaluates a spec's coefficient row (:func:`hyper_terms`)
+    at x mod p^e by Horner's rule; each row is built on first use and kept,
+    highest term first.  Every point of a grid at p evaluates the same few
+    series at different x, so each row, O(p) ints, serves many points, and
+    nothing is kept per x.  Explicit parameters, one point per prime, use a
+    plain PrimeContext.
     """
 
     def __init__(self, p: int, e: int) -> None:
         super().__init__(p, e)
         self._rows: Dict[Spec, List[int]] = {}
-        self._powers: Dict[int, List[int]] = {}
 
     def series(self, spec: Spec, x: int) -> int:
         m = self.modulus
         x %= m
         row = self._rows.get(spec)
         if row is None:
-            row = self._rows[spec] = hyper_terms(*spec, self)
-        powers = self._powers.get(x)
-        if powers is None:
-            powers = self._powers[x] = list(map(pow, repeat(x), range(self.p), repeat(m)))
-        return sum(map(mul, row, powers)) % m
+            row = self._rows[spec] = hyper_terms(*spec, self)[::-1]
+        acc = 0
+        for t in row:
+            acc = (acc * x + t) % m
+        return acc
 
 
 def make_context(p: int, e: int) -> PrimeContext:

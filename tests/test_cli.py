@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from supercong import cli, oracle
+from supercong import cli, modring, oracle
 from supercong import congruences as cg
 from supercong.cli import (
     PRIME_RANGE_MAX,
@@ -306,9 +306,10 @@ def test_theorem_table_matches_direct_checker_calls(tmp_path, theorem, params):
 
 @pytest.mark.parametrize("theorem", [t for t, spec in cg.STATEMENTS.items() if spec.params])
 def test_exhaustive_grid_equals_per_point_checker_records(tmp_path, theorem):
-    """Every prime from min_p to 101: the grid (evaluated from shared rows
-    when it has two parameters) writes the bytes of the per-point checker
-    calls on plain contexts, each line encoded on its own."""
+    """Every prime from min_p to 101: the grid, whose sums are the shared
+    coefficient rows of one GridContext per prime evaluated by Horner's
+    rule, writes the bytes of the per-point checker calls on plain
+    contexts, each line encoded on its own."""
     lo = cg.STATEMENTS[theorem].min_p
     want = [r for p in primes_in_range(lo, 101) for r in direct_reports(theorem, p, None)]
     want.sort(key=lambda d: (d["p"], tuple(sorted(d["params"].items()))))
@@ -320,22 +321,37 @@ def test_exhaustive_grid_equals_per_point_checker_records(tmp_path, theorem):
         assert out.read_bytes() == want_bytes, jobs
 
 
-def test_only_two_parameter_grids_build_a_grid_context(monkeypatch):
-    # In a one-parameter grid every argument serves one point, so its power
-    # row would be built for nothing and kept until the prime is done.
-    built = []
+@pytest.mark.parametrize("p", [7, 11])
+def test_every_grid_shares_its_rows_on_one_grid_context(monkeypatch, p):
+    # Every point of a grid at p evaluates a few series at different x, so
+    # the grid builds one coefficient row per distinct series: a core row
+    # and a Legendre (thm2.1) or plain (thm2.2) row per a, a core row per a
+    # (thm2.3), one row per family (cor2.2), the cube family and Legendre
+    # rows (eq1.3), and one family row for each part of thm2.4.
+    want = {"thm2.1": 2 * p, "thm2.2": 2 * p, "thm2.3": p, "thm2.4i": 1, "thm2.4ii": 1,
+            "cor2.2": 4, "eq1.3": 2}
+    assert set(want) == {t for t, spec in cg.STATEMENTS.items() if spec.params}
+    built, rows = [], []
 
     class Spy(GridContext):
         def __init__(self, p, e):
             built.append(p)
             super().__init__(p, e)
 
+    real = modring.hyper_terms
+
+    def counted(c, factors, d, n, ctx):
+        rows.append((c, factors, d, n))
+        return real(c, factors, d, n, ctx)
+
     monkeypatch.setattr(cli, "GridContext", Spy)
-    for theorem, spec in cg.STATEMENTS.items():
-        if spec.params:
-            built.clear()
-            assert cli._reports_for_prime(7, theorem, None, True).counts
-            assert built == ([7] if len(spec.params) > 1 else []), theorem
+    monkeypatch.setattr(modring, "hyper_terms", counted)
+    for theorem, n_rows in want.items():
+        built.clear()
+        rows.clear()
+        assert cli._reports_for_prime(p, theorem, None, True).counts
+        assert built == [p], theorem
+        assert len(rows) == len(set(rows)) == n_rows, theorem
 
 
 @pytest.mark.parametrize("theorem", list(cg.STATEMENTS))

@@ -35,7 +35,7 @@ from supercong.errors import (
     ZeroM,
 )
 from supercong.cli import primes_in_range, run_checks
-from supercong.modring import make_context, reduce_rational
+from supercong.modring import GridContext, make_context, reduce_rational
 from supercong.oracle import exact_reduce_sum, exact_reduce_sums
 
 
@@ -415,3 +415,34 @@ def test_family_sums_on_empty_and_one_prime_lists():
             ctx = make_context(p, 3)
             want = family_sum(f, Fraction(5, 7), ctx)
             assert family_sums(f, Fraction(5, 7), [p], 3) == {p: want}
+
+
+# ---------------------------------------------------------------------------
+# The lift's one failure class, over every residue pair mod p^2
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_thm2_3_lift_fails_exactly_on_its_class_over_all_residues_mod_p2(p):
+    # Mod p the core sum at 1/m is P_<a>(sqrt(1 - 4/m))^2 (thm2.1), which at
+    # m = 4 mod p is P_<a>(0)^2: zero exactly for odd <a>_p.  The lift to
+    # p^2 then fails unless 1 - 4/m vanishes exactly mod p^2.
+    q = p * p
+    ctx = GridContext(p, 2)
+    failed = {(a, m) for a in range(q) for m in range(q)
+              if m % p and check_theorem_2_3(a, m, ctx)["status"] == "FAILED"}
+    assert failed == {(a, m) for a in range(q) for m in range(q)
+                      if a % p % 2 and m % p == 4 % p and m != 4}
+    assert len(failed) == (p - 1) // 2 * p * (p - 1)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_cor2_2_lift_fails_exactly_on_its_class_over_all_residues_mod_p2(p):
+    # Each family sum is the core sum at (a_f, scale_f x), so the class is
+    # thm2.3's with <a_f>_p and 4 scale_f in place of <a>_p and 4.
+    q = p * p
+    ctx = GridContext(p, 2)
+    failed = {(f, m) for f in FamilyTag for m in range(q)
+              if m % p and check_corollary_2_2(f, m, ctx)["status"] == "FAILED"}
+    odd = [f for f in FamilyTag if reduce_rational(f.a, make_context(p, 1)) % 2]
+    assert failed == {(f, m) for f in odd for m in range(q)
+                      if m % p == 4 * f.scale % p and m != 4 * f.scale % q}
+    assert len(failed) == len(odd) * (p - 1)

@@ -8,6 +8,10 @@ the console entry point ``main``, ``sweep_family``, the library API of the
 acceptance family sweep, and ``exact_reduce_sum``, the one-prime oracle
 whose record's ``value`` the benchmark's output checks read (package code
 calls ``exact_reduce_sums``).
+
+Every name an ``import`` or ``from ... import`` binds in such a module must
+also be loaded as a plain name somewhere in it; ``from __future__`` is
+exempt.
 """
 
 import ast
@@ -57,4 +61,26 @@ def test_every_definition_is_used_by_package_code():
     assert len(found) > 50  # the walk really saw the package
     assert "modring.GridContext.series" in dict(found)  # and its methods
     unused = [q for q, used in found if not used and q.split(".", 1)[1] not in ENTRY_POINTS]
+    assert unused == []
+
+
+def test_every_imported_name_is_loaded_by_its_module():
+    imported, unused = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        loaded = {n.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported += 1
+                if name not in loaded:
+                    unused.append(f"{path.stem}.{name}")
+    assert imported > 40  # the walk really saw the imports
     assert unused == []
