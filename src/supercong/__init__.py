@@ -27,12 +27,11 @@ from .errors import (
     BadExponent,
     BoundExceeded,
     CompositeModulus,
-    ExcludedU,
+    ExcludedValue,
     NotPIntegral,
     NTooLarge,
     RangeError,
     SupercongError,
-    ZeroM,
 )
 from .legendre import legendre_exact, legendre_square_spec
 from .modring import (
@@ -50,8 +49,7 @@ from .oracle import (
     exact_reduce_sums,
     identity_1_7_check,
     lemma_2_1_exact_check,
-    lemma_2_2_sides,
-    zeilberger_certificate_check,
+    lemma_2_2_check,
 )
 
 __version__ = "0.1.0"

@@ -11,9 +11,9 @@ and --jobs are bounded; parameters a statement does not take, excluded
 values and --exhaustive-am for a statement without parameters rejected; and
 the oracle sizes checked, before any work starts.
 
-A statement at fixed arguments (eq1.2, cor2.3, remark2.3, the family sweep)
-runs once over the whole prime list in this process.  Every other statement
-is distributed over primes: each worker owns its context.  An
+A statement at fixed arguments (eq1.2, cor2.3, remark2.3) runs once over
+the whole prime list in this process.  Every other statement is distributed
+over primes: each worker owns its context.  An
 --exhaustive-am grid runs its checker at every point on one GridContext per
 prime, which evaluates each sum from the series' cached coefficient row by
 Horner's rule; explicit parameters run on a plain PrimeContext.
@@ -204,22 +204,6 @@ def run_exploration(primes: Iterable[int]) -> List[dict]:
     qualifying = sorted(p for p in primes if p % mod in classes)
     log.info("exploring remark2.3 over %d prime(s)", len(qualifying))
     return cg.explore_remark_2_3(qualifying)
-
-
-def sweep_family(
-    tag: cg.FamilyTag,
-    x: Fraction,
-    primes: Iterable[int],
-    e: int = 2,
-) -> List[Tuple[int, Optional[int]]]:
-    """One family sum at fixed x for every prime; (p, residue) pairs in
-    ascending p.
-
-    The residue is None at a prime dividing the denominator of x.
-    """
-    primes = sorted(primes)
-    sums = cg.family_sums(tag, x, primes, e)
-    return [(p, sums.get(p)) for p in primes]
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +460,8 @@ def _run_oracle_target(target: str, args: argparse.Namespace) -> Tuple[bool, str
         return True, f"squared-value expansion exact for all n <= {n_max}"
     if target == "lemma2.2":
         n_max = _oracle_size(target, args)
-        for n in range(n_max + 1):
-            s1, s2 = oracle.lemma_2_2_sides(n)
-            if s1 != s2:
-                return False, f"identity sides differ at n={n}"
-            if n >= 2:
-                for side in (1, 2):
-                    if not oracle.zeilberger_certificate_check(n, side):
-                        return False, f"recurrence certificate fails at n={n} side {side}"
-        return True, f"identity and certificate exact for all n <= {n_max}"
+        failure = oracle.lemma_2_2_check(n_max)
+        return failure is None, failure or f"identity and certificate exact for all n <= {n_max}"
     if target == "eq1.7":
         k_max = _oracle_size(target, args)
         for k in range(k_max + 1):

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .errors import BadExponent, ExcludedU, RangeError, ZeroM
+from .errors import BadExponent, ExcludedValue, RangeError
 from .legendre import legendre_square_spec
 from .modring import (
     PrimeContext,
@@ -255,11 +255,11 @@ def inapplicable(theorem: str, p: int, params: Dict[str, Rational]) -> Optional[
 
 def _admitted(theorem: str, name: str, q: Rational, ctx: PrimeContext) -> int:
     """Parameter ``name`` = q mod p^e: NotPIntegral if p divides its
-    denominator, ZeroM (m) or ExcludedU (u) if it is in an excluded class."""
+    denominator, ExcludedValue if it is in an excluded class."""
     qh = _residue(q, ctx)
     r = _excluded_class(theorem, name, qh, ctx.p)
     if r is not None:
-        raise (ZeroM if name == "m" else ExcludedU)(
+        raise ExcludedValue(
             f"{name} = {format_rational(q)} is congruent to {format_rational(r)} mod {ctx.p}")
     return qh
 

@@ -29,9 +29,5 @@ class BoundExceeded(SupercongError):
     """Requested size is beyond the configured exact-arithmetic bound."""
 
 
-class ZeroM(SupercongError):
-    """Scale parameter m vanishes mod p."""
-
-
-class ExcludedU(SupercongError):
-    """Parameter u falls in a residue class excluded by the hypothesis."""
+class ExcludedValue(SupercongError):
+    """A parameter falls in a residue class its statement excludes."""

@@ -6,8 +6,10 @@ is read mod p^e at k = p - 1 for every prime asked for.  The lemmas are
 polynomial identities of known degree in one variable, so agreement at one
 more integer point than the degree proves them: the sides of the product-sum
 identity and each term of its three-term recurrence certificate have degree
-<= 2n in a, and the squared-Legendre expansion has degree n in x.  The
-dictionary check compares both closed forms cross-multiplied to integers.
+<= 2n in a, so one set of pair rows at a = 0, ..., 2 n_max serves every
+n <= n_max, and the squared-Legendre expansion has degree n in x.  The
+dictionary check reads each family's (a, scale) pair from FamilyTag and
+compares both closed forms cross-multiplied to integers.
 No floating point anywhere, and no computer-algebra dependency.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 from math import comb, factorial, lcm
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .congruences import FamilyTag
 from .errors import BoundExceeded, NotPIntegral
@@ -50,20 +52,6 @@ def _side(n: int, side: int, rows: List[List[int]]) -> Tuple[int, ...]:
     return tuple(sum(w * r[k] for k, w in weights) for r in rows)
 
 
-def lemma_2_2_sides(n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Both sides of the convolution identity at the points a = 0, ..., 2n.
-
-    Side 1 convolves the C(a,k) C(-1-a,k) pairs; side 2 runs the
-    C(2k,k)-weighted alternating form.  Both are polynomials of degree <= 2n
-    in a, so equal values at these 2n + 1 points are a complete proof of the
-    identity for this n.
-    """
-    if not 0 <= n <= LEMMA_2_2_BOUND:
-        raise BoundExceeded(f"n must be in [0, {LEMMA_2_2_BOUND}], got {n}")
-    rows = [_pairs(a, n) for a in range(2 * n + 1)]
-    return _side(n, 1, rows), _side(n, 2, rows)
-
-
 def _recurrence(n: int, a: int) -> Tuple[int, int, int]:
     """The certificate's coefficients n^3, q1 and q2 at the point a."""
     q1 = (2 * n - 1) * (n * n - n - 2 * a * (a + 1))
@@ -71,25 +59,45 @@ def _recurrence(n: int, a: int) -> Tuple[int, int, int]:
     return n**3, q1, q2
 
 
-def zeilberger_certificate_check(n: int, side: int) -> bool:
-    """Verify the certified three-term recurrence at n as a polynomial identity:
+def _certificate_holds(n: int, s0: Sequence[int], s1: Sequence[int], s2: Sequence[int]) -> bool:
+    """The certified three-term recurrence at n on one side's values S(n),
+    S(n-1) and S(n-2) at the points a = 0, 1, ...:
 
     n^3 S(n) = (2n-1)(n^2 - n - 2a(a+1)) S(n-1) + (n-1)(2a+n)(2a+2-n) S(n-2).
-
-    Each of the three terms has degree <= 2n in a, so equality at the points
-    a = 0, ..., 2n proves it.
     """
-    if not 2 <= n <= LEMMA_2_2_BOUND:
-        raise BoundExceeded(f"n must be in [2, {LEMMA_2_2_BOUND}], got {n}")
-    if side not in (1, 2):
-        raise ValueError(f"side must be 1 or 2, got {side!r}")
-    rows = [_pairs(a, n) for a in range(2 * n + 1)]
-    s0, s1, s2 = (_side(m, side, rows) for m in (n, n - 1, n - 2))
-    for a in range(2 * n + 1):
+    for a, (v0, v1, v2) in enumerate(zip(s0, s1, s2)):
         c0, q1, q2 = _recurrence(n, a)
-        if c0 * s0[a] != q1 * s1[a] + q2 * s2[a]:
+        if c0 * v0 != q1 * v1 + q2 * v2:
             return False
     return True
+
+
+def lemma_2_2_check(n_max: int) -> Optional[str]:
+    """Prove the convolution identity, and its recurrence certificate on
+    each side, for every n <= n_max: the first failure, or None.
+
+    Side 1 convolves the C(a,k) C(-1-a,k) pairs; side 2 runs the
+    C(2k,k)-weighted alternating form.  The sides at n and each term of the
+    certificate at n are polynomials of degree <= 2n <= 2 n_max in a, so
+    equal values at the points a = 0, ..., 2 n_max prove them.  The pair
+    rows at these points are built once, to k = n_max; the sides at n read
+    their first n + 1 entries.  For each n in turn the identity is checked,
+    then, from n = 2 on, the certificate on side 1 and on side 2.
+    """
+    if not 0 <= n_max <= LEMMA_2_2_BOUND:
+        raise BoundExceeded(f"n_max must be in [0, {LEMMA_2_2_BOUND}], got {n_max}")
+    rows = [_pairs(a, n_max) for a in range(2 * n_max + 1)]
+    sides: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []  # both sides at n = 0, 1, ...
+    for n in range(n_max + 1):
+        sides.append((_side(n, 1, rows), _side(n, 2, rows)))
+        if sides[n][0] != sides[n][1]:
+            return f"identity sides differ at n={n}"
+        if n < 2:
+            continue
+        for side in (1, 2):
+            if not _certificate_holds(n, *(sides[m][side - 1] for m in (n, n - 1, n - 2))):
+                return f"recurrence certificate fails at n={n} side {side}"
+    return None
 
 
 def lemma_2_1_exact_check(n: int) -> bool:
@@ -128,26 +136,22 @@ def _falling(r: int, s: int, k: int) -> int:
 
 
 def identity_1_7_check(k: int) -> bool:
-    """All four dictionary equalities at this k, on integers.
+    """The dictionary equality of every family at this k, on integers.
 
-    C(-r1/s, k) C(-r2/s, k) = c / N^k holds iff the falling products satisfy
-    prod (-r1 - i s) prod (-r2 - i s) N^k == c (s^k k!)^2.
+    With a_f = -r/s and scale_f from :class:`FamilyTag`, N_f(k) = C(2k,k)
+    C(-r/s, k) C(-(s-r)/s, k) scale_f^k holds iff the falling products
+    satisfy N_f(k) (s^k k!)^2 == C(2k,k) prod (-r - i s) prod (r - s - i s)
+    scale_f^k.
     """
     if not 0 <= k <= IDENTITY_1_7_BOUND:
         raise BoundExceeded(f"k must be in [0, {IDENTITY_1_7_BOUND}], got {k}")
-    c2 = comb(2 * k, k)
-    c3 = comb(3 * k, k)
-    c4 = comb(4 * k, 2 * k)
-    c6 = comb(6 * k, 3 * k)
-    return all(
-        _falling(r1, s, k) * _falling(r2, s, k) * n**k == c * (s**k * factorial(k)) ** 2
-        for r1, r2, s, n, c in (
-            (1, 1, 2, 16, c2 * c2),
-            (1, 2, 3, 27, c2 * c3),
-            (1, 3, 4, 64, c2 * c4),
-            (1, 5, 6, 432, c3 * c6),
-        )
-    )
+    c2, fk = comb(2 * k, k), factorial(k)
+    for f in FamilyTag:
+        r, s = -f.a.numerator, f.a.denominator
+        if f.numerator(k) * (s**k * fk) ** 2 != (
+                c2 * _falling(r, s, k) * _falling(s - r, s, k) * f.scale**k):
+            return False
+    return True
 
 
 def _terms(a: Fraction, x: Fraction, which: Union[str, FamilyTag]) -> Iterator[Tuple[int, int]]:

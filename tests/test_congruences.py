@@ -29,10 +29,9 @@ from supercong.congruences import (
 )
 from supercong.errors import (
     BadExponent,
-    ExcludedU,
+    ExcludedValue,
     NotPIntegral,
     RangeError,
-    ZeroM,
 )
 from supercong.cli import primes_in_range, run_checks
 from supercong.modring import GridContext, make_context, reduce_rational
@@ -237,7 +236,7 @@ def test_check_theorem_2_3_examples():
     assert r["hypothesis_holds"] and r["conclusion_holds"]
     r = check_theorem_2_3(0, 3, ctx)
     assert r["status"] == "vacuous" and r["residues"]["sum_mod_p2"] == 1
-    with pytest.raises(ZeroM):
+    with pytest.raises(ExcludedValue):
         check_theorem_2_3(1, 10, ctx)
     with pytest.raises(NotPIntegral):
         check_theorem_2_3(1, Fraction(2, 5), ctx)
@@ -246,7 +245,7 @@ def test_check_theorem_2_3_examples():
 def test_check_theorem_2_3_checks_m_before_a():
     # both parameters are bad at p = 5; m's error comes first
     ctx = make_context(5, 2)
-    with pytest.raises(ZeroM):
+    with pytest.raises(ExcludedValue):
         check_theorem_2_3(Fraction(1, 5), 10, ctx)
     with pytest.raises(NotPIntegral, match="2/5"):
         check_theorem_2_3(Fraction(1, 5), Fraction(2, 5), ctx)
@@ -272,7 +271,7 @@ def test_check_corollary_2_2_families():
             if m % 5 == 4 * f.scale % 5:
                 continue
             assert check_corollary_2_2(f, m, ctx)["status"] != "FAILED"
-    with pytest.raises(ZeroM):
+    with pytest.raises(ExcludedValue):
         check_corollary_2_2(FamilyTag.CUBE, 5, ctx)
 
 
@@ -296,11 +295,11 @@ def test_check_theorem_2_4_examples():
         assert r["hypothesis_holds"] and r["conclusion_holds"]
     r = check_theorem_2_4("i", 0, make_context(7, 2))
     assert r["status"] == "vacuous"
-    with pytest.raises(ExcludedU):
+    with pytest.raises(ExcludedValue):
         check_theorem_2_4("i", Fraction(1, 4), make_context(7, 2))
-    with pytest.raises(ExcludedU):
+    with pytest.raises(ExcludedValue):
         check_theorem_2_4("i", Fraction(1, 16), make_context(7, 2))
-    with pytest.raises(ExcludedU):
+    with pytest.raises(ExcludedValue):
         check_theorem_2_4("ii", Fraction(-1, 3), make_context(7, 2))
     with pytest.raises(ValueError):
         check_theorem_2_4("iii", 1, make_context(7, 2))
@@ -313,7 +312,7 @@ def test_check_theorem_2_4_exhaustive_tiny():
             for u in range(p):
                 try:
                     r = check_theorem_2_4(part, u, ctx)
-                except ExcludedU:
+                except ExcludedValue:
                     continue
                 assert r["status"] != "FAILED", (p, part, u)
 
@@ -349,7 +348,7 @@ def test_check_identity_1_3_examples():
     assert check_identity_1_3(Fraction(-3, 7), make_context(11, 2))["status"] == "verified"
     with pytest.raises(RangeError):
         check_identity_1_3(1, make_context(3, 2))
-    with pytest.raises(ZeroM):
+    with pytest.raises(ExcludedValue):
         check_identity_1_3(7, make_context(7, 2))
 
 

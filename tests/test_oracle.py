@@ -20,8 +20,7 @@ from supercong.oracle import (
     exact_reduce_sums,
     identity_1_7_check,
     lemma_2_1_exact_check,
-    lemma_2_2_sides,
-    zeilberger_certificate_check,
+    lemma_2_2_check,
 )
 
 
@@ -39,36 +38,46 @@ def _pair(a, k):
     return binom_frac(a, k) * binom_frac(-1 - a, k)
 
 
+def _sides(n):
+    """Both sides at n from pair rows to k = n at the points a = 0, ..., 2n."""
+    rows = [oracle._pairs(a, n) for a in range(2 * n + 1)]
+    return oracle._side(n, 1, rows), oracle._side(n, 2, rows)
+
+
 def test_lemma_2_2_sides_small_cases():
-    assert lemma_2_2_sides(0) == ((1,), (1,))
+    assert _sides(0) == ((1,), (1,))
     # S(1) = -2a(a+1) at a = 0, 1, 2
-    assert lemma_2_2_sides(1) == ((0, -4, -12), (0, -4, -12))
-    s1, s2 = lemma_2_2_sides(5)
+    assert _sides(1) == ((0, -4, -12), (0, -4, -12))
+    s1, s2 = _sides(5)
     want = tuple(sum(_pair(a, k) * _pair(a, 5 - k) for k in range(6)) for a in range(11))
     assert s1 == s2 == want
     with pytest.raises(BoundExceeded):
-        lemma_2_2_sides(41)
+        lemma_2_2_check(41)
 
 
 def test_lemma_2_2_sides_equal_up_to_15():
+    assert lemma_2_2_check(15) is None
     for n in range(16):
-        s1, s2 = lemma_2_2_sides(n)
-        assert len(s1) == 2 * n + 1
-        assert s1 == s2, n
+        assert len(_sides(n)[0]) == 2 * n + 1
+
+
+def test_sides_read_only_the_first_n_plus_1_pair_entries():
+    """The shared rows: a side at n on rows to k = n_max equals the side on
+    rows to k = n, at the first 2n + 1 points."""
+    for n_max in range(13):
+        rows = [oracle._pairs(a, n_max) for a in range(2 * n_max + 1)]
+        for n in range(n_max + 1):
+            for side in (1, 2):
+                assert oracle._side(n, side, rows)[: 2 * n + 1] == _sides(n)[side - 1], (n, n_max)
 
 
 def test_zeilberger_certificate():
-    for n in range(2, 12):
-        assert zeilberger_certificate_check(n, 1), n
-        assert zeilberger_certificate_check(n, 2), n
-    with pytest.raises(BoundExceeded):
-        zeilberger_certificate_check(1, 1)
-    with pytest.raises(ValueError):
-        zeilberger_certificate_check(3, 0)
+    assert lemma_2_2_check(11) is None
 
 
 def test_points_reject_a_wrong_certificate(monkeypatch):
-    """q1's factor (2n-1) replaced by (2n+1): the points must see it."""
+    """q1's factor (2n-1) replaced by (2n+1): the points must see it, on
+    either side."""
     right = oracle._recurrence
 
     def wrong(n, a):
@@ -76,8 +85,11 @@ def test_points_reject_a_wrong_certificate(monkeypatch):
         return c0, q1 // (2 * n - 1) * (2 * n + 1), q2
 
     monkeypatch.setattr(oracle, "_recurrence", wrong)
-    for side in (1, 2):
-        assert not all(zeilberger_certificate_check(n, side) for n in range(2, 6))
+    assert lemma_2_2_check(5) == "recurrence certificate fails at n=2 side 1"
+    rows = [oracle._pairs(a, 5) for a in range(11)]
+    side_2 = [oracle._side(n, 2, rows) for n in range(6)]
+    assert not all(oracle._certificate_holds(n, side_2[n], side_2[n - 1], side_2[n - 2])
+                   for n in range(2, 6))
 
 
 def test_lemma_2_1_exact_small_cases():
@@ -93,6 +105,11 @@ def test_identity_1_7_small_cases():
     assert identity_1_7_check(100)
     with pytest.raises(BoundExceeded):
         identity_1_7_check(201)
+
+
+def test_identity_1_7_reads_the_family_table(monkeypatch):
+    monkeypatch.setattr(FamilyTag.TWO_THREE, "scale", 26)
+    assert not identity_1_7_check(2)
 
 
 def test_falling_products_are_scaled_rational_binomials():

@@ -4,10 +4,9 @@ Every top-level function and class in ``src/supercong/*.py``, and every
 method of such a class, must be loaded, as a name or an attribute, by
 package code outside its own definition.  ``__init__`` re-exports do not
 count as a use, and dunder methods are exempt.  The only exceptions are
-the console entry point ``main``, ``sweep_family``, the library API of the
-acceptance family sweep, and ``exact_reduce_sum``, the one-prime oracle
-whose record's ``value`` the benchmark's output checks read (package code
-calls ``exact_reduce_sums``).
+the console entry point ``main`` and ``exact_reduce_sum``, the one-prime
+oracle whose record's ``value`` the benchmark's output checks read (package
+code calls ``exact_reduce_sums``).
 
 Every name an ``import`` or ``from ... import`` binds in such a module must
 also be loaded as a plain name somewhere in it; ``from __future__`` is
@@ -19,7 +18,7 @@ from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "supercong"
-ENTRY_POINTS = {"main", "sweep_family", "exact_reduce_sum"}
+ENTRY_POINTS = {"main", "exact_reduce_sum"}
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
