@@ -35,9 +35,7 @@ from .errors import (
 )
 from .legendre import legendre_exact, legendre_square_spec
 from .modring import (
-    GridContext,
     PrimeContext,
-    hyper_sum,
     hyper_sums,
     hyper_terms,
     is_prime,

@@ -13,10 +13,10 @@ the oracle sizes checked, before any work starts.
 
 A statement at fixed arguments (eq1.2, cor2.3, remark2.3) runs once over
 the whole prime list in this process.  Every other statement is distributed
-over primes: each worker owns its context.  An
---exhaustive-am grid runs its checker at every point on one GridContext per
-prime, which evaluates each sum from the series' cached coefficient row by
-Horner's rule; explicit parameters run on a plain PrimeContext.
+over primes: each worker builds one context per prime, on which the
+--exhaustive-am grid and explicit parameters run the same checker.  The
+context evaluates each sum from the series' cached coefficient row by
+Horner's rule, so every point of a grid shares its rows.
 
 Records are encoded where they are computed (:func:`encode`): each worker
 sorts its prime's records by (theorem, parameters), the parameters compared
@@ -49,7 +49,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 from . import congruences as cg
 from . import oracle
 from .errors import BoundExceeded, RangeError, SupercongError
-from .modring import GridContext, make_context
+from .modring import make_context
 
 log = logging.getLogger("supercong")
 
@@ -127,22 +127,21 @@ def _reports_for_prime(
 ) -> Chunk:
     """All records for one theorem at one prime, encoded in ``formats``.
 
-    The grid runs the same checker as explicit parameters, on one
-    GridContext, so each sum evaluates a coefficient row shared by the grid.
-    Explicit parameters that do not apply at p give one vacuous record and
-    no checker call; the grid leaves out the residues that do not apply.
+    The grid runs the same checker as explicit parameters, on one context,
+    so each sum evaluates a coefficient row shared by the grid.  Explicit
+    parameters that do not apply at p give one vacuous record and no
+    checker call; the grid leaves out the residues that do not apply.
     """
     spec = cg.STATEMENTS[theorem]
+    ctx = make_context(p, spec.e)
     if exhaustive:
         axes = [[r for r in range(p) if cg.applies(theorem, n, r, p)] for n in spec.params]
-        ctx = GridContext(p, spec.e)
         points = product(*axes)
     else:
         given = {n: params[n] for n in spec.params}
         vacuous = cg.inapplicable(theorem, p, given)
         if vacuous:
             return encode([vacuous], formats)
-        ctx = make_context(p, spec.e)
         points = (tuple(given.values()),)
     records = [r for point in points for r in spec.check(ctx, *point)]
     log.debug("p=%d: %d report(s) for %s", p, len(records), theorem)
@@ -471,19 +470,21 @@ def _run_oracle_target(target: str, args: argparse.Namespace) -> Tuple[bool, str
     if target == "reduce-equivalence":
         p_max = _oracle_size(target, args)
         primes = primes_in_range(3, p_max)
-        contexts = [make_context(p, e) for p in primes for e in (1, 2, 3)]
         # (a, which, the modular sum at (x, ctx), its name, a in a mismatch)
         series = [(0, f, partial(cg.family_sum, f), f"family {f.label}", "")
                   for f in cg.FamilyTag]
         series += [(a, which, partial(fn, a), which, f" a={a}")
                    for a in oracle.GRID_A
                    for which, fn in (("core", cg.core_sum), ("plain", cg.plain_sum))]
-        for x in oracle.GRID_X:
-            for a, which, modular, name, at_a in series:
-                exact = oracle.exact_reduce_sums(a, x, which, primes, 3)
-                for ctx in contexts:
-                    if ctx.p in exact and modular(x, ctx) != exact[ctx.p] % ctx.modulus:
-                        return False, f"{name} differs at p={ctx.p} e={ctx.e}{at_a} x={x}"
+        cases = [(x, modular, name, at_a, oracle.exact_reduce_sums(a, x, which, primes, 3))
+                 for x in oracle.GRID_X for a, which, modular, name, at_a in series]
+        # each context, and the rows it caches, lives for one (p, e)
+        for p in primes:
+            for e in (1, 2, 3):
+                ctx = make_context(p, e)
+                for x, modular, name, at_a, exact in cases:
+                    if p in exact and modular(x, ctx) != exact[p] % ctx.modulus:
+                        return False, f"{name} differs at p={p} e={e}{at_a} x={x}"
         return True, f"modular pipeline matches exact reduction for all p <= {p_max}"
     raise ValueError(f"unknown oracle target {target!r}")
 

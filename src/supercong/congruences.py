@@ -1,13 +1,11 @@
 """Truncated binomial-product sums over Z/p^e and the congruence checkers.
 
 Every sum is a term-ratio spec (constant, linear factors in k, power of k in
-the denominator, last index) evaluated at one reduced x by its context's
-``series``: on a plain :class:`~supercong.modring.PrimeContext` that is one
-streaming :func:`~supercong.modring.hyper_sum`, on a
-:class:`~supercong.modring.GridContext` the spec's cached coefficient row,
-shared by every point of the grid, evaluated at x by Horner's rule.  A
-family sum at a fixed x runs on :func:`~supercong.modring.hyper_sums` for a
-whole prime list at once.
+the denominator, last index) evaluated at one reduced x by
+:meth:`~supercong.modring.PrimeContext.series`: the spec's coefficient row,
+built once per context and shared by every point of a grid, evaluated at x
+by Horner's rule.  A family sum at a fixed x runs on
+:func:`~supercong.modring.hyper_sums` for a whole prime list at once.
 
 One table, :data:`STATEMENTS`, states each statement once: its exponent,
 smallest prime, parameters with their excluded values, checker and, for a
@@ -17,7 +15,7 @@ the checkers' guard on the context; and :func:`_report`, which wraps the
 sums into plain dict records whose status follows one fixed rule.
 Checkers take integer parameters without a Fraction round trip and reduce
 every parameter once; explicit parameters and grid points go through the
-same checker, on the two kinds of context.  thm2.3 and cor2.2 share one
+same checker on the same context type.  thm2.3 and cor2.2 share one
 lift check, and one evaluator builds the records of eq1.2, cor2.3 and
 remark 2.3 from their cases.
 """

@@ -1,13 +1,12 @@
 """Exact arithmetic in Z/p^e on plain ints in [0, p^e): rational reduction
-and the division-free hypergeometric kernel behind every truncated sum, one
-prime at a time, over n = p - 1 for a whole prime list at once, or as the
-coefficient row of a series that a parameter grid evaluates at many x.
+and the division-free hypergeometric kernel behind every truncated sum, as
+the coefficient row of a series at one prime or over n = p - 1 for a whole
+prime list at once.
 
-A :class:`PrimeContext` is built once, never mutates, and can be shared
-freely across threads and fork workers.  A :class:`GridContext` is a
-PrimeContext that caches the coefficient row of each series one prime's
-parameter grid meets, shared by every point of the grid and evaluated at
-each x by Horner's rule; it belongs to the worker that builds it.
+A :class:`PrimeContext` keeps the coefficient row of each series it meets
+and evaluates it at each x by Horner's rule, so every point of a parameter
+grid at one prime shares its rows.  Each process or worker builds
+its own context.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .errors import BadExponent, CompositeModulus, NotPIntegral, RangeError
 Rational = Union[Fraction, int]
 
 # A term-ratio spec (c, factors, d, n): the series sum_{k=0}^{n} t_k x^k with
-# t_0 = 1 and t_k / t_{k-1} = c * prod_i (s_i k + r_i) / k^d (see hyper_sum).
+# t_0 = 1 and t_k / t_{k-1} = c * prod_i (s_i k + r_i) / k^d (see hyper_terms).
 Spec = Tuple[int, Tuple[Tuple[int, int], ...], int, int]
 
 # Deterministic Miller-Rabin witness sets: the full set is exact for all
@@ -58,10 +57,15 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeContext:
-    """An odd prime p and an exponent e in {1, 2, 3}.
+    """An odd prime p and an exponent e in {1, 2, 3}, with a cache of
+    coefficient rows.
 
-    The truncated sums need nothing beyond p and p^e (see :func:`hyper_sum`),
-    and instances never mutate after construction.
+    :meth:`series` evaluates a spec's coefficient row (:func:`hyper_terms`)
+    at x mod p^e by Horner's rule; each row is built on first use and kept,
+    highest term first.  Every point of a grid at p evaluates the same few
+    series at different x, so each row, O(p) ints, serves many points, and
+    nothing is kept per x.  The cache belongs to the process that builds
+    the context.
     """
 
     def __init__(self, p: int, e: int) -> None:
@@ -72,33 +76,10 @@ class PrimeContext:
         self.p = p
         self.e = e
         self.modulus = p**e
-
-    def series(self, spec: Spec, x: int) -> int:
-        """The series of ``spec`` at the integer x, mod p^e: one streaming
-        :func:`hyper_sum`, in O(1) memory."""
-        c, factors, d, n = spec
-        return hyper_sum(c * x, factors, d, n, self)
-
-    def __repr__(self) -> str:
-        return f"PrimeContext(p={self.p}, e={self.e})"
-
-
-class GridContext(PrimeContext):
-    """A PrimeContext for a parameter grid at one prime.
-
-    :meth:`series` evaluates a spec's coefficient row (:func:`hyper_terms`)
-    at x mod p^e by Horner's rule; each row is built on first use and kept,
-    highest term first.  Every point of a grid at p evaluates the same few
-    series at different x, so each row, O(p) ints, serves many points, and
-    nothing is kept per x.  Explicit parameters, one point per prime, use a
-    plain PrimeContext.
-    """
-
-    def __init__(self, p: int, e: int) -> None:
-        super().__init__(p, e)
         self._rows: Dict[Spec, List[int]] = {}
 
     def series(self, spec: Spec, x: int) -> int:
+        """The series of ``spec`` at the integer x, mod p^e."""
         m = self.modulus
         x %= m
         row = self._rows.get(spec)
@@ -109,55 +90,30 @@ class GridContext(PrimeContext):
             acc = (acc * x + t) % m
         return acc
 
+    def __repr__(self) -> str:
+        return f"PrimeContext(p={self.p}, e={self.e})"
+
 
 def make_context(p: int, e: int) -> PrimeContext:
-    """Build the immutable context for Z/p^e."""
+    """Build the context for Z/p^e."""
     return PrimeContext(p, e)
-
-
-def hyper_sum(
-    c: int, factors: Sequence[Tuple[int, int]], d: int, n: int, ctx: PrimeContext
-) -> int:
-    """sum_{k=0}^{n} t_k mod p^e for t_0 = 1 and the term ratio
-    t_k / t_{k-1} = c * prod_i (s_i k + r_i) / k^d, with n < p.
-
-    ``c`` is an integer (typically a constant times a reduced x) and
-    ``factors`` holds at most three integer pairs (s_i, r_i).  The kernel
-    keeps the term numerator U, the common denominator D = (k!)^d and the
-    accumulator N = D * (t_0 + ... + t_k), and inverts D once at the end.
-    Every k <= n < p is a unit, and p-factors of the numerators are never
-    divided out, so every step is exact mod p^e.  Once U == 0 every later
-    term vanishes too, and the loop stops there.
-    """
-    if not 0 <= n < ctx.p:
-        raise RangeError(f"hypergeometric sums run to n < {ctx.p}, got {n}")
-    m = ctx.modulus
-    (s1, f1), (s2, f2), (s3, f3) = (*factors, *((0, 1),) * (3 - len(factors)))
-    s1, f1 = c * s1 % m, c * f1 % m  # fold c into the first factor
-    u = den = acc = 1
-    for k in range(1, n + 1):
-        f1 += s1
-        f2 += s2
-        f3 += s3
-        u = u * f1 * f2 * f3 % m
-        if not u:
-            break
-        kd = k**d
-        den = den * kd % m
-        acc = (acc * kd + u) % m
-    return acc * pow(den, -1, m) % m
 
 
 def hyper_terms(
     c: int, factors: Sequence[Tuple[int, int]], d: int, n: int, ctx: PrimeContext
 ) -> List[int]:
-    """The terms [t_0, ..., t_K] mod p^e of :func:`hyper_sum`'s series with
-    x left out, so that hyper_sum(c * x, ...) == sum_k t_k x^k mod p^e.
+    """The terms [t_0, ..., t_K] mod p^e of the series
+    sum_{k=0}^{n} t_k x^k, for t_0 = 1 and the term ratio
+    t_k / t_{k-1} = c * prod_i (s_i k + r_i) / k^d, with n < p.
 
-    The row ends where hyper_sum's loop stops: K = n, or K = k - 1 for the
-    first k whose term numerator U vanishes mod p^e.  D = (K!)^d is inverted
-    once, and that inverse walked back to each (k!)^-d, so t_k = U_k (k!)^-d
-    exactly.
+    ``c`` is an integer constant and ``factors`` holds at most three integer
+    pairs (s_i, r_i).  The kernel keeps the term numerator U_k and the
+    common denominator D = (k!)^d.  Every k <= n < p is a unit, and
+    p-factors of the numerators are never divided out, so every step is
+    exact mod p^e.  Once U == 0 every later term vanishes too, so the row
+    ends there: K = n, or K = k - 1 for the first k with U_k == 0 mod p^e.
+    D = (K!)^d is inverted once, and that inverse walked back to each
+    (k!)^-d, so t_k = U_k (k!)^-d exactly.
     """
     if not 0 <= n < ctx.p:
         raise RangeError(f"hypergeometric sums run to n < {ctx.p}, got {n}")
@@ -225,9 +181,11 @@ def hyper_sums(
     for t_0 = 1 and the term ratio
     t_k / t_{k-1} = num * prod_i (s_i k + r_i) / (den * k^d).
 
-    This is :func:`hyper_sum` at n = p - 1 for all primes at once, with the
-    constant c = num / den kept as two integers.  The row vector (U, N) of
-    the scalar kernel steps by [[a_k, a_k], [0, b_k]], with
+    This is the sum of :func:`hyper_terms`'s row at n = p - 1 and x = 1 for
+    all primes at once, with the constant c = num / den kept as two
+    integers.  With D_k = den^k (k!)^d, the term is t_k = U_k / D_k and the
+    partial sum t_0 + ... + t_k is N_k / D_k; the row vector (U, N) steps by
+    [[a_k, a_k], [0, b_k]], with
     a_k = num * prod_i (s_i k + r_i) and b_k = den * k^d, so the product
     [[A, B], [0, D]] of the steps k = 1 .. p-1 gives the sum (B + D) / D,
     and D is a unit for p not dividing den.  One leaf block multiplies the

@@ -5,6 +5,8 @@ report text as ``json`` and ``csv`` write it.
 :func:`exact_reduce_sum` adds the truncated sum term by term as reduced
 Fractions and reduces it once mod p^e; the package's oracle reaches the same
 residues from one gcd-free integer prefix pass over a whole prime list.
+:func:`series_exact` does the same for any term-ratio spec, against which
+the package evaluates a cached coefficient row by Horner's rule.
 
 Quadratic-residue machinery, the quadratic extension F_p[sqrt(d)], the
 three-term Legendre recurrence and P_n(sqrt(t)) by its even/odd
@@ -29,7 +31,7 @@ from typing import List, Optional, Tuple, Union
 from supercong.congruences import FamilyTag
 from supercong.errors import BadExponent, NotPIntegral, NTooLarge
 from supercong.legendre import legendre_square_spec
-from supercong.modring import PrimeContext, Rational, reduce_rational
+from supercong.modring import PrimeContext, Rational, Spec, reduce_rational
 
 
 class MixedContext(Exception):
@@ -80,6 +82,21 @@ def exact_reduce_sum(
         raise ValueError(f"which must be 'core', 'plain' or a FamilyTag, got {which!r}")
     m = ctx.modulus
     return total.numerator * pow(total.denominator, -1, m) % m
+
+
+def series_exact(spec: Spec, x: int, ctx: PrimeContext) -> int:
+    """The series of a term-ratio spec (c, factors, d, n) at the integer x:
+    sum_{k<=n} t_k x^k with t_0 = 1 and t_k / t_{k-1} =
+    c * prod_i (s_i k + r_i) / k^d, added as exact Fractions and reduced
+    once mod p^e."""
+    c, factors, d, n = spec
+    term = total = Fraction(1)
+    for k in range(1, n + 1):
+        for s, r in factors:
+            term *= s * k + r
+        term *= Fraction(c * x, k**d)
+        total += term
+    return reduce_rational(total, ctx)
 
 
 def encode_report(records: List[dict]) -> Tuple[str, str]:

@@ -1,11 +1,11 @@
 """Binomial coefficients mod p^e as terms of the hypergeometric kernel,
 against exact oracles, and the canonical residue of a mod p.
 
-The kernel sums sum_{j<=n} t_j; its k-th term is the difference of two
-partial sums.  C(a, k), C(2k, k) and (a)_k are the terms of series whose
-term ratios are (a-j+1)/j, 2(2j-1)/j and (a+j-1), so the tests below check
-the kernel's exactness on single binomial terms, including those that
-carry a factor p.
+The kernel's coefficient row holds the terms t_0, ..., t_K of a series and
+ends early only where every later term vanishes.  C(a, k), C(2k, k) and
+(a)_k are the terms of series whose term ratios are (a-j+1)/j, 2(2j-1)/j
+and (a+j-1), so the tests below check the kernel's exactness on single
+binomial terms, including those that carry a factor p.
 """
 
 import random
@@ -16,14 +16,14 @@ import pytest
 
 from reference import binom_frac
 from supercong.errors import NotPIntegral, RangeError
-from supercong.modring import hyper_sum, make_context, reduce_rational
+from supercong.modring import hyper_terms, make_context, reduce_rational
 
 
 def kernel_term(c, factors, d, k, ctx) -> int:
-    """t_k of the kernel's series mod p^e, as the difference of two partial
-    sums."""
-    below = hyper_sum(c, factors, d, k - 1, ctx) if k else 0
-    return (hyper_sum(c, factors, d, k, ctx) - below) % ctx.modulus
+    """t_k of the kernel's series mod p^e: the last entry of the row to k,
+    or 0 where the row ends before k."""
+    row = hyper_terms(c, factors, d, k, ctx)
+    return row[k] if k < len(row) else 0
 
 
 def binom_rational(a, k, ctx) -> int:

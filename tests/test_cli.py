@@ -24,7 +24,7 @@ from supercong.cli import (
 )
 from supercong.congruences import FamilyTag
 from supercong.errors import BadExponent, ExcludedValue, RangeError
-from supercong.modring import GridContext, make_context
+from supercong.modring import make_context
 
 import reference
 
@@ -305,9 +305,9 @@ def test_theorem_table_matches_direct_checker_calls(tmp_path, theorem, params):
 @pytest.mark.parametrize("theorem", [t for t, spec in cg.STATEMENTS.items() if spec.params])
 def test_exhaustive_grid_equals_per_point_checker_records(tmp_path, theorem):
     """Every prime from min_p to 101: the grid, whose sums are the shared
-    coefficient rows of one GridContext per prime evaluated by Horner's
-    rule, writes the bytes of the per-point checker calls on plain
-    contexts, each line encoded on its own."""
+    coefficient rows of one context per prime evaluated by Horner's rule,
+    writes the bytes of the per-point checker calls, each line encoded on
+    its own."""
     lo = cg.STATEMENTS[theorem].min_p
     want = [r for p in primes_in_range(lo, 101) for r in direct_reports(theorem, p, None)]
     want.sort(key=lambda d: (d["p"], tuple(sorted(d["params"].items()))))
@@ -331,18 +331,17 @@ def test_every_grid_shares_its_rows_on_one_grid_context(monkeypatch, p):
     assert set(want) == {t for t, spec in cg.STATEMENTS.items() if spec.params}
     built, rows = [], []
 
-    class Spy(GridContext):
-        def __init__(self, p, e):
-            built.append(p)
-            super().__init__(p, e)
+    real_context, real = cli.make_context, modring.hyper_terms
 
-    real = modring.hyper_terms
+    def spy(q, e):
+        built.append(q)
+        return real_context(q, e)
 
     def counted(c, factors, d, n, ctx):
         rows.append((c, factors, d, n))
         return real(c, factors, d, n, ctx)
 
-    monkeypatch.setattr(cli, "GridContext", Spy)
+    monkeypatch.setattr(cli, "make_context", spy)
     monkeypatch.setattr(modring, "hyper_terms", counted)
     for theorem, n_rows in want.items():
         built.clear()

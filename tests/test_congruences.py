@@ -34,7 +34,7 @@ from supercong.errors import (
     RangeError,
 )
 from supercong.cli import primes_in_range, run_checks
-from supercong.modring import GridContext, make_context, reduce_rational
+from supercong.modring import make_context, reduce_rational
 from supercong.oracle import exact_reduce_sum, exact_reduce_sums
 
 
@@ -425,7 +425,7 @@ def test_thm2_3_lift_fails_exactly_on_its_class_over_all_residues_mod_p2(p):
     # m = 4 mod p is P_<a>(0)^2: zero exactly for odd <a>_p.  The lift to
     # p^2 then fails unless 1 - 4/m vanishes exactly mod p^2.
     q = p * p
-    ctx = GridContext(p, 2)
+    ctx = make_context(p, 2)
     failed = {(a, m) for a in range(q) for m in range(q)
               if m % p and check_theorem_2_3(a, m, ctx)["status"] == "FAILED"}
     assert failed == {(a, m) for a in range(q) for m in range(q)
@@ -438,7 +438,7 @@ def test_cor2_2_lift_fails_exactly_on_its_class_over_all_residues_mod_p2(p):
     # Each family sum is the core sum at (a_f, scale_f x), so the class is
     # thm2.3's with <a_f>_p and 4 scale_f in place of <a>_p and 4.
     q = p * p
-    ctx = GridContext(p, 2)
+    ctx = make_context(p, 2)
     failed = {(f, m) for f in FamilyTag for m in range(q)
               if m % p and check_corollary_2_2(f, m, ctx)["status"] == "FAILED"}
     odd = [f for f in FamilyTag if reduce_rational(f.a, make_context(p, 1)) % 2]

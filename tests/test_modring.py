@@ -7,12 +7,17 @@ from math import comb
 
 import pytest
 
-from reference import MixedContext, QuadExtElem, legendre_symbol, nonresidue, sqrt_mod_p
+from reference import (
+    MixedContext,
+    QuadExtElem,
+    legendre_symbol,
+    nonresidue,
+    series_exact,
+    sqrt_mod_p,
+)
 from supercong.errors import BadExponent, CompositeModulus, NotPIntegral, RangeError
 from supercong import modring
 from supercong.modring import (
-    GridContext,
-    hyper_sum,
     hyper_sums,
     hyper_terms,
     is_prime,
@@ -65,25 +70,17 @@ def test_make_context_rejects_bad_input():
         make_context(5, 4)
 
 
-def test_hyper_sum_binomial_series_and_range():
-    # sum_k C(n,k) x^k = (1+x)^n: ratio (n-k+1) x / k, one factor, d = 1
-    for p, e in ((7, 1), (11, 2), (13, 3)):
-        ctx = make_context(p, e)
-        for n in range(p):
-            for x in (0, 1, 3, p, p * p - 1):
-                got = hyper_sum(x, ((-1, n + 1),), 1, n, ctx)
-                assert got == pow(1 + x, n, ctx.modulus), (p, e, n, x)
-    with pytest.raises(RangeError):
-        hyper_sum(1, ((-1, 8),), 1, 7, make_context(7, 2))
-
-
 def test_hyper_terms_are_the_kernel_series_without_x():
-    # (1+x)^n: the terms C(n, k), units for n < p, so the row runs to n
+    # (1+x)^n: ratio (n-k+1) x / k, one factor, d = 1; the terms C(n, k)
+    # are units for n < p, so the row runs to n
     for p, e in ((7, 1), (11, 2), (13, 3)):
         ctx = make_context(p, e)
         for n in range(p):
-            row = hyper_terms(1, ((-1, n + 1),), 1, n, ctx)
+            spec = (1, ((-1, n + 1),), 1, n)
+            row = hyper_terms(*spec, ctx)
             assert row == [comb(n, k) % ctx.modulus for k in range(n + 1)]
+            for x in (0, 1, 3, p, p * p - 1):
+                assert ctx.series(spec, x) == pow(1 + x, n, ctx.modulus), (p, e, n, x)
     # C(2k, k), ratio 2(2k-1)/k: the numerator takes the factor 11 at k = 6,
     # so the row ends at k = 5 mod 11 and runs to n = 10 mod 11^2
     assert len(hyper_terms(2, ((2, -1),), 1, 10, make_context(11, 1))) == 6
@@ -92,20 +89,41 @@ def test_hyper_terms_are_the_kernel_series_without_x():
     ]
     with pytest.raises(RangeError):
         hyper_terms(1, ((-1, 8),), 1, 7, make_context(7, 2))
+    with pytest.raises(RangeError):
+        make_context(7, 2).series((1, ((-1, 8),), 1, 7), 1)
 
 
-def test_grid_context_series_equals_the_streaming_kernel():
+def test_series_equals_the_exact_sum():
+    # each spec is evaluated at two x, the second on the row the first cached
     rng = random.Random(5)
     for p, e in ((5, 1), (13, 2), (31, 3)):
-        grid, plain = GridContext(p, e), make_context(p, e)
-        assert (grid.p, grid.e, grid.modulus) == (plain.p, plain.e, plain.modulus)
+        ctx = make_context(p, e)
+        assert (ctx.p, ctx.e, ctx.modulus) == (p, e, p**e)
         for _ in range(200):
             factors = tuple(
                 (rng.randint(-6, 6), rng.randint(-9, 9)) for _ in range(rng.randint(1, 3))
             )
             spec = (rng.randint(-9, 9), factors, rng.randint(1, 3), rng.randrange(p))
-            x = rng.choice((0, 1, p, rng.randrange(-10**4, 10**4)))
-            assert grid.series(spec, x) == plain.series(spec, x), (p, e, spec, x)
+            for x in (rng.choice((0, 1, p)), rng.randrange(-10**4, 10**4)):
+                assert ctx.series(spec, x) == series_exact(spec, x, ctx), (p, e, spec, x)
+
+
+def test_series_builds_each_row_once_per_context(monkeypatch):
+    built = []
+    real = modring.hyper_terms
+
+    def counted(*args):
+        built.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(modring, "hyper_terms", counted)
+    specs = [(1, ((-1, 11),), 1, 10), (2, ((2, -1),), 1, 10)]
+    first, second = make_context(11, 2), make_context(11, 2)
+    for ctx in (first, first, second):
+        for spec in specs:
+            for x in range(-3, 30, 4):
+                assert ctx.series(spec, x) == series_exact(spec, x, ctx), (spec, x)
+    assert built == [first, first, second, second]
 
 
 def test_hyper_sums_match_the_scalar_kernel():
@@ -122,7 +140,7 @@ def test_hyper_sums_match_the_scalar_kernel():
         for p, value in zip(primes, got):
             ctx = make_context(p, e)
             c = reduce_rational(Fraction(num, den), ctx)
-            assert value == hyper_sum(c, factors, d, p - 1, ctx), (factors, d, num, den, p, e)
+            assert value == ctx.series((c, factors, d, p - 1), 1), (factors, d, num, den, p, e)
 
 
 def test_hyper_sums_on_lists_that_start_high():
@@ -138,7 +156,7 @@ def test_hyper_sums_on_lists_that_start_high():
             for p, value in zip(primes, got):
                 ctx = make_context(p, e)
                 c = reduce_rational(Fraction(num, den), ctx)
-                assert value == hyper_sum(c, factors, 3, p - 1, ctx), (num, p, e)
+                assert value == ctx.series((c, factors, 3, p - 1), 1), (num, p, e)
 
 
 def test_hyper_sums_check_their_input():

@@ -58,7 +58,7 @@ def _definitions_and_uses():
 def test_every_definition_is_used_by_package_code():
     found = _definitions_and_uses()
     assert len(found) > 50  # the walk really saw the package
-    assert "modring.GridContext.series" in dict(found)  # and its methods
+    assert "modring.PrimeContext.series" in dict(found)  # and its methods
     unused = [q for q, used in found if not used and q.split(".", 1)[1] not in ENTRY_POINTS]
     assert unused == []
 
