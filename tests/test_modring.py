@@ -70,17 +70,25 @@ def test_make_context_rejects_bad_input():
         make_context(5, 4)
 
 
-def test_hyper_terms_are_the_kernel_series_without_x():
-    # (1+x)^n: ratio (n-k+1) x / k, one factor, d = 1; the terms C(n, k)
-    # are units for n < p, so the row runs to n
+def test_hyper_sum_binomial_series_and_range():
+    # sum_k C(n,k) x^k = (1+x)^n: ratio (n-k+1) x / k, one factor, d = 1
     for p, e in ((7, 1), (11, 2), (13, 3)):
         ctx = make_context(p, e)
         for n in range(p):
-            spec = (1, ((-1, n + 1),), 1, n)
-            row = hyper_terms(*spec, ctx)
-            assert row == [comb(n, k) % ctx.modulus for k in range(n + 1)]
             for x in (0, 1, 3, p, p * p - 1):
-                assert ctx.series(spec, x) == pow(1 + x, n, ctx.modulus), (p, e, n, x)
+                got = ctx.series((1, ((-1, n + 1),), 1, n), x)
+                assert got == pow(1 + x, n, ctx.modulus), (p, e, n, x)
+    with pytest.raises(RangeError):
+        make_context(7, 2).series((1, ((-1, 8),), 1, 7), 1)
+
+
+def test_hyper_terms_are_the_kernel_series_without_x():
+    # (1+x)^n: the terms C(n, k), units for n < p, so the row runs to n
+    for p, e in ((7, 1), (11, 2), (13, 3)):
+        ctx = make_context(p, e)
+        for n in range(p):
+            row = hyper_terms(1, ((-1, n + 1),), 1, n, ctx)
+            assert row == [comb(n, k) % ctx.modulus for k in range(n + 1)]
     # C(2k, k), ratio 2(2k-1)/k: the numerator takes the factor 11 at k = 6,
     # so the row ends at k = 5 mod 11 and runs to n = 10 mod 11^2
     assert len(hyper_terms(2, ((2, -1),), 1, 10, make_context(11, 1))) == 6
@@ -89,8 +97,6 @@ def test_hyper_terms_are_the_kernel_series_without_x():
     ]
     with pytest.raises(RangeError):
         hyper_terms(1, ((-1, 8),), 1, 7, make_context(7, 2))
-    with pytest.raises(RangeError):
-        make_context(7, 2).series((1, ((-1, 8),), 1, 7), 1)
 
 
 def test_series_equals_the_exact_sum():
