@@ -13,21 +13,23 @@ the oracle sizes checked, before any work starts.
 
 A statement at fixed arguments (eq1.2, cor2.3, remark2.3) runs once over
 the whole prime list in this process.  Every other statement is distributed
-over primes: each worker builds one context per prime, on which the
---exhaustive-am grid and explicit parameters run the same checker.  The
-context evaluates each sum from the series' cached coefficient row by
-Horner's rule, so every point of a grid shares its rows.
+over primes: each worker builds one context and the parameter axes per
+prime, and the --exhaustive-am grid and explicit parameters, a grid of one
+point, run the same path.  ``congruences.points`` sums each series of the
+grid once, at its whole argument vector in one packed pass, and yields the
+points in report order.
 
-Records are encoded where they are computed (:func:`encode`): each worker
-sorts its prime's records by (theorem, parameters), the parameters compared
-as strings, and returns them as JSONL and CSV text with their status counts
-and first FAILED records.  A record fills the %-format template of its
+Records are encoded where they are computed: each worker encodes its
+prime's points as they come (:func:`encode_points`), with no sort and no
+dict per record, and returns JSONL and CSV text with their status counts
+and first FAILED records.  A point fills the %-format template of its
 shape (theorem, parameter names, residue names), built once per process,
 which writes the bytes of ``json.dumps(record, sort_keys=True)`` and of
 ``csv.writer`` over the flat projection.  The parent adds up the counts
 and writes the chunks in prime order, so report files are byte-identical
-regardless of --jobs.  A statement at fixed arguments and remark2.3 go through the same
-encoder in this process.
+regardless of --jobs.  Dict records (a statement at fixed arguments,
+remark2.3, and the vacuous record of explicit parameters that do not
+apply) are sorted and go through the same templates (:func:`encode`).
 """
 
 from __future__ import annotations
@@ -42,14 +44,14 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import islice, product
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import congruences as cg
 from . import oracle
 from .errors import BoundExceeded, RangeError, SupercongError
-from .modring import make_context
+from .modring import make_context, reduce_rational
 
 log = logging.getLogger("supercong")
 
@@ -127,25 +129,26 @@ def _reports_for_prime(
 ) -> Chunk:
     """All records for one theorem at one prime, encoded in ``formats``.
 
-    The grid runs the same checker as explicit parameters, on one context,
-    so each sum evaluates a coefficient row shared by the grid.  Explicit
-    parameters that do not apply at p give one vacuous record and no
-    checker call; the grid leaves out the residues that do not apply.
+    The grid and explicit parameters are one path: the axes, built once,
+    hold the residues that apply (grid) or the one given value (explicit),
+    and :func:`congruences.points` sums every series of the statement at
+    its whole argument vector on one context.  Explicit parameters that do
+    not apply at p give one vacuous record and no sums.
     """
     spec = cg.STATEMENTS[theorem]
     ctx = make_context(p, spec.e)
     if exhaustive:
-        axes = [[r for r in range(p) if cg.applies(theorem, n, r, p)] for n in spec.params]
-        points = product(*axes)
+        axes = {n: [(str(r), r) for r in range(p) if cg.applies(theorem, n, r, p)]
+                for n in spec.params}
     else:
         given = {n: params[n] for n in spec.params}
         vacuous = cg.inapplicable(theorem, p, given)
         if vacuous:
             return encode([vacuous], formats)
-        points = (tuple(given.values()),)
-    records = [r for point in points for r in spec.check(ctx, *point)]
-    log.debug("p=%d: %d report(s) for %s", p, len(records), theorem)
-    return encode(records, formats)
+        axes = {n: [(cg.format_rational(q), reduce_rational(q, ctx))] for n, q in given.items()}
+    chunk = encode_points(theorem, p, cg.points(theorem, ctx, axes), formats)
+    log.debug("p=%d: %d report(s) for %s", p, sum(chunk.counts.values()), theorem)
+    return chunk
 
 
 def _resolve_jobs(jobs: Optional[int], n_items: int) -> int:
@@ -230,12 +233,12 @@ class Chunk(NamedTuple):
     csv: str
 
 
-def _values(names: Tuple[str, ...]) -> Callable[[dict], tuple]:
-    """A function from a dict to the tuple of its values at ``names``."""
-    if len(names) == 1:
-        name = names[0]
-        return lambda d: (d[name],)
-    return itemgetter(*names) if names else lambda d: ()
+def _values(indices: Sequence[int]) -> Callable[[tuple], tuple]:
+    """A function from a tuple to the tuple of its items at ``indices``."""
+    if len(indices) == 1:
+        i = indices[0]
+        return lambda t: (t[i],)
+    return itemgetter(*indices) if indices else lambda t: ()
 
 
 class _Template(NamedTuple):
@@ -245,19 +248,20 @@ class _Template(NamedTuple):
     in name order, the residues in name order and the escaped status;
     ``csv`` takes p, e, the parameters in column order, the two booleans,
     the status and the residues.  The getters pick those values out of a
-    record's ``params`` and ``residues``.
+    point's parameters and residues, which come in record order.
     """
 
     jsonl: str
     csv: str
-    json_params: Callable[[dict], tuple]
-    csv_params: Callable[[dict], tuple]
-    residues: Callable[[dict], tuple]
+    json_params: Callable[[tuple], tuple]
+    csv_params: Callable[[tuple], tuple]
+    residues: Callable[[tuple], tuple]
 
 
-# One template per (theorem, parameter names, residue names): p and e are
-# slots, so a sweep needs a few dozen however many primes it covers.  The
-# entries are pure functions of their key, so every caller may share them.
+# One template per (theorem, parameter names, residue names), names in
+# record order: p and e are slots, so a sweep needs a few dozen however many
+# primes it covers.  The entries are pure functions of their key, so every
+# caller may share them.
 _TEMPLATES: Dict[Tuple[str, Tuple[str, ...], Tuple[str, ...]], _Template] = {}
 
 
@@ -266,26 +270,26 @@ def _template(shape: Tuple[str, Tuple[str, ...], Tuple[str, ...]]) -> _Template:
     json.dumps(record, sort_keys=True) and of csv.writer over the flat
     projection, literal parts written once."""
     theorem, params, residues = shape
-    residues = tuple(sorted(residues))
-    json_params = tuple(sorted(params))
-    csv_params = tuple(n for n in _PARAM_COLUMNS if n in params)
+    json_params = sorted(range(len(params)), key=params.__getitem__)
+    csv_params = [params.index(n) for n in _PARAM_COLUMNS if n in params]
+    residue_order = sorted(range(len(residues)), key=residues.__getitem__)
 
     def lit(text: str) -> str:
         return text.replace("%", "%%")
 
     jsonl = "".join((
         '{"conclusion_holds": %s, "e": %d, "hypothesis_holds": %s, "p": %d, "params": {',
-        ", ".join(lit(_json_str(n)) + ": %s" for n in json_params),
+        ", ".join(lit(_json_str(params[i])) + ": %s" for i in json_params),
         '}, "residues": {',
-        ", ".join(lit(_json_str(n)) + ": %d" for n in residues),
+        ", ".join(lit(_json_str(residues[i])) + ": %d" for i in residue_order),
         '}, "status": %s, "theorem": ', lit(_json_str(theorem)), "}\n",
     ))
     csv_row = ",".join((
         lit(theorem), "%d", "%d", *("%s" if n in params else "" for n in _PARAM_COLUMNS),
-        "%s", "%s", "%s", ";".join(lit(n) + "=%d" for n in residues),
+        "%s", "%s", "%s", ";".join(lit(residues[i]) + "=%d" for i in residue_order),
     )) + "\r\n"
     t = _TEMPLATES[shape] = _Template(jsonl, csv_row, _values(json_params),
-                                      _values(csv_params), _values(residues))
+                                      _values(csv_params), _values(residue_order))
     return t
 
 
@@ -295,43 +299,82 @@ def _report_sort_key(d: dict):
     return (d["p"], d["theorem"], tuple(sorted(d["params"].items())))
 
 
-def encode(records: List[dict], formats: Sequence[str] = ()) -> Chunk:
-    """Sort records by :func:`_report_sort_key`, in place, and encode them
-    in each of ``formats`` ("jsonl", "csv"): the one path from a record to
-    report bytes.
+def _text(shape: Tuple[str, Tuple[str, ...], Tuple[str, ...]], p: int, e: int,
+          points: Iterable[cg.Point], formats: Sequence[str]
+          ) -> Tuple[List[str], List[cg.Point], str, str]:
+    """The points of one record shape at p, in the order given, encoded in
+    ``formats`` ("jsonl", "csv"): their statuses, their first FAILED_SHOWN
+    FAILED points, and their JSONL lines and CSV rows.
 
-    Each record fills the template of its shape.  A JSONL line is the bytes
+    Each point fills the template of its shape.  A JSONL line is the bytes
     of ``json.dumps(record, sort_keys=True)``; a CSV row is the bytes
-    ``csv.writer`` writes for the flat projection, and a field that writer
-    would quote (a comma, quote or line break) raises ValueError.
+    ``csv.writer`` writes for the flat projection.
     """
-    records.sort(key=_report_sort_key)
-    failed = list(islice((r for r in records if r["status"] == "FAILED"), FAILED_SHOWN))
+    statuses: List[str] = []
+    failed: List[cg.Point] = []
     lines: List[str] = []
     rows: List[str] = []
-    if formats:
-        want_jsonl, want_csv = "jsonl" in formats, "csv" in formats
-        get = _TEMPLATES.get
-        for r in records:
-            params, residues = r["params"], r["residues"]
-            shape = (r["theorem"], tuple(params), tuple(residues))
-            t = get(shape) or _template(shape)
-            values = t.residues(residues)
-            hypothesis, conclusion, status = (
-                r["hypothesis_holds"], r["conclusion_holds"], r["status"])
-            if want_jsonl:
-                lines.append(t.jsonl % (
-                    _JSON_BOOL[conclusion], r["e"], _JSON_BOOL[hypothesis], r["p"],
-                    *map(_json_str, t.json_params(params)), *values, _json_str(status)))
-            if want_csv:
-                rows.append(t.csv % (r["p"], r["e"], *t.csv_params(params),
-                                     hypothesis, conclusion, status, *values))
-    csv_text = "".join(rows)
-    n = len(rows)
+    want_jsonl, want_csv = "jsonl" in formats, "csv" in formats
+    jsonl, csv_row, json_params, csv_params, residues_of = (
+        _TEMPLATES.get(shape) or _template(shape))
+    status_of = cg.STATUS
+    for point in points:
+        params, hypothesis, conclusion, residues = point
+        status = status_of[hypothesis][conclusion]
+        statuses.append(status)
+        if status == "FAILED" and len(failed) < FAILED_SHOWN:
+            failed.append(point)
+        if want_jsonl:
+            lines.append(jsonl % (
+                _JSON_BOOL[conclusion], e, _JSON_BOOL[hypothesis], p,
+                *map(_json_str, json_params(params)), *residues_of(residues), _json_str(status)))
+        if want_csv:
+            rows.append(csv_row % (p, e, *csv_params(params), hypothesis, conclusion, status,
+                                   *residues_of(residues)))
+    return statuses, failed, "".join(lines), "".join(rows)
+
+
+def _chunk(statuses: List[str], failed: List[dict], jsonl: str, csv_text: str,
+           formats: Sequence[str]) -> Chunk:
+    """The chunk of encoded records; a CSV field that csv.writer would quote
+    (a comma, quote or line break) raises ValueError."""
+    n = len(statuses) if "csv" in formats else 0
     if '"' in csv_text or csv_text.count(",") != (len(_CSV_COLUMNS) - 1) * n or not (
             csv_text.count("\n") == csv_text.count("\r") == n):
         raise ValueError("a CSV field holds a comma, a quote or a line break")
-    return Chunk(Counter(map(itemgetter("status"), records)), failed, "".join(lines), csv_text)
+    return Chunk(Counter(statuses), failed, jsonl, csv_text)
+
+
+def encode(records: List[dict], formats: Sequence[str] = ()) -> Chunk:
+    """Sort records by :func:`_report_sort_key`, in place, and encode them
+    in each of ``formats``, each record as a point of its own shape."""
+    records.sort(key=_report_sort_key)
+    statuses: List[str] = []
+    lines: List[str] = []
+    rows: List[str] = []
+    for r in records:
+        params, residues = r["params"], r["residues"]
+        status, _, jsonl, csv_text = _text(
+            (r["theorem"], tuple(params), tuple(residues)), r["p"], r["e"],
+            [(tuple(params.values()), r["hypothesis_holds"], r["conclusion_holds"],
+              tuple(residues.values()))], formats)
+        statuses += status
+        lines.append(jsonl)
+        rows.append(csv_text)
+    failed = list(islice((r for r in records if r["status"] == "FAILED"), FAILED_SHOWN))
+    return _chunk(statuses, failed, "".join(lines), "".join(rows), formats)
+
+
+def encode_points(theorem: str, p: int, points: Iterable[cg.Point],
+                  formats: Sequence[str] = ()) -> Chunk:
+    """Encode the points of a statement's grid at p, which come in report
+    order, in each of ``formats``; only the first FAILED_SHOWN FAILED points
+    become records."""
+    shape = (theorem, *cg.record_names(theorem))
+    statuses, failed, jsonl, csv_text = _text(shape, p, cg.STATEMENTS[theorem].e, points,
+                                              formats)
+    return _chunk(statuses, [cg.record(theorem, p, pt) for pt in failed], jsonl, csv_text,
+                  formats)
 
 
 def write_jsonl(chunks: Iterable[Chunk], path: str) -> None:

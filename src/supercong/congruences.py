@@ -1,23 +1,26 @@
 """Truncated binomial-product sums over Z/p^e and the congruence checkers.
 
 Every sum is a term-ratio spec (constant, linear factors in k, power of k in
-the denominator, last index) evaluated at one reduced x by
+the denominator, last index) evaluated by
 :meth:`~supercong.modring.PrimeContext.series`: the spec's coefficient row,
-built once per context and shared by every point of a grid, evaluated at x
-by Horner's rule.  A family sum at a fixed x runs on
-:func:`~supercong.modring.hyper_sums` for a whole prime list at once.
+built once per context, evaluated at a whole vector of reduced x at once.
+A family sum at a fixed x runs on :func:`~supercong.modring.hyper_sums` for
+a whole prime list at once.
 
 One table, :data:`STATEMENTS`, states each statement once: its exponent,
-smallest prime, parameters with their excluded values, checker and, for a
-statement at fixed arguments, its cases.  Everything else reads its row:
+smallest prime, parameters with their excluded values, checker and either,
+for a statement with parameters, its :class:`Series` (which series it sums
+at which arguments, and its verdict on the sums), or, for a statement at
+fixed arguments, its cases.  Everything else reads its row:
 :func:`applies`, the one rule for a parameter at a prime; :func:`_require`,
-the checkers' guard on the context; and :func:`_report`, which wraps the
-sums into plain dict records whose status follows one fixed rule.
-Checkers take integer parameters without a Fraction round trip and reduce
-every parameter once; explicit parameters and grid points go through the
-same checker on the same context type.  thm2.3 and cor2.2 share one
-lift check, and one evaluator builds the records of eq1.2, cor2.3 and
-remark 2.3 from their cases.
+the checkers' guard on the context; :func:`points`, which sums a
+statement's grid at one prime, each distinct series once at its whole
+argument vector, and yields the points in report order; and
+:func:`_report`, which wraps a point into a plain dict record whose status
+follows one fixed rule, :data:`STATUS`.  A checker is the grid of one
+point, so explicit parameters, grids and checker calls share one path.
+One evaluator builds the records of eq1.2, cor2.3 and remark 2.3 from their
+cases.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from operator import itemgetter
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .errors import BadExponent, ExcludedValue, RangeError
 from .legendre import legendre_square_spec
@@ -100,17 +105,20 @@ def _family_spec(f: FamilyTag, p: int) -> Spec:
 
 def core_sum(a: Rational, x: Rational, ctx: PrimeContext) -> int:
     """sum_{k=0}^{p-1} C(2k,k) C(a,k) C(-1-a,k) x^k mod p^e."""
-    return ctx.series(_core_spec(_residue(a, ctx), ctx.p), _residue(x, ctx))
+    [[s]] = ctx.series([_core_spec(_residue(a, ctx), ctx.p)], [_residue(x, ctx)])
+    return s
 
 
 def plain_sum(a: Rational, x: Rational, ctx: PrimeContext) -> int:
     """sum_{k=0}^{p-1} C(a,k) C(-1-a,k) x^k mod p^e."""
-    return ctx.series(_plain_spec(_residue(a, ctx), ctx.p), _residue(x, ctx))
+    [[s]] = ctx.series([_plain_spec(_residue(a, ctx), ctx.p)], [_residue(x, ctx)])
+    return s
 
 
 def family_sum(f: FamilyTag, x: Rational, ctx: PrimeContext) -> int:
     """sum_{k=0}^{p-1} N_f(k) x^k mod p^e."""
-    return ctx.series(_family_spec(f, ctx.p), _residue(x, ctx))
+    [[s]] = ctx.series([_family_spec(f, ctx.p)], [_residue(x, ctx)])
+    return s
 
 
 def family_sums(
@@ -130,6 +138,12 @@ def family_sums(
 # ---------------------------------------------------------------------------
 # Check reports
 
+# A record's status, STATUS[hypothesis][conclusion]: FAILED iff the
+# hypothesis holds and the conclusion does not, vacuous iff the hypothesis
+# fails.
+STATUS = (("vacuous", "vacuous"), ("FAILED", "verified"))
+
+
 def _report(
     theorem: str,
     p: int,
@@ -138,11 +152,9 @@ def _report(
     conclusion: bool,
     residues: Dict[str, int],
 ) -> dict:
-    """One checker outcome as a plain record, at the statement's e.
-
-    ``status`` is forced by the two booleans: FAILED iff the hypothesis holds
-    and the conclusion does not, vacuous iff the hypothesis fails.  Rational
-    parameters are serialized as "num/den" strings for lossless round-trips.
+    """One checker outcome as a plain record, at the statement's e, with the
+    status :data:`STATUS` gives its two booleans.  Rational parameters are
+    serialized as "num/den" strings for lossless round-trips.
     """
     return {
         "theorem": theorem,
@@ -152,7 +164,7 @@ def _report(
         "hypothesis_holds": hypothesis,
         "conclusion_holds": conclusion,
         "residues": residues,
-        "status": ("verified" if conclusion else "FAILED") if hypothesis else "vacuous",
+        "status": STATUS[hypothesis][conclusion],
     }
 
 
@@ -178,11 +190,40 @@ def _require(theorem: str, ctx: PrimeContext) -> None:
 # ---------------------------------------------------------------------------
 # Statements
 
+# One value of an axis: its string form in records, and the residue mod p^e
+# (a FamilyTag on the family axis) that the series read.
+AxisValue = Tuple[str, object]
+# One point of a grid: its parameter strings, hypothesis, conclusion and
+# residues, the names of both in the order record_names gives.
+Point = Tuple[Tuple[str, ...], bool, bool, Tuple[int, ...]]
+
+
+class Series(NamedTuple):
+    """What a statement with parameters sums at one prime, and its verdict.
+
+    The statement's last parameter is its argument axis (x, m or u).
+    ``spec`` names its spec axis: "a", or "family", whose values ``values``
+    holds; or it is None, and the one value is None.  At a spec-axis value
+    v and an argument residue r the statement sums the series
+    ``specs(v, p)[i]`` at ``args(r, p^e)[i]`` for each i, and
+    ``verdict(sums, p, p^e)`` gives (hypothesis, conclusion, residues), the
+    residues in the order of the names ``residues``.
+    """
+
+    spec: Optional[str]
+    specs: Callable[[object, int], Tuple[Spec, ...]]
+    args: Callable[[int, int], Tuple[int, ...]]
+    verdict: Callable[[Tuple[int, ...], int, int], Tuple[bool, bool, Tuple[int, ...]]]
+    residues: Tuple[str, ...]
+    values: Tuple[AxisValue, ...] = (("", None),)
+
+
 class Statement(NamedTuple):
     """One statement: a ``check`` id, or remark2.3.
 
     Its records have exponent ``e``, and it covers the primes p >= ``min_p``.
-    ``params`` maps each parameter, in CLI order, to the values it excludes,
+    ``params`` maps each parameter, in CLI order, to the values it excludes;
+    ``series`` states what the statement sums at one prime and its verdict,
     and ``check(ctx, *params)`` gives the records at one parameter tuple.  A
     statement at fixed arguments has no ``params`` but ``cases`` (family,
     scale, modulus, classes), each claiming that the family sum at x =
@@ -197,23 +238,80 @@ class Statement(NamedTuple):
     params: Dict[str, Tuple[Fraction, ...]]
     check: Callable[..., List[dict]]
     cases: Tuple[Tuple[FamilyTag, int, int, Tuple[int, ...]], ...] = ()
+    series: Optional[Series] = None
+
+
+def _inverse(r: int, mod: int) -> Tuple[int]:
+    """The argument 1/m at the residue r of m."""
+    return (pow(r, -1, mod),)
+
+
+def _lift(sums: Tuple[int, ...], p: int, mod: int) -> Tuple[bool, bool, Tuple[int, int]]:
+    """The abstract's lift: vanishing mod p must lift to vanishing mod p^2."""
+    [s] = sums
+    return s % p == 0, s == 0, (s, s % p)
+
+
+def _implication(sums: Tuple[int, ...], p: int, mod: int) -> Tuple[bool, bool, Tuple[int, int]]:
+    """thm2.4: the first sum vanishing mod p forces the second to vanish mod
+    p^2."""
+    h, c = sums
+    return h % p == 0, c == 0, (h % p, c)
+
+
+def _squared_plain_sum(sums: Tuple[int, ...], p: int, mod: int
+                       ) -> Tuple[bool, bool, Tuple[int, int]]:
+    """thm2.2: the squared plain sum equals the core sum."""
+    plain, core = sums
+    square = plain * plain % mod
+    return True, square == core, (square, core)
+
+
+def _equal(sums: Tuple[int, ...], p: int, mod: int) -> Tuple[bool, bool, Tuple[int, ...]]:
+    """An identity: every sum is the same residue."""
+    return True, len(set(sums)) == 1, sums
 
 
 # The paper's p ∤ m, and the u at which a thm2.4 argument has p in its denominator.
 _M = {"m": (Fraction(0),)}
+_LIFT = ("sum_mod_p2", "sum_mod_p")
+_IMPLICATION = ("hypothesis_sum_mod_p", "conclusion_sum_mod_p2")
 _X_1458 = (FamilyTag.TWO_THREE, 1458, 6, (5,))
 STATEMENTS: Dict[str, Statement] = {
-    "thm2.1": Statement(1, 3, {"a": (), "x": ()},
-                        lambda ctx, a, x: [check_theorem_2_1(a, x, ctx)]),
-    "thm2.2": Statement(2, 3, {"a": (), "x": ()},
-                        lambda ctx, a, x: [check_theorem_2_2(a, x, ctx)]),
-    "thm2.3": Statement(2, 3, {"a": (), **_M}, lambda ctx, a, m: [check_theorem_2_3(a, m, ctx)]),
-    "thm2.4i": Statement(2, 3, {"u": (Fraction(1, 4), Fraction(1, 16))},
-                         lambda ctx, u: [check_theorem_2_4("i", u, ctx)]),
-    "thm2.4ii": Statement(2, 3, {"u": (Fraction(-1, 3), Fraction(-1, 27))},
-                          lambda ctx, u: [check_theorem_2_4("ii", u, ctx)]),
-    "cor2.2": Statement(2, 3, _M, lambda ctx, m: [check_corollary_2_2(f, m, ctx)
-                                                  for f in FamilyTag]),
+    # core sum at x; P_<a>(sqrt(1-4x))^2 and its mirror index at x
+    "thm2.1": Statement(
+        1, 3, {"a": (), "x": ()}, lambda ctx, a, x: [check_theorem_2_1(a, x, ctx)],
+        series=Series("a", lambda n, p: (_core_spec(n, p), legendre_square_spec(n, p),
+                                         legendre_square_spec(p - 1 - n, p)),
+                      lambda x, mod: (x, -x, -x), _equal,
+                      ("sum", "legendre_sq", "legendre_sq_mirror"))),
+    # plain sum at x, core sum at x(1-x)
+    "thm2.2": Statement(
+        2, 3, {"a": (), "x": ()}, lambda ctx, a, x: [check_theorem_2_2(a, x, ctx)],
+        series=Series("a", lambda a, p: (_plain_spec(a, p), _core_spec(a, p)),
+                      lambda x, mod: (x, x * (1 - x)), _squared_plain_sum,
+                      ("plain_sum_sq", "core_sum"))),
+    "thm2.3": Statement(
+        2, 3, {"a": (), **_M}, lambda ctx, a, m: [check_theorem_2_3(a, m, ctx)],
+        series=Series("a", lambda a, p: (_core_spec(a, p),), _inverse, _lift, _LIFT)),
+    "thm2.4i": Statement(
+        2, 3, {"u": (Fraction(1, 4), Fraction(1, 16))},
+        lambda ctx, u: [check_theorem_2_4("i", u, ctx)],
+        series=Series(None, lambda _, p: (_family_spec(FamilyTag.TWO_THREE, p),) * 2,
+                      lambda u, mod: (u**2 * pow(1 - 4 * u, -3, mod),
+                                      -u * pow(1 - 16 * u, -3, mod)),
+                      _implication, _IMPLICATION)),
+    "thm2.4ii": Statement(
+        2, 3, {"u": (Fraction(-1, 3), Fraction(-1, 27))},
+        lambda ctx, u: [check_theorem_2_4("ii", u, ctx)],
+        series=Series(None, lambda _, p: (_family_spec(FamilyTag.TWO_FOUR, p),) * 2,
+                      lambda u, mod: (u**3 * pow(1 + 3 * u, -4, mod),
+                                      u * pow(1 + 27 * u, -4, mod)),
+                      _implication, _IMPLICATION)),
+    "cor2.2": Statement(
+        2, 3, _M, lambda ctx, m: [check_corollary_2_2(f, m, ctx) for f in FamilyTag],
+        series=Series("family", lambda f, p: (_family_spec(f, p),), _inverse, _lift, _LIFT,
+                      tuple((f.label, f) for f in FamilyTag))),
     "cor2.3": Statement(2, 5, {}, lambda primes: check_corollary_2_3(primes),
                         (_X_1458, (FamilyTag.TWO_THREE, 3375, 15, (11, 14)))),
     # Rodriguez-Villegas's three residue-class zero congruences
@@ -221,7 +319,13 @@ STATEMENTS: Dict[str, Statement] = {
                        ((FamilyTag.TWO_THREE, 108, 3, (2,)),
                         (FamilyTag.TWO_FOUR, 256, 8, (5, 7)),
                         (FamilyTag.THREE_SIX, 1728, 4, (3,)))),
-    "eq1.3": Statement(2, 5, _M, lambda ctx, m: [check_identity_1_3(m, ctx)]),
+    # the cube family at 1/m; P_{(p-1)/2}(sqrt(1-64/m))^2
+    "eq1.3": Statement(
+        2, 5, _M, lambda ctx, m: [check_identity_1_3(m, ctx)],
+        series=Series(None, lambda _, p: (_family_spec(FamilyTag.CUBE, p),
+                                          legendre_square_spec((p - 1) // 2, p)),
+                      lambda r, mod: (pow(r, -1, mod), -16 * pow(r, -1, mod)), _equal,
+                      ("family_sum", "legendre_sq"))),
     "remark2.3": Statement(3, 5, {}, lambda primes: explore_remark_2_3(primes), (_X_1458,)),
 }
 
@@ -262,68 +366,100 @@ def _admitted(theorem: str, name: str, q: Rational, ctx: PrimeContext) -> int:
     return qh
 
 
+def record_names(theorem: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """The parameter and residue names of a statement's records, in record
+    order: the spec axis, if any, then the argument axis."""
+    row = STATEMENTS[theorem]
+    *_, arg = row.params
+    spec = row.series.spec
+    return ((spec, arg) if spec else (arg,)), row.series.residues
+
+
+_first = itemgetter(0)
+
+
+def points(theorem: str, ctx: PrimeContext, axes: Dict[str, Sequence[AxisValue]]
+           ) -> Iterator[Point]:
+    """The points of a statement's parameter grid at ctx's prime, in report
+    order: the records' parameters compared as (name, string) pairs.
+
+    ``axes`` holds each parameter's values and may hold the spec axis.  The
+    spec-axis name sorts before the argument-axis name in every row, so that
+    order is each axis sorted once by string, the spec axis outermost.
+    Each distinct series is summed once, at its whole argument vector, by
+    one :meth:`~supercong.modring.PrimeContext.series` call per vector.
+    """
+    row = STATEMENTS[theorem]
+    series = row.series
+    *_, arg = row.params
+    p, mod = ctx.p, ctx.modulus
+    spec_axis = sorted(axes.get(series.spec, series.values), key=_first)
+    arg_axis = sorted(axes[arg], key=_first)
+    if not arg_axis:
+        return
+    # the argument vector of each series slot; equal vectors share one index
+    vectors: Dict[Tuple[int, ...], int] = {}
+    slots = [vectors.setdefault(xs, len(vectors))
+             for xs in zip(*(series.args(r, mod) for _, r in arg_axis))]
+    specs = [series.specs(v, p) for _, v in spec_axis]
+    wanted: List[Dict[Spec, None]] = [{} for _ in vectors]
+    for row_specs in specs:
+        for spec, j in zip(row_specs, slots):
+            wanted[j][spec] = None
+    sums: Dict[Tuple[Spec, int], List[int]] = {}
+    for j, (xs, want) in enumerate(zip(vectors, wanted)):
+        sums.update(zip([(spec, j) for spec in want], ctx.series(list(want), xs)))
+    verdict = series.verdict
+    names = [s for s, _ in arg_axis]
+    for (s, _), row_specs in zip(spec_axis, specs):
+        head = (s,) if series.spec else ()
+        for v, values in zip(names, zip(*[sums[key] for key in zip(row_specs, slots)])):
+            yield ((*head, v), *verdict(values, p, mod))
+
+
+def record(theorem: str, p: int, point: Point) -> dict:
+    """The plain record of one point of :func:`points`."""
+    params, hypothesis, conclusion, residues = point
+    names, residue_names = record_names(theorem)
+    return _report(theorem, p, dict(zip(names, params)), hypothesis, conclusion,
+                   dict(zip(residue_names, residues)))
+
+
 # ---------------------------------------------------------------------------
-# Checkers
+# Checkers: one point of each statement's grid
+
+def _one_point(theorem: str, ctx: PrimeContext, params: Dict[str, Rational],
+               axes: Optional[Dict[str, Sequence[AxisValue]]] = None) -> dict:
+    """The record of one parameter tuple, through :func:`points`, after the
+    statement's guard on ctx.  The parameters are admitted last first, so
+    an argument's error comes before a's."""
+    _require(theorem, ctx)
+    axes = dict(axes or {})
+    for name, q in reversed(params.items()):
+        axes[name] = [(format_rational(q), _admitted(theorem, name, q, ctx))]
+    [point] = points(theorem, ctx, axes)
+    return record(theorem, ctx.p, point)
+
 
 def check_theorem_2_1(a: Rational, x: Rational, ctx: PrimeContext) -> dict:
     """Triple congruence mod p: the truncated core sum equals the squared
     Legendre value at sqrt(1-4x) for both the index <a>_p and its mirror."""
-    _require("thm2.1", ctx)
-    p = ctx.p
-    n = _residue(a, ctx)
-    xh = _residue(x, ctx)
-    s = ctx.series(_core_spec(n, p), xh)
-    r1 = ctx.series(legendre_square_spec(n, p), -xh)
-    r2 = ctx.series(legendre_square_spec(p - 1 - n, p), -xh)
-    return _report(
-        "thm2.1",
-        p,
-        {"a": format_rational(a), "x": format_rational(x)},
-        True,
-        s == r1 == r2,
-        {"sum": s, "legendre_sq": r1, "legendre_sq_mirror": r2},
-    )
+    return _one_point("thm2.1", ctx, {"a": a, "x": x})
 
 
 def check_theorem_2_2(a: Rational, x: Rational, ctx: PrimeContext) -> dict:
     """Squared plain sum against the core sum at x(1-x), mod p^2."""
-    _require("thm2.2", ctx)
-    p, m = ctx.p, ctx.modulus
-    ah = _residue(a, ctx)
-    xh = _residue(x, ctx)
-    lhs = ctx.series(_plain_spec(ah, p), xh) ** 2 % m
-    rhs = ctx.series(_core_spec(ah, p), xh * (1 - xh))
-    return _report(
-        "thm2.2",
-        p,
-        {"a": format_rational(a), "x": format_rational(x)},
-        True,
-        lhs == rhs,
-        {"plain_sum_sq": lhs, "core_sum": rhs},
-    )
-
-
-def _lift(theorem: str, params: Dict[str, str], spec: Callable[[], Spec],
-          m: Rational, ctx: PrimeContext) -> dict:
-    """The abstract's lift at 1/m for the series ``spec()``, built once m has
-    passed its checks: vanishing mod p must lift to vanishing mod p^2."""
-    _require(theorem, ctx)
-    x = pow(_admitted(theorem, "m", m, ctx), -1, ctx.modulus)
-    s = ctx.series(spec(), x)
-    return _report(theorem, ctx.p, params, s % ctx.p == 0, s == 0,
-                   {"sum_mod_p2": s, "sum_mod_p": s % ctx.p})
+    return _one_point("thm2.2", ctx, {"a": a, "x": x})
 
 
 def check_theorem_2_3(a: Rational, m: Rational, ctx: PrimeContext) -> dict:
     """The core sum at 1/m: vanishing mod p lifts to mod p^2."""
-    return _lift("thm2.3", {"a": format_rational(a), "m": format_rational(m)},
-                 lambda: _core_spec(_residue(a, ctx), ctx.p), m, ctx)
+    return _one_point("thm2.3", ctx, {"a": a, "m": m})
 
 
 def check_corollary_2_2(f: FamilyTag, m: Rational, ctx: PrimeContext) -> dict:
     """The same lift for one binomial-product family at 1/m."""
-    return _lift("cor2.2", {"family": f.label, "m": format_rational(m)},
-                 lambda: _family_spec(f, ctx.p), m, ctx)
+    return _one_point("cor2.2", ctx, {"m": m}, {"family": [(f.label, f)]})
 
 
 def check_theorem_2_4(part: str, u: Rational, ctx: PrimeContext) -> dict:
@@ -337,46 +473,13 @@ def check_theorem_2_4(part: str, u: Rational, ctx: PrimeContext) -> dict:
     """
     if part not in ("i", "ii"):
         raise ValueError(f"part must be 'i' or 'ii', got {part!r}")
-    theorem = f"thm2.4{part}"
-    _require(theorem, ctx)
-    p, m = ctx.p, ctx.modulus
-    uh = _admitted(theorem, "u", u, ctx)
-    if part == "i":
-        tag = FamilyTag.TWO_THREE
-        hyp_x = uh**2 * pow(1 - 4 * uh, -3, m)
-        con_x = -uh * pow(1 - 16 * uh, -3, m)
-    else:
-        tag = FamilyTag.TWO_FOUR
-        hyp_x = uh**3 * pow(1 + 3 * uh, -4, m)
-        con_x = uh * pow(1 + 27 * uh, -4, m)
-    hyp_val = ctx.series(_family_spec(tag, p), hyp_x) % p
-    con_val = ctx.series(_family_spec(tag, p), con_x)
-    return _report(
-        theorem,
-        p,
-        {"u": format_rational(u)},
-        hyp_val == 0,
-        con_val == 0,
-        {"hypothesis_sum_mod_p": hyp_val, "conclusion_sum_mod_p2": con_val},
-    )
+    return _one_point(f"thm2.4{part}", ctx, {"u": u})
 
 
 def check_identity_1_3(m: Rational, ctx: PrimeContext) -> dict:
     """C(2k,k)^3/m^k summed mod p^2 against the squared Legendre value
     P_{(p-1)/2}(sqrt(1-64/m))^2."""
-    _require("eq1.3", ctx)
-    p = ctx.p
-    x = pow(_admitted("eq1.3", "m", m, ctx), -1, ctx.modulus)
-    lhs = ctx.series(_family_spec(FamilyTag.CUBE, p), x)
-    rhs = ctx.series(legendre_square_spec((p - 1) // 2, p), -16 * x)
-    return _report(
-        "eq1.3",
-        p,
-        {"m": format_rational(m)},
-        True,
-        lhs == rhs,
-        {"family_sum": lhs, "legendre_sq": rhs},
-    )
+    return _one_point("eq1.3", ctx, {"m": m})
 
 
 # ---------------------------------------------------------------------------

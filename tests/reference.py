@@ -258,7 +258,8 @@ def _check_degree(n: int, ctx: PrimeContext) -> None:
 def legendre_square_at_sqrt(n: int, x: Rational, ctx: PrimeContext) -> int:
     """P_n(sqrt(1+4x))^2 mod p^e: the package's spec evaluated at the
     p-integral x reduced in ctx."""
-    return ctx.series(legendre_square_spec(n, ctx.p), reduce_rational(x, ctx))
+    [[value]] = ctx.series([legendre_square_spec(n, ctx.p)], [reduce_rational(x, ctx)])
+    return value
 
 
 def legendre_eval_recurrence(

@@ -425,16 +425,26 @@ def test_summary_shows_the_first_failed_records_in_report_order(capsys):
         ]
 
 
-def test_records_of_one_prime_are_in_string_order_of_their_parameters(tmp_path):
+@pytest.mark.parametrize("theorem", [t for t, spec in cg.STATEMENTS.items() if spec.params])
+def test_records_of_one_prime_are_in_string_order_of_their_parameters(tmp_path, theorem):
+    # The grid writes its points as it sums them, with no sort: each axis in
+    # string order, the spec axis (a, or family for cor2.2) outermost.
     out = tmp_path / "r.jsonl"
-    main(["check", "thm2.3", "--exhaustive-am", "--primes", "11..13", "--jobs", "2",
+    main(["check", theorem, "--exhaustive-am", "--primes", "11..13", "--jobs", "2",
           "--out", str(out)])
     records = [json.loads(line) for line in out.read_text().splitlines()]
-    keys = [(r["p"], r["params"]["a"], r["params"]["m"]) for r in records]
+    keys = [(r["p"], *sorted(r["params"].items())) for r in records]
     assert keys == sorted(keys)
-    at_11 = [a for p, a, m in keys if p == 11 and m == "1"]
-    assert at_11 == ["0", "1", "10", "2", "3", "4", "5", "6", "7", "8", "9"]
-
+    assert len(set(keys)) == len(keys) and {k[0] for k in keys} == {11, 13}
+    strings = ["1", "10", "2", "3", "4", "5", "6", "7", "8", "9"]
+    if theorem == "thm2.3":
+        at_11 = [a for p, (_, a), (_, m) in keys if p == 11 and m == "1"]
+        assert at_11 == ["0", *strings]
+    if theorem == "cor2.2":
+        at_11 = [(f, m) for p, (_, f), (_, m) in keys if p == 11]
+        labels = sorted(f.label for f in FamilyTag)
+        assert labels[0] == "cube" and labels[-1] == "two_three"
+        assert at_11 == [(f, m) for f in labels for m in strings]
 
 
 # Rational parameters per statement; over 3..31 each has a prime at which one
@@ -451,20 +461,23 @@ ENCODED_EXPLICIT = {
 
 
 @pytest.mark.parametrize("theorem", list(cg.STATEMENTS))
-def test_encoder_writes_the_bytes_of_json_dumps_and_csv_writer(monkeypatch, theorem):
-    """The records of the grid over 3..31 and of explicit parameters, or of
-    a fixed-argument statement over 5..200 (for cor2.3 this includes p = 5,
-    which divides its scale 3375), encoded in one chunk."""
+def test_encoder_writes_the_bytes_of_json_dumps_and_csv_writer(theorem):
+    """The records of the grid over 3..31 and of explicit parameters, as
+    the grid's points are encoded per prime and again as records in one
+    chunk; or of a fixed-argument statement over 5..200 (for cor2.3 this
+    includes p = 5, which divides its scale 3375), encoded in one chunk."""
     spec = cg.STATEMENTS[theorem]
     if spec.params:
         assert set(ENCODED_EXPLICIT) == {t for t, row in cg.STATEMENTS.items() if row.params}
-        batches = []
-        monkeypatch.setattr(cli, "encode", lambda records, formats=(): batches.append(records))
         primes = primes_in_range(3, 31)
-        run_checks(theorem, primes, exhaustive=True, jobs=1)
-        run_checks(theorem, primes, params=ENCODED_EXPLICIT[theorem], jobs=1)
-        monkeypatch.undo()
-        records = [r for batch in batches for r in batch]
+        formats = ("jsonl", "csv")
+        chunks = (run_checks(theorem, primes, exhaustive=True, jobs=1, formats=formats)
+                  + run_checks(theorem, primes, params=ENCODED_EXPLICIT[theorem], jobs=1,
+                               formats=formats))
+        records = _records(chunks)
+        jsonl, csv_rows = reference.encode_report(records)
+        assert "".join(c.jsonl for c in chunks).splitlines(True) == jsonl.splitlines(True)
+        assert "".join(c.csv for c in chunks).splitlines(True) == csv_rows.splitlines(True)
     else:
         records = spec.check(primes_in_range(5, 200))
     shapes = {(bool(r["params"]), bool(r["residues"])) for r in records}

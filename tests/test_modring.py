@@ -76,10 +76,10 @@ def test_hyper_sum_binomial_series_and_range():
         ctx = make_context(p, e)
         for n in range(p):
             for x in (0, 1, 3, p, p * p - 1):
-                got = ctx.series((1, ((-1, n + 1),), 1, n), x)
-                assert got == pow(1 + x, n, ctx.modulus), (p, e, n, x)
+                got = ctx.series([(1, ((-1, n + 1),), 1, n)], [x])
+                assert got == [[pow(1 + x, n, ctx.modulus)]], (p, e, n, x)
     with pytest.raises(RangeError):
-        make_context(7, 2).series((1, ((-1, 8),), 1, 7), 1)
+        make_context(7, 2).series([(1, ((-1, 8),), 1, 7)], [1])
 
 
 def test_hyper_terms_are_the_kernel_series_without_x():
@@ -111,7 +111,44 @@ def test_series_equals_the_exact_sum():
             )
             spec = (rng.randint(-9, 9), factors, rng.randint(1, 3), rng.randrange(p))
             for x in (rng.choice((0, 1, p)), rng.randrange(-10**4, 10**4)):
-                assert ctx.series(spec, x) == series_exact(spec, x, ctx), (p, e, spec, x)
+                assert ctx.series([spec], [x]) == [[series_exact(spec, x, ctx)]], (p, e, spec, x)
+
+
+def _horner(row, x, m):
+    acc = 0
+    for t in reversed(row):
+        acc = (acc * x + t) % m
+    return acc
+
+
+@pytest.mark.parametrize("p, e, bits", [(5, 1, 7), (13, 2, 19), (31, 3, 35), (7129, 2, 64),
+                                        (563, 3, 64), (7151, 2, 65), (569, 3, 65),
+                                        (9001, 2, 66), (701, 3, 67)])
+def test_series_packs_vectors_of_every_length_into_slots_of_every_width(p, e, bits):
+    # Rows of p terms bound a slot by p (p^e - 1)^2: 65 bits first at
+    # p = 7151, e = 2 and p = 569, e = 3.  The alternating row t_k = (-1)^k
+    # at x = -1 fills a slot with about (p/2) (p^e - 1)^2, which carries
+    # past 64 bits at the last two.
+    ctx = make_context(p, e)
+    m = ctx.modulus
+    assert (p * (m - 1) ** 2).bit_length() == bits
+    rng = random.Random(p)
+    geometric, alternating = (1, (), 0, p - 1), (-1, (), 0, p - 1)
+    short = (2, ((2, -1),), 1, min(p - 1, 20))
+    specs = [geometric, alternating, (rng.randint(-9, 9), ((1, 2), (-1, 3)), 2, rng.randrange(p)),
+             short]
+    rows = [hyper_terms(*spec, ctx) for spec in specs]
+    assert len(rows[0]) == len(rows[1]) == p
+    slot = sum(t * pow(m - 1, k, m) for k, t in enumerate(rows[1]))
+    assert (slot >> 64 > 0) == (bits > 65)
+    for n in (1, 2, 40):
+        xs = [-1, 0, m, *(rng.randrange(-m, 2 * m) for _ in range(n))][:n]
+        got = ctx.series(specs, xs)
+        assert got == [[_horner(row, x, m) for x in xs] for row in rows], n
+    # the exact sums: few points, as the Fractions of series_exact grow with k
+    xs = [3, -1, m - 2]
+    assert ctx.series([geometric, alternating, short], xs) == [
+        [series_exact(spec, x, ctx) for x in xs] for spec in (geometric, alternating, short)]
 
 
 def test_series_builds_each_row_once_per_context(monkeypatch):
@@ -128,7 +165,7 @@ def test_series_builds_each_row_once_per_context(monkeypatch):
     for ctx in (first, first, second):
         for spec in specs:
             for x in range(-3, 30, 4):
-                assert ctx.series(spec, x) == series_exact(spec, x, ctx), (spec, x)
+                assert ctx.series([spec], [x]) == [[series_exact(spec, x, ctx)]], (spec, x)
     assert built == [first, first, second, second]
 
 
@@ -146,7 +183,7 @@ def test_hyper_sums_match_the_scalar_kernel():
         for p, value in zip(primes, got):
             ctx = make_context(p, e)
             c = reduce_rational(Fraction(num, den), ctx)
-            assert value == ctx.series((c, factors, d, p - 1), 1), (factors, d, num, den, p, e)
+            assert [[value]] == ctx.series([(c, factors, d, p - 1)], [1]), (factors, d, num, den, p, e)
 
 
 def test_hyper_sums_on_lists_that_start_high():
@@ -162,7 +199,7 @@ def test_hyper_sums_on_lists_that_start_high():
             for p, value in zip(primes, got):
                 ctx = make_context(p, e)
                 c = reduce_rational(Fraction(num, den), ctx)
-                assert value == ctx.series((c, factors, 3, p - 1), 1), (num, p, e)
+                assert [[value]] == ctx.series([(c, factors, 3, p - 1)], [1]), (num, p, e)
 
 
 def test_hyper_sums_check_their_input():

@@ -158,3 +158,29 @@ def test_hyper_terms_rows_match_exact(case):
     for f in FamilyTag:
         row = hyper_terms(f.const, f.factors, 3, p - 1, ctx)
         assert _dot(row, xh, ctx) == exact_reduce_sum(0, x, ctx, f).value, f
+
+
+@st.composite
+def packed_cases(draw):
+    """A context, specs on it with the full-length geometric and alternating
+    rows first, and an argument vector of any length.  At e = 3 a slot needs
+    64, 65 and 67 bits at p = 563, 569 and 701; at 701 the alternating row
+    at x = -1 carries past 64 bits."""
+    wide = st.sampled_from(((563, 3), (569, 3), (701, 3)))
+    ctx = make_context(*draw(st.tuples(st.sampled_from(PRIMES), st.sampled_from((1, 2, 3)))
+                             | wide))
+    p = ctx.p
+    small = st.integers(-9, 9)
+    factors = st.lists(st.tuples(st.integers(-6, 6), small), min_size=1, max_size=3)
+    others = st.tuples(small, factors.map(tuple), st.integers(1, 3), st.integers(0, p - 1))
+    specs = [(1, (), 0, p - 1), (-1, (), 0, p - 1), *draw(st.lists(others, max_size=2))]
+    xs = draw(st.lists(st.integers(-10**9, 10**9) | st.just(-1), min_size=1, max_size=12))
+    return ctx, specs, xs
+
+
+@bounded
+@given(packed_cases())
+def test_series_of_a_vector_is_the_exact_sum_at_each_x(case):
+    ctx, specs, xs = case
+    got = ctx.series(specs, xs)
+    assert got == [[reference.series_exact(spec, x, ctx) for x in xs] for spec in specs]
