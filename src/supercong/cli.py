@@ -3,7 +3,7 @@ exploration, exact-oracle runs, and JSONL/CSV report emission.
 
 Every ``check`` id and the ``explore`` conjecture is a row of
 ``congruences.STATEMENTS``, which gives its parameters, exponent, smallest
-prime and checker call; this module states none of them.  Whether a
+prime and its series or checker; this module states none of them.  Whether a
 parameter applies at a prime is one rule, ``congruences.applies``: the
 --exhaustive-am grid takes the residues that apply, and an explicit
 parameter gives one vacuous record at a prime where it does not.  --primes

@@ -8,10 +8,10 @@ A family sum at a fixed x runs on :func:`~supercong.modring.hyper_sums` for
 a whole prime list at once.
 
 One table, :data:`STATEMENTS`, states each statement once: its exponent,
-smallest prime, parameters with their excluded values, checker and either,
-for a statement with parameters, its :class:`Series` (which series it sums
-at which arguments, and its verdict on the sums), or, for a statement at
-fixed arguments, its cases.  Everything else reads its row:
+smallest prime, parameters with their excluded values and either, for a
+statement with parameters, its :class:`Series` (which series it sums at
+which arguments, and its verdict on the sums), or, for a statement at fixed
+arguments, its cases and checker.  Everything else reads its row:
 :func:`applies`, the one rule for a parameter at a prime; :func:`_require`,
 the checkers' guard on the context; :func:`points`, which sums a
 statement's grid at one prime, each distinct series once at its whole
@@ -222,12 +222,11 @@ class Statement(NamedTuple):
     """One statement: a ``check`` id, or remark2.3.
 
     Its records have exponent ``e``, and it covers the primes p >= ``min_p``.
-    ``params`` maps each parameter, in CLI order, to the values it excludes;
-    ``series`` states what the statement sums at one prime and its verdict,
-    and ``check(ctx, *params)`` gives the records at one parameter tuple.  A
-    statement at fixed arguments has no ``params`` but ``cases`` (family,
-    scale, modulus, classes), each claiming that the family sum at x =
-    1/scale vanishes mod p^e for p mod modulus in classes; its
+    ``params`` maps each parameter, in CLI order, to the values it excludes,
+    and ``series`` states what the statement sums at one prime and its
+    verdict.  A statement at fixed arguments has no ``params`` but ``cases``
+    (family, scale, modulus, classes), each claiming that the family sum at
+    x = 1/scale vanishes mod p^e for p mod modulus in classes; its
     ``check(primes)`` gives the records for a whole prime list in one pass.
     ``check`` looks up ``check_*`` on this module at call time, so rebinding
     one reaches its row.
@@ -236,7 +235,7 @@ class Statement(NamedTuple):
     e: int
     min_p: int
     params: Dict[str, Tuple[Fraction, ...]]
-    check: Callable[..., List[dict]]
+    check: Optional[Callable[[List[int]], List[dict]]] = None
     cases: Tuple[Tuple[FamilyTag, int, int, Tuple[int, ...]], ...] = ()
     series: Optional[Series] = None
 
@@ -280,36 +279,34 @@ _X_1458 = (FamilyTag.TWO_THREE, 1458, 6, (5,))
 STATEMENTS: Dict[str, Statement] = {
     # core sum at x; P_<a>(sqrt(1-4x))^2 and its mirror index at x
     "thm2.1": Statement(
-        1, 3, {"a": (), "x": ()}, lambda ctx, a, x: [check_theorem_2_1(a, x, ctx)],
+        1, 3, {"a": (), "x": ()},
         series=Series("a", lambda n, p: (_core_spec(n, p), legendre_square_spec(n, p),
                                          legendre_square_spec(p - 1 - n, p)),
                       lambda x, mod: (x, -x, -x), _equal,
                       ("sum", "legendre_sq", "legendre_sq_mirror"))),
     # plain sum at x, core sum at x(1-x)
     "thm2.2": Statement(
-        2, 3, {"a": (), "x": ()}, lambda ctx, a, x: [check_theorem_2_2(a, x, ctx)],
+        2, 3, {"a": (), "x": ()},
         series=Series("a", lambda a, p: (_plain_spec(a, p), _core_spec(a, p)),
                       lambda x, mod: (x, x * (1 - x)), _squared_plain_sum,
                       ("plain_sum_sq", "core_sum"))),
     "thm2.3": Statement(
-        2, 3, {"a": (), **_M}, lambda ctx, a, m: [check_theorem_2_3(a, m, ctx)],
+        2, 3, {"a": (), **_M},
         series=Series("a", lambda a, p: (_core_spec(a, p),), _inverse, _lift, _LIFT)),
     "thm2.4i": Statement(
         2, 3, {"u": (Fraction(1, 4), Fraction(1, 16))},
-        lambda ctx, u: [check_theorem_2_4("i", u, ctx)],
         series=Series(None, lambda _, p: (_family_spec(FamilyTag.TWO_THREE, p),) * 2,
                       lambda u, mod: (u**2 * pow(1 - 4 * u, -3, mod),
                                       -u * pow(1 - 16 * u, -3, mod)),
                       _implication, _IMPLICATION)),
     "thm2.4ii": Statement(
         2, 3, {"u": (Fraction(-1, 3), Fraction(-1, 27))},
-        lambda ctx, u: [check_theorem_2_4("ii", u, ctx)],
         series=Series(None, lambda _, p: (_family_spec(FamilyTag.TWO_FOUR, p),) * 2,
                       lambda u, mod: (u**3 * pow(1 + 3 * u, -4, mod),
                                       u * pow(1 + 27 * u, -4, mod)),
                       _implication, _IMPLICATION)),
     "cor2.2": Statement(
-        2, 3, _M, lambda ctx, m: [check_corollary_2_2(f, m, ctx) for f in FamilyTag],
+        2, 3, _M,
         series=Series("family", lambda f, p: (_family_spec(f, p),), _inverse, _lift, _LIFT,
                       tuple((f.label, f) for f in FamilyTag))),
     "cor2.3": Statement(2, 5, {}, lambda primes: check_corollary_2_3(primes),
@@ -321,7 +318,7 @@ STATEMENTS: Dict[str, Statement] = {
                         (FamilyTag.THREE_SIX, 1728, 4, (3,)))),
     # the cube family at 1/m; P_{(p-1)/2}(sqrt(1-64/m))^2
     "eq1.3": Statement(
-        2, 5, _M, lambda ctx, m: [check_identity_1_3(m, ctx)],
+        2, 5, _M,
         series=Series(None, lambda _, p: (_family_spec(FamilyTag.CUBE, p),
                                           legendre_square_spec((p - 1) // 2, p)),
                       lambda r, mod: (pow(r, -1, mod), -16 * pow(r, -1, mod)), _equal,

@@ -82,61 +82,46 @@ class PrimeContext:
         """The series of each spec at each integer x of ``xs``, mod p^e:
         one list of values per spec, in the order of ``xs``.
 
-        One x is evaluated by Horner's rule.  Several are packed, each into
-        a slot of w bits of one big int: with P_k = sum_j (x_j^k mod p^e)
-        2^(w j), a row's sums are the slots of sum_k t_k P_k, one pass over
-        k for all rows.  A slot holds at most (K + 1) (p^e - 1)^2 for rows
-        of at most K + 1 terms, and w is wide enough for that, so no slot
-        carries into the next; it is 64 bits up to p = 7129 at e = 2 and
-        p = 563 at e = 3.
+        Several x are packed, each into a 64-bit slot of one big int: with
+        P_k = sum_j (x_j^k mod p^e) 2^(64 j), a row's sums are the slots of
+        sum_k t_k P_k, one pass over k for all rows.  A slot holds at most
+        (K + 1) (p^e - 1)^2 for rows of at most K + 1 terms, which fits in
+        64 bits up to p = 7129 at e = 2 and p = 563 at e = 3, so no slot
+        carries into the next.  One x, or a bound past 64 bits, is
+        evaluated by Horner's rule, x by x.
         """
         m = self.modulus
-        if len(xs) == 1:
-            x = xs[0] % m
-            out = []
-            for spec in specs:
+        if len(xs) > 1 and specs:
+            rows = [self._row(spec) for spec in specs]
+            terms = max(map(len, rows))
+            if terms * (m - 1) ** 2 >> 64 == 0:
+                # Imported here: a run that never packs should not pay for
+                # it at start-up.
+                from array import array
+
+                order = sys.byteorder
+                xs = [x % m for x in xs]
+                powers = [1] * len(xs)
+                accs = [int.from_bytes(array("Q", powers), order)] * len(rows)  # t_0 = 1
+                for k in range(1, terms):
+                    powers = [v * x % m for v, x in zip(powers, xs)]
+                    pk = int.from_bytes(array("Q", powers), order)
+                    accs = [a + row[k] * pk if k < len(row) else a for a, row in zip(accs, rows)]
+                size = 8 * len(xs)
+                return [[v % m for v in memoryview(a.to_bytes(size, order)).cast("Q")]
+                        for a in accs]
+        out = []
+        for spec in specs:
+            row = self._row(spec)
+            values = []
+            for x in xs:
+                x %= m
                 acc = 0
-                for t in reversed(self._row(spec)):
+                for t in reversed(row):
                     acc = (acc * x + t) % m
-                out.append([acc])
-            return out
-        rows = [self._row(spec) for spec in specs]
-        if not xs or not rows:
-            return [[] for _ in rows]
-        xs = [x % m for x in xs]
-        n, terms = len(xs), max(map(len, rows))
-        bound = terms * (m - 1) ** 2
-        if bound >> 64 == 0:
-            # Imported here: a run that never packs should not pay for it at
-            # start-up.
-            from array import array
-
-            size = 8 * n
-
-            def pack(vs: List[int]) -> int:
-                return int.from_bytes(array("Q", vs), sys.byteorder)
-
-            def unpack(acc: int) -> List[int]:
-                return [v % m for v in memoryview(acc.to_bytes(size, sys.byteorder)).cast("Q")]
-        else:
-            width = (bound.bit_length() + 7) // 8  # bytes per slot
-            size = width * n
-
-            def pack(vs: List[int]) -> int:
-                return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in vs]),
-                                      "little")
-
-            def unpack(acc: int) -> List[int]:
-                data = acc.to_bytes(size, "little")
-                return [int.from_bytes(data[i:i + width], "little") % m
-                        for i in range(0, size, width)]
-        powers = [1] * n
-        accs = [pack(powers)] * len(rows)  # t_0 = 1
-        for k in range(1, terms):
-            powers = [v * x % m for v, x in zip(powers, xs)]
-            pk = pack(powers)
-            accs = [a + row[k] * pk if k < len(row) else a for a, row in zip(accs, rows)]
-        return [unpack(acc) for acc in accs]
+                values.append(acc)
+            out.append(values)
+        return out
 
     def _row(self, spec: Spec) -> List[int]:
         """The coefficient row of ``spec``, built on first use and kept."""

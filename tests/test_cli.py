@@ -5,6 +5,7 @@ import json
 import os
 from argparse import ArgumentTypeError
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -304,10 +305,13 @@ def test_theorem_table_matches_direct_checker_calls(tmp_path, theorem, params):
 
 @pytest.mark.parametrize("theorem", [t for t, spec in cg.STATEMENTS.items() if spec.params])
 def test_exhaustive_grid_equals_per_point_checker_records(tmp_path, theorem):
-    """Every prime from min_p to 101: the grid, whose sums are the shared
-    coefficient rows of one context per prime evaluated by Horner's rule,
-    writes the bytes of the per-point checker calls, each line encoded on
-    its own."""
+    """Every prime from min_p to 101: the grid, whose sums are packed
+    evaluations of the shared coefficient rows of one context per prime,
+    writes the bytes of the per-point checker calls, each a grid of one
+    point evaluated by Horner's rule, each line encoded on its own.  Both
+    sides share the statement's verdict, which
+    test_grid_verdicts_equal_exact_sums_and_the_paper_statements holds
+    against exact sums."""
     lo = cg.STATEMENTS[theorem].min_p
     want = [r for p in primes_in_range(lo, 101) for r in direct_reports(theorem, p, None)]
     want.sort(key=lambda d: (d["p"], tuple(sorted(d["params"].items()))))
@@ -317,6 +321,69 @@ def test_exhaustive_grid_equals_per_point_checker_records(tmp_path, theorem):
         main(["check", theorem, "--primes", f"{lo}..101", "--exhaustive-am",
               "--jobs", jobs, "--out", str(out)])
         assert out.read_bytes() == want_bytes, jobs
+
+
+def legendre_sq(n, y, ctx):
+    """P_n(sqrt(1+4y))^2 mod p^e, from sum_k C(n,k) C(n+k,k) C(2k,k) y^k."""
+    y = Fraction(y)
+    total = sum(comb(n, k) * comb(n + k, k) * comb(2 * k, k) * y**k for k in range(n + 1))
+    return modring.reduce_rational(total, ctx)
+
+
+def paper_verdict(theorem, p, params):
+    """Hypothesis, conclusion and residues of one grid point, from the exact
+    sums of tests/reference.py and each statement as the paper states it."""
+    ctx = make_context(p, 1 if theorem == "thm2.1" else 2)
+
+    def exact(which, x, a=0):
+        return reference.exact_reduce_sum(a, x, ctx, which)
+
+    if theorem in ("thm2.1", "thm2.2"):
+        a, x = int(params["a"]), int(params["x"])
+        if theorem == "thm2.1":
+            s, sq, mirror = exact("core", x, a), legendre_sq(a, -x, ctx), legendre_sq(p - 1 - a, -x, ctx)
+            return True, s == sq == mirror, {"sum": s, "legendre_sq": sq, "legendre_sq_mirror": mirror}
+        sq, core = exact("plain", x, a) ** 2 % ctx.modulus, exact("core", x * (1 - x), a)
+        return True, sq == core, {"plain_sum_sq": sq, "core_sum": core}
+    if theorem.startswith("thm2.4"):
+        u = int(params["u"])
+        if theorem == "thm2.4i":
+            f, x, y = FamilyTag.TWO_THREE, Fraction(u**2, (1 - 4 * u) ** 3), Fraction(-u, (1 - 16 * u) ** 3)
+        else:
+            f, x, y = FamilyTag.TWO_FOUR, Fraction(u**3, (1 + 3 * u) ** 4), Fraction(u, (1 + 27 * u) ** 4)
+        h, c = exact(f, x) % p, exact(f, y)
+        return h == 0, c == 0, {"hypothesis_sum_mod_p": h, "conclusion_sum_mod_p2": c}
+    x = Fraction(1, int(params["m"]))
+    if theorem == "eq1.3":
+        s, sq = exact(FamilyTag.CUBE, x), legendre_sq((p - 1) // 2, -16 * x, ctx)
+        return True, s == sq, {"family_sum": s, "legendre_sq": sq}
+    if theorem == "thm2.3":
+        s = exact("core", x, int(params["a"]))
+    else:  # cor2.2
+        s = exact({f.label: f for f in FamilyTag}[params["family"]], x)
+    return s % p == 0, s == 0, {"sum_mod_p2": s, "sum_mod_p": s % p}
+
+
+@pytest.mark.parametrize("theorem", [t for t, spec in cg.STATEMENTS.items() if spec.params])
+def test_grid_verdicts_equal_exact_sums_and_the_paper_statements(tmp_path, theorem):
+    """Each grid record's hypothesis, conclusion, residues and status, at
+    every prime from min_p to 11, against exact sums and the statement's
+    rule written out here, apart from the statement's Series."""
+    lo = cg.STATEMENTS[theorem].min_p
+    out = tmp_path / "r.jsonl"
+    main(["check", theorem, "--primes", f"{lo}..11", "--exhaustive-am", "--jobs", "1",
+          "--out", str(out)])
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert {r["p"] for r in records} == set(primes_in_range(lo, 11))
+    for r in records:
+        hypothesis, conclusion, residues = paper_verdict(theorem, r["p"], r["params"])
+        status = "vacuous" if not hypothesis else "verified" if conclusion else "FAILED"
+        assert (r["hypothesis_holds"], r["conclusion_holds"], r["residues"], r["status"]) == (
+            hypothesis, conclusion, residues, status), r
+    if theorem == "thm2.3":
+        # the one FAILED point of thm2.3 at every p < 1000
+        assert [(r["p"], r["params"]) for r in records if r["status"] == "FAILED"] == [
+            (3, {"a": "1", "m": "1"})]
 
 
 @pytest.mark.parametrize("p", [7, 11])
@@ -351,6 +418,18 @@ def test_every_grid_shares_its_rows_on_one_grid_context(monkeypatch, p):
         assert len(rows) == len(set(rows)) == n_rows, theorem
 
 
+# Each statement with parameters at the parameter value 1, by its checker.
+ONE_POINT = {
+    "thm2.1": lambda ctx: cg.check_theorem_2_1(1, 1, ctx),
+    "thm2.2": lambda ctx: cg.check_theorem_2_2(1, 1, ctx),
+    "thm2.3": lambda ctx: cg.check_theorem_2_3(1, 1, ctx),
+    "thm2.4i": lambda ctx: cg.check_theorem_2_4("i", 1, ctx),
+    "thm2.4ii": lambda ctx: cg.check_theorem_2_4("ii", 1, ctx),
+    "cor2.2": lambda ctx: cg.check_corollary_2_2(FamilyTag.CUBE, 1, ctx),
+    "eq1.3": lambda ctx: cg.check_identity_1_3(1, ctx),
+}
+
+
 @pytest.mark.parametrize("theorem", list(cg.STATEMENTS))
 def test_every_statement_guards_its_e_and_smallest_prime(tmp_path, theorem):
     row = cg.STATEMENTS[theorem]
@@ -363,14 +442,16 @@ def test_every_statement_guards_its_e_and_smallest_prime(tmp_path, theorem):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert records
     assert all(r["e"] == row.e and r["p"] >= row.min_p for r in records)
-    ones = [Fraction(1)] * len(row.params)
+    assert sorted(ONE_POINT) == sorted(t for t, r in cg.STATEMENTS.items() if r.params)
     if row.params:
         with pytest.raises(BadExponent):
-            row.check(make_context(7, 2 if row.e == 1 else 1), *ones)
+            ONE_POINT[theorem](make_context(7, 2 if row.e == 1 else 1))
     if row.min_p > 3:
-        at_3 = (make_context(3, row.e), *ones) if row.params else ([3],)
         with pytest.raises(RangeError, match=f"^stated for p >= {row.min_p}$"):
-            row.check(*at_3)
+            if row.params:
+                ONE_POINT[theorem](make_context(3, row.e))
+            else:
+                row.check([3])
 
 
 def _choices(command, dest):

@@ -128,7 +128,8 @@ def test_series_packs_vectors_of_every_length_into_slots_of_every_width(p, e, bi
     # Rows of p terms bound a slot by p (p^e - 1)^2: 65 bits first at
     # p = 7151, e = 2 and p = 569, e = 3.  The alternating row t_k = (-1)^k
     # at x = -1 fills a slot with about (p/2) (p^e - 1)^2, which carries
-    # past 64 bits at the last two.
+    # past 64 bits at the last two.  Past 64 bits, series evaluates the
+    # vector x by x.
     ctx = make_context(p, e)
     m = ctx.modulus
     assert (p * (m - 1) ** 2).bit_length() == bits

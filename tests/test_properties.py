@@ -164,8 +164,9 @@ def test_hyper_terms_rows_match_exact(case):
 def packed_cases(draw):
     """A context, specs on it with the full-length geometric and alternating
     rows first, and an argument vector of any length.  At e = 3 a slot needs
-    64, 65 and 67 bits at p = 563, 569 and 701; at 701 the alternating row
-    at x = -1 carries past 64 bits."""
+    64, 65 and 67 bits at p = 563, 569 and 701, where series packs, and
+    then evaluates x by x; at 701 the alternating row at x = -1 would carry
+    past 64 bits."""
     wide = st.sampled_from(((563, 3), (569, 3), (701, 3)))
     ctx = make_context(*draw(st.tuples(st.sampled_from(PRIMES), st.sampled_from((1, 2, 3)))
                              | wide))

@@ -4,9 +4,11 @@ Every top-level function and class in ``src/supercong/*.py``, and every
 method of such a class, must be loaded, as a name or an attribute, by
 package code outside its own definition.  ``__init__`` re-exports do not
 count as a use, and dunder methods are exempt.  The only exceptions are
-the console entry point ``main`` and ``exact_reduce_sum``, the one-prime
+the console entry point ``main``; ``exact_reduce_sum``, the one-prime
 oracle whose record's ``value`` the benchmark's output checks read (package
-code calls ``exact_reduce_sums``).
+code calls ``exact_reduce_sums``); and the one-point checkers of the
+statements with parameters, the public API that the benchmark's tracer
+binds (package code runs those statements through ``congruences.points``).
 
 Every name an ``import`` or ``from ... import`` binds in such a module must
 also be loaded as a plain name somewhere in it; ``from __future__`` is
@@ -18,7 +20,9 @@ from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "supercong"
-ENTRY_POINTS = {"main", "exact_reduce_sum"}
+ENTRY_POINTS = {"main", "exact_reduce_sum", "check_theorem_2_1", "check_theorem_2_2",
+                "check_theorem_2_3", "check_theorem_2_4", "check_corollary_2_2",
+                "check_identity_1_3"}
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
