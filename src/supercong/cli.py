@@ -13,23 +13,24 @@ the oracle sizes checked, before any work starts.
 
 A statement at fixed arguments (eq1.2, cor2.3, remark2.3) runs once over
 the whole prime list in this process.  Every other statement is distributed
-over primes: each worker builds one context and the parameter axes per
-prime, and the --exhaustive-am grid and explicit parameters, a grid of one
-point, run the same path.  ``congruences.points`` sums each series of the
-grid once, at its whole argument vector in one packed pass, and yields the
-points in report order.
+over primes, the largest first: each worker builds one context and the
+parameter axes, sorted by string, per prime, and the --exhaustive-am grid
+and explicit parameters, a grid of one point, run the same path.
+``congruences.points`` sums each series of the grid once, at its whole
+argument vector in one packed pass, and yields the grid row by row.
 
-Records are encoded where they are computed: each worker encodes its
-prime's points as they come (:func:`encode_points`), with no sort and no
-dict per record, and returns JSONL and CSV text with their status counts
-and first FAILED records.  A point fills the %-format template of its
-shape (theorem, parameter names, residue names), built once per process,
-which writes the bytes of ``json.dumps(record, sort_keys=True)`` and of
-``csv.writer`` over the flat projection.  The parent adds up the counts
-and writes the chunks in prime order, so report files are byte-identical
-regardless of --jobs.  Dict records (a statement at fixed arguments,
-remark2.3, and the vacuous record of explicit parameters that do not
-apply) are sorted and go through the same templates (:func:`encode`).
+Records are encoded where they are computed, a row at a time, with no sort
+and no dict per record (:func:`_encode`): a row fills the %-format template
+of its shape (theorem, parameter names, residue names), built once per
+process, with its constants, then the text of its points with one flat
+tuple of its columns.  That writes the bytes of ``json.dumps(record,
+sort_keys=True)`` and of ``csv.writer`` over the flat projection.  Each
+worker returns JSONL and CSV text with the status counts and first FAILED
+records; the parent adds up the counts and writes the chunks in prime
+order, so report files are byte-identical regardless of --jobs.  Dict
+records (a statement at fixed arguments, remark2.3, and the vacuous record
+of explicit parameters that do not apply) are sorted and encoded as rows
+of one point (:func:`encode`).
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import islice
-from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import chain, islice
+from operator import getitem, methodcaller
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import congruences as cg
 from . import oracle
@@ -138,7 +139,7 @@ def _reports_for_prime(
     spec = cg.STATEMENTS[theorem]
     ctx = make_context(p, spec.e)
     if exhaustive:
-        axes = {n: [(str(r), r) for r in range(p) if cg.applies(theorem, n, r, p)]
+        axes = {n: sorted([(str(r), r) for r in range(p) if cg.applies(theorem, n, r, p)])
                 for n in spec.params}
     else:
         given = {n: params[n] for n in spec.params}
@@ -146,9 +147,14 @@ def _reports_for_prime(
         if vacuous:
             return encode([vacuous], formats)
         axes = {n: [(cg.format_rational(q), reduce_rational(q, ctx))] for n, q in given.items()}
-    chunk = encode_points(theorem, p, cg.points(theorem, ctx, axes), formats)
-    log.debug("p=%d: %d report(s) for %s", p, sum(chunk.counts.values()), theorem)
-    return chunk
+    *_, arg = spec.params
+    counts: Counter = Counter()
+    failed, jsonl, csv_text = _encode((theorem, *cg.record_names(theorem)), p, spec.e,
+                                      [s for s, _ in axes[arg]], cg.points(theorem, ctx, axes),
+                                      formats, counts)
+    log.debug("p=%d: %d report(s) for %s", p, sum(counts.values()), theorem)
+    return _chunk(counts, [cg.record(theorem, p, pt) for pt in failed], jsonl, csv_text,
+                  formats)
 
 
 def _resolve_jobs(jobs: Optional[int], n_items: int) -> int:
@@ -161,18 +167,19 @@ def _resolve_jobs(jobs: Optional[int], n_items: int) -> int:
 
 
 def _parallel_map(fn, items: Sequence, jobs: int) -> list:
+    """fn of each item, in item order, over ``jobs`` worker processes; the
+    cost of an item grows along the list (ascending primes)."""
     if jobs <= 1:
         return [fn(item) for item in items]
-    # Small contiguous chunks keep the workers balanced when per-item cost
-    # grows along the list (larger primes later); map returns the results in
-    # item order.
+    # The pool takes the last, largest items first, so that no worker ends
+    # the run alone on them; small chunks keep the tail balanced.
     chunk = max(1, min(32, len(items) // (8 * jobs)))
     # Imported here: it loads multiprocessing, which a run that never forks
     # should not pay for at start-up.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+        return list(pool.map(fn, items[::-1], chunksize=chunk))[::-1]
 
 
 def run_checks(
@@ -221,6 +228,9 @@ _CSV_COLUMNS = ("theorem", "p", "e", *_PARAM_COLUMNS, "hypothesis_holds",
 # The string escape json.dumps applies (ensure_ascii).
 _json_str = json.encoder.encode_basestring_ascii
 _JSON_BOOL = ("false", "true")
+_JSON_STATUS = {s: _json_str(s) for row in cg.STATUS for s in row}
+# A value written into a template as literal text.
+_literal = methodcaller("replace", "%", "%%")
 
 
 class Chunk(NamedTuple):
@@ -233,31 +243,9 @@ class Chunk(NamedTuple):
     csv: str
 
 
-def _values(indices: Sequence[int]) -> Callable[[tuple], tuple]:
-    """A function from a tuple to the tuple of its items at ``indices``."""
-    if len(indices) == 1:
-        i = indices[0]
-        return lambda t: (t[i],)
-    return itemgetter(*indices) if indices else lambda t: ()
-
-
-class _Template(NamedTuple):
-    """The report text of one record shape, with %-slots for its fields.
-
-    ``jsonl`` takes the two booleans as JSON, e, p, the escaped parameters
-    in name order, the residues in name order and the escaped status;
-    ``csv`` takes p, e, the parameters in column order, the two booleans,
-    the status and the residues.  The getters pick those values out of a
-    point's parameters and residues, which come in record order.
-    """
-
-    jsonl: str
-    csv: str
-    json_params: Callable[[tuple], tuple]
-    csv_params: Callable[[tuple], tuple]
-    residues: Callable[[tuple], tuple]
-
-
+# A record shape's JSONL and CSV templates, and the indices that put the
+# parameters and residues of a row, in record order, in template order.
+_Template = Tuple[str, str, List[int], List[int], List[int]]
 # One template per (theorem, parameter names, residue names), names in
 # record order: p and e are slots, so a sweep needs a few dozen however many
 # primes it covers.  The entries are pure functions of their key, so every
@@ -268,113 +256,116 @@ _TEMPLATES: Dict[Tuple[str, Tuple[str, ...], Tuple[str, ...]], _Template] = {}
 def _template(shape: Tuple[str, Tuple[str, ...], Tuple[str, ...]]) -> _Template:
     """Build and keep the template of one record shape: the bytes of
     json.dumps(record, sort_keys=True) and of csv.writer over the flat
-    projection, literal parts written once."""
+    projection, literal parts written once, filled in two steps.
+
+    The last parameter is the argument, which varies along a row.  A row's
+    constants come first: e, p and the other parameters, escaped and in name
+    order (JSONL), or p, e and those in column order (CSV).  That leaves the
+    text of one point, whose slots take the two booleans as JSON, the
+    escaped argument, the residues in name order and the escaped status
+    (JSONL), or the argument, the two booleans, the status and the residues
+    (CSV)."""
     theorem, params, residues = shape
-    json_params = sorted(range(len(params)), key=params.__getitem__)
-    csv_params = [params.index(n) for n in _PARAM_COLUMNS if n in params]
+    arg = params[-1]
+    json_order = sorted(params)
+    csv_order = [n for n in _PARAM_COLUMNS if n in params]
     residue_order = sorted(range(len(residues)), key=residues.__getitem__)
 
-    def lit(text: str) -> str:
-        return text.replace("%", "%%")
+    def lit(text: str) -> str:  # a literal through both steps
+        return text.replace("%", "%%%%")
+
+    def slot(name: str) -> str:  # a row's constant, or the point's argument
+        return "%%s" if name == arg else "%s"
 
     jsonl = "".join((
-        '{"conclusion_holds": %s, "e": %d, "hypothesis_holds": %s, "p": %d, "params": {',
-        ", ".join(lit(_json_str(params[i])) + ": %s" for i in json_params),
+        '{"conclusion_holds": %%s, "e": %d, "hypothesis_holds": %%s, "p": %d, "params": {',
+        ", ".join(lit(_json_str(n)) + ": " + slot(n) for n in json_order),
         '}, "residues": {',
-        ", ".join(lit(_json_str(residues[i])) + ": %d" for i in residue_order),
-        '}, "status": %s, "theorem": ', lit(_json_str(theorem)), "}\n",
+        ", ".join(lit(_json_str(residues[i])) + ": %%d" for i in residue_order),
+        '}, "status": %%s, "theorem": ', lit(_json_str(theorem)), "}\n",
     ))
+    # an argument with no CSV column fills an empty slot
     csv_row = ",".join((
-        lit(theorem), "%d", "%d", *("%s" if n in params else "" for n in _PARAM_COLUMNS),
-        "%s", "%s", "%s", ";".join(lit(residues[i]) + "=%d" for i in residue_order),
+        lit(theorem), "%d", "%d", *(slot(n) if n in params else "" for n in _PARAM_COLUMNS),
+        ("" if arg in _PARAM_COLUMNS else "%%.0s") + "%%s", "%%s", "%%s",
+        ";".join(lit(residues[i]) + "=%%d" for i in residue_order),
     )) + "\r\n"
-    t = _TEMPLATES[shape] = _Template(jsonl, csv_row, _values(json_params),
-                                      _values(csv_params), _values(residue_order))
+    t = _TEMPLATES[shape] = (jsonl, csv_row, [params.index(n) for n in json_order if n != arg],
+                             [params.index(n) for n in csv_order if n != arg], residue_order)
     return t
 
 
-def _report_sort_key(d: dict):
-    """Report order: p, theorem, then the parameters as (name, string) pairs,
-    so "10" comes before "2"."""
-    return (d["p"], d["theorem"], tuple(sorted(d["params"].items())))
+def _encode(shape: Tuple[str, Tuple[str, ...], Tuple[str, ...]], p: int, e: int,
+            args: Sequence[str], rows: Iterable[cg.Row], formats: Sequence[str],
+            counts: Counter) -> Tuple[List[cg.Point], str, str]:
+    """The rows of one record shape at p, each at the argument strings
+    ``args``, encoded in ``formats`` ("jsonl", "csv"), their statuses
+    added to ``counts``: the first FAILED_SHOWN FAILED points, and the
+    JSONL lines and CSV rows, in the order given.
 
-
-def _text(shape: Tuple[str, Tuple[str, ...], Tuple[str, ...]], p: int, e: int,
-          points: Iterable[cg.Point], formats: Sequence[str]
-          ) -> Tuple[List[str], List[cg.Point], str, str]:
-    """The points of one record shape at p, in the order given, encoded in
-    ``formats`` ("jsonl", "csv"): their statuses, their first FAILED_SHOWN
-    FAILED points, and their JSONL lines and CSV rows.
-
-    Each point fills the template of its shape.  A JSONL line is the bytes
-    of ``json.dumps(record, sort_keys=True)``; a CSV row is the bytes
+    A row fills its constants into its shape's template, repeats the text
+    of one point once per argument and fills that with a single ``%`` from
+    one flat tuple of its columns.  A JSONL line is the bytes of
+    ``json.dumps(record, sort_keys=True)``; a CSV row is the bytes
     ``csv.writer`` writes for the flat projection.
     """
-    statuses: List[str] = []
+    jsonl, csv_row, json_head, csv_head, residue_order = (
+        _TEMPLATES.get(shape) or _template(shape))
+    json_args = list(map(_json_str, args))
     failed: List[cg.Point] = []
     lines: List[str] = []
-    rows: List[str] = []
-    want_jsonl, want_csv = "jsonl" in formats, "csv" in formats
-    jsonl, csv_row, json_params, csv_params, residues_of = (
-        _TEMPLATES.get(shape) or _template(shape))
-    status_of = cg.STATUS
-    for point in points:
-        params, hypothesis, conclusion, residues = point
-        status = status_of[hypothesis][conclusion]
-        statuses.append(status)
-        if status == "FAILED" and len(failed) < FAILED_SHOWN:
-            failed.append(point)
-        if want_jsonl:
-            lines.append(jsonl % (
-                _JSON_BOOL[conclusion], e, _JSON_BOOL[hypothesis], p,
-                *map(_json_str, json_params(params)), *residues_of(residues), _json_str(status)))
-        if want_csv:
-            rows.append(csv_row % (p, e, *csv_params(params), hypothesis, conclusion, status,
-                                   *residues_of(residues)))
-    return statuses, failed, "".join(lines), "".join(rows)
+    csv_rows: List[str] = []
+    for head, hypothesis, conclusion, residues in rows:
+        statuses = list(map(getitem, map(cg.STATUS.__getitem__, hypothesis), conclusion))
+        counts.update(statuses)
+        if len(failed) < FAILED_SHOWN and "FAILED" in statuses:
+            failed += islice((((*head, args[i]), True, False, tuple(c[i] for c in residues))
+                              for i, s in enumerate(statuses) if s == "FAILED"),
+                             FAILED_SHOWN - len(failed))
+        head = list(map(_literal, head))
+        residues = list(map(residues.__getitem__, residue_order))
+        if "jsonl" in formats:
+            text = jsonl % (e, p, *map(_json_str, map(head.__getitem__, json_head)))
+            lines.append(text * len(args) % tuple(chain.from_iterable(zip(
+                map(_JSON_BOOL.__getitem__, conclusion), map(_JSON_BOOL.__getitem__, hypothesis),
+                json_args, *residues, map(_JSON_STATUS.__getitem__, statuses)))))
+        if "csv" in formats:
+            text = csv_row % (p, e, *map(head.__getitem__, csv_head))
+            csv_rows.append(text * len(args) % tuple(chain.from_iterable(zip(
+                args, hypothesis, conclusion, statuses, *residues))))
+    return failed, "".join(lines), "".join(csv_rows)
 
 
-def _chunk(statuses: List[str], failed: List[dict], jsonl: str, csv_text: str,
+def _chunk(counts: Counter, failed: List[dict], jsonl: str, csv_text: str,
            formats: Sequence[str]) -> Chunk:
     """The chunk of encoded records; a CSV field that csv.writer would quote
     (a comma, quote or line break) raises ValueError."""
-    n = len(statuses) if "csv" in formats else 0
+    n = sum(counts.values()) if "csv" in formats else 0
     if '"' in csv_text or csv_text.count(",") != (len(_CSV_COLUMNS) - 1) * n or not (
             csv_text.count("\n") == csv_text.count("\r") == n):
         raise ValueError("a CSV field holds a comma, a quote or a line break")
-    return Chunk(Counter(statuses), failed, jsonl, csv_text)
+    return Chunk(counts, failed, jsonl, csv_text)
 
 
 def encode(records: List[dict], formats: Sequence[str] = ()) -> Chunk:
-    """Sort records by :func:`_report_sort_key`, in place, and encode them
-    in each of ``formats``, each record as a point of its own shape."""
-    records.sort(key=_report_sort_key)
-    statuses: List[str] = []
+    """Sort records into report order, in place: p, theorem, then the
+    parameters as (name, string) pairs, so "10" comes before "2".  Encode
+    them in each of ``formats``, each as a row of one point of its shape."""
+    records.sort(key=lambda d: (d["p"], d["theorem"], tuple(sorted(d["params"].items()))))
+    counts: Counter = Counter()
     lines: List[str] = []
     rows: List[str] = []
     for r in records:
         params, residues = r["params"], r["residues"]
-        status, _, jsonl, csv_text = _text(
-            (r["theorem"], tuple(params), tuple(residues)), r["p"], r["e"],
-            [(tuple(params.values()), r["hypothesis_holds"], r["conclusion_holds"],
-              tuple(residues.values()))], formats)
-        statuses += status
+        *head, arg = params.values()
+        _, jsonl, csv_text = _encode(
+            (r["theorem"], tuple(params), tuple(residues)), r["p"], r["e"], (arg,),
+            [(head, [r["hypothesis_holds"]], [r["conclusion_holds"]],
+              [(v,) for v in residues.values()])], formats, counts)
         lines.append(jsonl)
         rows.append(csv_text)
     failed = list(islice((r for r in records if r["status"] == "FAILED"), FAILED_SHOWN))
-    return _chunk(statuses, failed, "".join(lines), "".join(rows), formats)
-
-
-def encode_points(theorem: str, p: int, points: Iterable[cg.Point],
-                  formats: Sequence[str] = ()) -> Chunk:
-    """Encode the points of a statement's grid at p, which come in report
-    order, in each of ``formats``; only the first FAILED_SHOWN FAILED points
-    become records."""
-    shape = (theorem, *cg.record_names(theorem))
-    statuses, failed, jsonl, csv_text = _text(shape, p, cg.STATEMENTS[theorem].e, points,
-                                              formats)
-    return _chunk(statuses, [cg.record(theorem, p, pt) for pt in failed], jsonl, csv_text,
-                  formats)
+    return _chunk(counts, failed, "".join(lines), "".join(rows), formats)
 
 
 def write_jsonl(chunks: Iterable[Chunk], path: str) -> None:

@@ -15,12 +15,12 @@ arguments, its cases and checker.  Everything else reads its row:
 :func:`applies`, the one rule for a parameter at a prime; :func:`_require`,
 the checkers' guard on the context; :func:`points`, which sums a
 statement's grid at one prime, each distinct series once at its whole
-argument vector, and yields the points in report order; and
-:func:`_report`, which wraps a point into a plain dict record whose status
-follows one fixed rule, :data:`STATUS`.  A checker is the grid of one
-point, so explicit parameters, grids and checker calls share one path.
-One evaluator builds the records of eq1.2, cor2.3 and remark 2.3 from their
-cases.
+argument vector, and yields it row by row, each row as columns that the
+statement's verdict computes from columns of sums; and :func:`_report`,
+which wraps a point into a plain dict record whose status follows one fixed
+rule, :data:`STATUS`.  A checker is the grid of one point, so explicit
+parameters, grids and checker calls share one path.  One evaluator builds
+the records of eq1.2, cor2.3 and remark 2.3 from their cases.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import comb
-from operator import itemgetter
+from operator import eq, not_
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -196,6 +196,11 @@ AxisValue = Tuple[str, object]
 # One point of a grid: its parameter strings, hypothesis, conclusion and
 # residues, the names of both in the order record_names gives.
 Point = Tuple[Tuple[str, ...], bool, bool, Tuple[int, ...]]
+# A grid row, a spec-axis value at every argument: its spec-axis strings (none
+# without that axis), then Columns in argument-axis order: hypotheses,
+# conclusions and one column per residue.
+Columns = Tuple[List[bool], List[bool], Tuple[Sequence[int], ...]]
+Row = Tuple[Tuple[str, ...], List[bool], List[bool], Tuple[Sequence[int], ...]]
 
 
 class Series(NamedTuple):
@@ -203,17 +208,18 @@ class Series(NamedTuple):
 
     The statement's last parameter is its argument axis (x, m or u).
     ``spec`` names its spec axis: "a", or "family", whose values ``values``
-    holds; or it is None, and the one value is None.  At a spec-axis value
-    v and an argument residue r the statement sums the series
-    ``specs(v, p)[i]`` at ``args(r, p^e)[i]`` for each i, and
-    ``verdict(sums, p, p^e)`` gives (hypothesis, conclusion, residues), the
-    residues in the order of the names ``residues``.
+    holds by label; or it is None, and the one value is None.  At a
+    spec-axis value v and an argument residue r the statement sums the
+    series ``specs(v, p)[i]`` at ``args(r, p^e)[i]`` for each i.  Over a
+    row, ``verdict(sums, p, p^e)`` takes one column of sums per i and gives
+    the columns of hypotheses, conclusions and residues, the residues in
+    the order of the names ``residues``.
     """
 
     spec: Optional[str]
     specs: Callable[[object, int], Tuple[Spec, ...]]
     args: Callable[[int, int], Tuple[int, ...]]
-    verdict: Callable[[Tuple[int, ...], int, int], Tuple[bool, bool, Tuple[int, ...]]]
+    verdict: Callable[[Sequence[Sequence[int]], int, int], Columns]
     residues: Tuple[str, ...]
     values: Tuple[AxisValue, ...] = (("", None),)
 
@@ -245,30 +251,33 @@ def _inverse(r: int, mod: int) -> Tuple[int]:
     return (pow(r, -1, mod),)
 
 
-def _lift(sums: Tuple[int, ...], p: int, mod: int) -> Tuple[bool, bool, Tuple[int, int]]:
+def _lift(sums: Sequence[Sequence[int]], p: int, mod: int) -> Columns:
     """The abstract's lift: vanishing mod p must lift to vanishing mod p^2."""
     [s] = sums
-    return s % p == 0, s == 0, (s, s % p)
+    low = list(map(p.__rmod__, s))
+    return list(map(not_, low)), list(map(not_, s)), (s, low)
 
 
-def _implication(sums: Tuple[int, ...], p: int, mod: int) -> Tuple[bool, bool, Tuple[int, int]]:
+def _implication(sums: Sequence[Sequence[int]], p: int, mod: int) -> Columns:
     """thm2.4: the first sum vanishing mod p forces the second to vanish mod
     p^2."""
     h, c = sums
-    return h % p == 0, c == 0, (h % p, c)
+    low = list(map(p.__rmod__, h))
+    return list(map(not_, low)), list(map(not_, c)), (low, c)
 
 
-def _squared_plain_sum(sums: Tuple[int, ...], p: int, mod: int
-                       ) -> Tuple[bool, bool, Tuple[int, int]]:
+def _squared_plain_sum(sums: Sequence[Sequence[int]], p: int, mod: int) -> Columns:
     """thm2.2: the squared plain sum equals the core sum."""
     plain, core = sums
-    square = plain * plain % mod
-    return True, square == core, (square, core)
+    square = [v * v % mod for v in plain]
+    return [True] * len(core), list(map(eq, square, core)), (square, core)
 
 
-def _equal(sums: Tuple[int, ...], p: int, mod: int) -> Tuple[bool, bool, Tuple[int, ...]]:
+def _equal(sums: Sequence[Sequence[int]], p: int, mod: int) -> Columns:
     """An identity: every sum is the same residue."""
-    return True, len(set(sums)) == 1, sums
+    first, *rest = sums
+    same = list(map(all, zip(*[map(eq, first, other) for other in rest])))
+    return [True] * len(first), same, sums
 
 
 # The paper's p ∤ m, and the u at which a thm2.4 argument has p in its denominator.
@@ -308,7 +317,7 @@ STATEMENTS: Dict[str, Statement] = {
     "cor2.2": Statement(
         2, 3, _M,
         series=Series("family", lambda f, p: (_family_spec(f, p),), _inverse, _lift, _LIFT,
-                      tuple((f.label, f) for f in FamilyTag))),
+                      tuple(sorted((f.label, f) for f in FamilyTag)))),
     "cor2.3": Statement(2, 5, {}, lambda primes: check_corollary_2_3(primes),
                         (_X_1458, (FamilyTag.TWO_THREE, 3375, 15, (11, 14)))),
     # Rodriguez-Villegas's three residue-class zero congruences
@@ -372,26 +381,25 @@ def record_names(theorem: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     return ((spec, arg) if spec else (arg,)), row.series.residues
 
 
-_first = itemgetter(0)
-
-
 def points(theorem: str, ctx: PrimeContext, axes: Dict[str, Sequence[AxisValue]]
-           ) -> Iterator[Point]:
-    """The points of a statement's parameter grid at ctx's prime, in report
-    order: the records' parameters compared as (name, string) pairs.
+           ) -> Iterator[Row]:
+    """The rows of a statement's parameter grid at ctx's prime: one per
+    spec-axis value, in the order of ``axes``, each with its columns in the
+    order of the argument axis.
 
     ``axes`` holds each parameter's values and may hold the spec axis.  The
-    spec-axis name sorts before the argument-axis name in every row, so that
-    order is each axis sorted once by string, the spec axis outermost.
-    Each distinct series is summed once, at its whole argument vector, by
-    one :meth:`~supercong.modring.PrimeContext.series` call per vector.
+    spec-axis name sorts before the argument-axis name in every row, so
+    axes sorted by string give report order.  Each distinct series is
+    summed once, at its whole argument vector, by one
+    :meth:`~supercong.modring.PrimeContext.series` call per vector; a row's
+    packed sums are read only when the row is reached.
     """
     row = STATEMENTS[theorem]
     series = row.series
     *_, arg = row.params
     p, mod = ctx.p, ctx.modulus
-    spec_axis = sorted(axes.get(series.spec, series.values), key=_first)
-    arg_axis = sorted(axes[arg], key=_first)
+    spec_axis = axes.get(series.spec, series.values)
+    arg_axis = axes[arg]
     if not arg_axis:
         return
     # the argument vector of each series slot; equal vectors share one index
@@ -403,19 +411,17 @@ def points(theorem: str, ctx: PrimeContext, axes: Dict[str, Sequence[AxisValue]]
     for row_specs in specs:
         for spec, j in zip(row_specs, slots):
             wanted[j][spec] = None
-    sums: Dict[Tuple[Spec, int], List[int]] = {}
+    sums: Dict[Tuple[Spec, int], Sequence[int]] = {}
     for j, (xs, want) in enumerate(zip(vectors, wanted)):
         sums.update(zip([(spec, j) for spec in want], ctx.series(list(want), xs)))
     verdict = series.verdict
-    names = [s for s, _ in arg_axis]
     for (s, _), row_specs in zip(spec_axis, specs):
-        head = (s,) if series.spec else ()
-        for v, values in zip(names, zip(*[sums[key] for key in zip(row_specs, slots)])):
-            yield ((*head, v), *verdict(values, p, mod))
+        yield ((s,) if series.spec else (),
+               *verdict([sums[key] for key in zip(row_specs, slots)], p, mod))
 
 
 def record(theorem: str, p: int, point: Point) -> dict:
-    """The plain record of one point of :func:`points`."""
+    """The plain record of one point of a :func:`points` row."""
     params, hypothesis, conclusion, residues = point
     names, residue_names = record_names(theorem)
     return _report(theorem, p, dict(zip(names, params)), hypothesis, conclusion,
@@ -434,8 +440,10 @@ def _one_point(theorem: str, ctx: PrimeContext, params: Dict[str, Rational],
     axes = dict(axes or {})
     for name, q in reversed(params.items()):
         axes[name] = [(format_rational(q), _admitted(theorem, name, q, ctx))]
-    [point] = points(theorem, ctx, axes)
-    return record(theorem, ctx.p, point)
+    [(head, [hypothesis], [conclusion], residues)] = points(theorem, ctx, axes)
+    *_, arg = params.values()
+    return record(theorem, ctx.p, ((*head, format_rational(arg)), hypothesis, conclusion,
+                                   tuple(c[0] for c in residues)))
 
 
 def check_theorem_2_1(a: Rational, x: Rational, ctx: PrimeContext) -> dict:

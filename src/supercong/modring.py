@@ -78,17 +78,18 @@ class PrimeContext:
         self.modulus = p**e
         self._rows: Dict[Spec, List[int]] = {}
 
-    def series(self, specs: Sequence[Spec], xs: Sequence[int]) -> List[List[int]]:
+    def series(self, specs: Sequence[Spec], xs: Sequence[int]) -> List[Sequence[int]]:
         """The series of each spec at each integer x of ``xs``, mod p^e:
-        one list of values per spec, in the order of ``xs``.
+        one sequence of values per spec, in the order of ``xs``.
 
         Several x are packed, each into a 64-bit slot of one big int: with
         P_k = sum_j (x_j^k mod p^e) 2^(64 j), a row's sums are the slots of
         sum_k t_k P_k, one pass over k for all rows.  A slot holds at most
         (K + 1) (p^e - 1)^2 for rows of at most K + 1 terms, which fits in
         64 bits up to p = 7129 at e = 2 and p = 563 at e = 3, so no slot
-        carries into the next.  One x, or a bound past 64 bits, is
-        evaluated by Horner's rule, x by x.
+        carries into the next; the values stay packed, 8 bytes each, in an
+        ``array("Q")``.  One x, or a bound past 64 bits, is evaluated by
+        Horner's rule, x by x.
         """
         m = self.modulus
         if len(xs) > 1 and specs:
@@ -108,7 +109,7 @@ class PrimeContext:
                     pk = int.from_bytes(array("Q", powers), order)
                     accs = [a + row[k] * pk if k < len(row) else a for a, row in zip(accs, rows)]
                 size = 8 * len(xs)
-                return [[v % m for v in memoryview(a.to_bytes(size, order)).cast("Q")]
+                return [array("Q", [v % m for v in memoryview(a.to_bytes(size, order)).cast("Q")])
                         for a in accs]
         out = []
         for spec in specs:

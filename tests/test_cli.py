@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import time
 from argparse import ArgumentTypeError
 from fractions import Fraction
 from math import comb
@@ -208,6 +209,21 @@ def test_resolve_jobs_is_bounded():
     assert _resolve_jobs(None, 0) == 1
     assert _resolve_jobs(0, 50) == 1
     assert _resolve_jobs(-4, 50) == 1
+
+
+def _started(item):
+    """The item and the time a worker started it."""
+    return item, time.monotonic_ns()
+
+
+def test_the_pool_takes_the_largest_primes_first_and_keeps_their_order():
+    # 15 primes at 2 jobs go out one at a time: the first two taken are the
+    # two largest, and whichever starts first, the results are in item order.
+    primes = primes_in_range(3, 50)
+    results = cli._parallel_map(_started, primes, 2)
+    assert [p for p, _ in results] == primes
+    first = min(results, key=lambda r: r[1])[0]
+    assert first in primes[-2:]
 
 
 def test_jsonl_and_csv_writers_round_trip(tmp_path):

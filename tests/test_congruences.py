@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -26,6 +27,7 @@ from supercong.congruences import (
     family_sums,
     format_rational,
     plain_sum,
+    points,
 )
 from supercong.errors import (
     BadExponent,
@@ -445,3 +447,23 @@ def test_cor2_2_lift_fails_exactly_on_its_class_over_all_residues_mod_p2(p):
     assert failed == {(f, m) for f in odd for m in range(q)
                       if m % p == 4 * f.scale % p and m != 4 * f.scale % q}
     assert len(failed) == len(odd) * (p - 1)
+
+
+def test_a_grid_reads_each_row_of_sums_only_when_it_is_reached():
+    """At the first row of thm2.3's grid at p = 211, the sums of all 211
+    rows are held packed, 8 bytes each, not as 44,310 Python ints (about 40
+    bytes each with their list slots)."""
+    p = 211
+    ctx = make_context(p, 2)
+    axes = {"a": sorted((str(a), a) for a in range(p)),
+            "m": sorted((str(m), m) for m in range(1, p))}
+    list(points("thm2.3", ctx, axes))  # the context keeps the coefficient rows
+    tracemalloc.start()
+    try:
+        rows = points("thm2.3", ctx, axes)
+        before = tracemalloc.get_traced_memory()[0]
+        next(rows)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 16 * p * (p - 1)

@@ -183,5 +183,5 @@ def packed_cases(draw):
 @given(packed_cases())
 def test_series_of_a_vector_is_the_exact_sum_at_each_x(case):
     ctx, specs, xs = case
-    got = ctx.series(specs, xs)
+    got = [list(values) for values in ctx.series(specs, xs)]
     assert got == [[reference.series_exact(spec, x, ctx) for x in xs] for spec in specs]
