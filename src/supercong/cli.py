@@ -12,10 +12,13 @@ values and --exhaustive-am for a statement without parameters rejected; and
 the oracle sizes checked, before any work starts.
 
 A statement at fixed arguments (eq1.2, cor2.3, remark2.3) runs once over
-the whole prime list in this process.  Every other statement is distributed
-over primes, the largest first: each worker builds one context and the
-parameter axes, sorted by string, per prime, and the --exhaustive-am grid
-and explicit parameters, a grid of one point, run the same path.
+the whole prime list in this process.  Every other statement runs prime by
+prime: each prime builds one context and the parameter axes, sorted by
+string, and the --exhaustive-am grid and explicit parameters, a grid of one
+point, run the same path.  Without --jobs the sweep runs in this process,
+with no pool, unless its serial time, estimated from the statement and the
+primes alone (:func:`_serial_s`), pays for starting one; a pool, at the
+default or at --jobs N, takes the primes largest first.
 ``congruences.points`` sums each series of the grid once, at its whole
 argument vector in one packed pass, and yields the grid row by row.
 
@@ -24,13 +27,14 @@ and no dict per record (:func:`_encode`): a row fills the %-format template
 of its shape (theorem, parameter names, residue names), built once per
 process, with its constants, then the text of its points with one flat
 tuple of its columns.  That writes the bytes of ``json.dumps(record,
-sort_keys=True)`` and of ``csv.writer`` over the flat projection.  Each
-worker returns JSONL and CSV text with the status counts and first FAILED
-records; the parent adds up the counts and writes the chunks in prime
-order, so report files are byte-identical regardless of --jobs.  Dict
-records (a statement at fixed arguments, remark2.3, and the vacuous record
-of explicit parameters that do not apply) are sorted and encoded as rows
-of one point (:func:`encode`).
+sort_keys=True)`` and of ``csv.writer`` over the flat projection; a string
+that csv.writer would quote is refused.  Each prime gives JSONL and CSV
+text with the status counts and first FAILED records; the caller adds up
+the counts and writes the chunks in prime order, so report files are
+byte-identical regardless of --jobs.  Dict records (a statement at fixed
+arguments, remark2.3, and the vacuous record of explicit parameters that
+do not apply) are sorted and encoded as rows of one point
+(:func:`encode`).
 """
 
 from __future__ import annotations
@@ -153,16 +157,55 @@ def _reports_for_prime(
                                       [s for s, _ in axes[arg]], cg.points(theorem, ctx, axes),
                                       formats, counts)
     log.debug("p=%d: %d report(s) for %s", p, sum(counts.values()), theorem)
-    return _chunk(counts, [cg.record(theorem, p, pt) for pt in failed], jsonl, csv_text,
-                  formats)
+    return Chunk(counts, [cg.record(theorem, p, pt) for pt in failed], jsonl, csv_text)
 
 
-def _resolve_jobs(jobs: Optional[int], n_items: int) -> int:
-    """Worker count: the request (default all cores), at most the core count
-    and the number of items, at least 1."""
+# The serial cost of a sweep: a record costs RECORD_S plus FORMAT_S per
+# report format, a coefficient-row term ROW_TERM_S and a power of an
+# argument POWER_S.  Fitted to 69 in-process runs of every statement with
+# parameters, with 0, 1 and 2 formats (grids over 3..67 to 3..700, explicit
+# parameters over 3..500 to 3..5000; 2-vCPU VM, CPython 3.11.7), the model
+# reads 0.4 to 1.6 times each run's time, the low end on runs under 0.1 s.
+RECORD_S = 0.65e-6
+FORMAT_S = 0.9e-6
+ROW_TERM_S = 0.22e-6
+POWER_S = 0.05e-6
+# The estimated serial seconds above which a worker pool pays for itself:
+# starting one costs about 45 ms, and two workers on two cores save at most
+# 25-35 % of the serial time.
+POOL_BREAK_EVEN_S = 0.2
+
+
+def _serial_s(theorem: str, primes: Sequence[int], exhaustive: bool,
+              formats: Sequence[str]) -> float:
+    """Estimated seconds of a sweep in one process, from the statement's row
+    and the primes alone.  At p, a grid has s spec-axis values (p for a, the
+    families, or one) by a arguments (the residues that are not excluded,
+    or the one given value), so s * a records; each of its n series has a
+    coefficient row of about p terms per spec-axis value, and p powers of
+    each argument."""
+    row = cg.STATEMENTS[theorem]
+    series = row.series
+    *_, excluded = row.params.values()
+    # the series of one spec-axis value
+    n = len(series.specs(0 if series.spec == "a" else series.values[0][1], row.min_p))
+    record_s = RECORD_S + FORMAT_S * len(formats)
+    total = 0.0
+    for p in primes:
+        s = p if exhaustive and series.spec == "a" else len(series.values)
+        a = p - len(excluded) if exhaustive else 1
+        total += s * a * record_s + n * p * (s * ROW_TERM_S + a * POWER_S)
+    return total
+
+
+def _resolve_jobs(jobs: Optional[int], n_items: int, serial_s: float = float("inf")) -> int:
+    """Worker count: the request, at most the core count and the number of
+    items, at least 1.  Without a request, all cores if the estimated serial
+    seconds exceed POOL_BREAK_EVEN_S, else 1: the sweep runs in this process
+    with no pool."""
     cores = os.cpu_count() or 1
     if jobs is None:
-        jobs = cores
+        jobs = cores if serial_s > POOL_BREAK_EVEN_S else 1
     return max(1, min(jobs, cores, n_items))
 
 
@@ -191,16 +234,20 @@ def run_checks(
     formats: Sequence[str] = (),
 ) -> List[Chunk]:
     """Run one theorem's checker over primes, encoded in ``formats``: one
-    chunk per prime in ascending order, in parallel over ``jobs`` workers,
-    or, for a statement at fixed arguments, one chunk from one pass over
-    the whole list."""
+    chunk per prime in ascending order, over the workers
+    :func:`_resolve_jobs` gives for ``jobs`` (1: in this process), or, for a
+    statement at fixed arguments, one chunk from one pass over the whole
+    list."""
     spec = cg.STATEMENTS[theorem]
     qualifying = sorted(p for p in primes if p >= spec.min_p)
     if not spec.params:
         log.info("checking %s over %d prime(s) in one pass", theorem, len(qualifying))
         return [encode(spec.check(qualifying), formats)]
-    jobs = _resolve_jobs(jobs, len(qualifying))
-    log.info("checking %s over %d prime(s) with %d job(s)", theorem, len(qualifying), jobs)
+    serial_s = _serial_s(theorem, qualifying, exhaustive, formats)
+    jobs = _resolve_jobs(jobs, len(qualifying), serial_s)
+    log.info("checking %s over %d prime(s) %s (serial estimate %.2f s)", theorem,
+             len(qualifying), f"with {jobs} workers" if jobs > 1 else "in this process",
+             serial_s)
     fn = partial(_reports_for_prime, theorem=theorem, params=params,
                  exhaustive=exhaustive, formats=formats)
     return _parallel_map(fn, qualifying, jobs)
@@ -231,6 +278,9 @@ _JSON_BOOL = ("false", "true")
 _JSON_STATUS = {s: _json_str(s) for row in cg.STATUS for s in row}
 # A value written into a template as literal text.
 _literal = methodcaller("replace", "%", "%%")
+# A character that makes csv.writer quote a field, which encoding refuses.
+_csv_quoted = re.compile('[,"\r\n]').search
+_CSV_QUOTE_ERROR = "a CSV field holds a comma, a quote or a line break"
 
 
 class Chunk(NamedTuple):
@@ -243,9 +293,10 @@ class Chunk(NamedTuple):
     csv: str
 
 
-# A record shape's JSONL and CSV templates, and the indices that put the
-# parameters and residues of a row, in record order, in template order.
-_Template = Tuple[str, str, List[int], List[int], List[int]]
+# A record shape's JSONL and CSV templates (None if csv.writer would quote
+# its theorem or a residue name), and the indices that put the parameters
+# and residues of a row, in record order, in template order.
+_Template = Tuple[str, Optional[str], List[int], List[int], List[int]]
 # One template per (theorem, parameter names, residue names), names in
 # record order: p and e are slots, so a sweep needs a few dozen however many
 # primes it covers.  The entries are pure functions of their key, so every
@@ -264,7 +315,8 @@ def _template(shape: Tuple[str, Tuple[str, ...], Tuple[str, ...]]) -> _Template:
     text of one point, whose slots take the two booleans as JSON, the
     escaped argument, the residues in name order and the escaped status
     (JSONL), or the argument, the two booleans, the status and the residues
-    (CSV)."""
+    (CSV).  A shape whose theorem or residue name csv.writer would quote
+    has no CSV template."""
     theorem, params, residues = shape
     arg = params[-1]
     json_order = sorted(params)
@@ -289,7 +341,7 @@ def _template(shape: Tuple[str, Tuple[str, ...], Tuple[str, ...]]) -> _Template:
         lit(theorem), "%d", "%d", *(slot(n) if n in params else "" for n in _PARAM_COLUMNS),
         ("" if arg in _PARAM_COLUMNS else "%%.0s") + "%%s", "%%s", "%%s",
         ";".join(lit(residues[i]) + "=%%d" for i in residue_order),
-    )) + "\r\n"
+    )) + "\r\n" if not _csv_quoted("".join((theorem, *residues))) else None
     t = _TEMPLATES[shape] = (jsonl, csv_row, [params.index(n) for n in json_order if n != arg],
                              [params.index(n) for n in csv_order if n != arg], residue_order)
     return t
@@ -307,15 +359,23 @@ def _encode(shape: Tuple[str, Tuple[str, ...], Tuple[str, ...]], p: int, e: int,
     of one point once per argument and fills that with a single ``%`` from
     one flat tuple of its columns.  A JSONL line is the bytes of
     ``json.dumps(record, sort_keys=True)``; a CSV row is the bytes
-    ``csv.writer`` writes for the flat projection.
+    ``csv.writer`` writes for the flat projection.  A CSV field that
+    csv.writer would quote (a comma, quote or line break) raises
+    ValueError: the strings that vary, a row's head and the arguments, are
+    checked here, and the names when the template is built.
     """
     jsonl, csv_row, json_head, csv_head, residue_order = (
         _TEMPLATES.get(shape) or _template(shape))
+    as_csv = "csv" in formats
+    if as_csv and (csv_row is None or _csv_quoted("".join(args))):
+        raise ValueError(_CSV_QUOTE_ERROR)
     json_args = list(map(_json_str, args))
     failed: List[cg.Point] = []
     lines: List[str] = []
     csv_rows: List[str] = []
     for head, hypothesis, conclusion, residues in rows:
+        if as_csv and _csv_quoted("".join(head)):
+            raise ValueError(_CSV_QUOTE_ERROR)
         statuses = list(map(getitem, map(cg.STATUS.__getitem__, hypothesis), conclusion))
         counts.update(statuses)
         if len(failed) < FAILED_SHOWN and "FAILED" in statuses:
@@ -329,22 +389,11 @@ def _encode(shape: Tuple[str, Tuple[str, ...], Tuple[str, ...]], p: int, e: int,
             lines.append(text * len(args) % tuple(chain.from_iterable(zip(
                 map(_JSON_BOOL.__getitem__, conclusion), map(_JSON_BOOL.__getitem__, hypothesis),
                 json_args, *residues, map(_JSON_STATUS.__getitem__, statuses)))))
-        if "csv" in formats:
+        if as_csv:
             text = csv_row % (p, e, *map(head.__getitem__, csv_head))
             csv_rows.append(text * len(args) % tuple(chain.from_iterable(zip(
                 args, hypothesis, conclusion, statuses, *residues))))
     return failed, "".join(lines), "".join(csv_rows)
-
-
-def _chunk(counts: Counter, failed: List[dict], jsonl: str, csv_text: str,
-           formats: Sequence[str]) -> Chunk:
-    """The chunk of encoded records; a CSV field that csv.writer would quote
-    (a comma, quote or line break) raises ValueError."""
-    n = sum(counts.values()) if "csv" in formats else 0
-    if '"' in csv_text or csv_text.count(",") != (len(_CSV_COLUMNS) - 1) * n or not (
-            csv_text.count("\n") == csv_text.count("\r") == n):
-        raise ValueError("a CSV field holds a comma, a quote or a line break")
-    return Chunk(counts, failed, jsonl, csv_text)
 
 
 def encode(records: List[dict], formats: Sequence[str] = ()) -> Chunk:
@@ -365,7 +414,7 @@ def encode(records: List[dict], formats: Sequence[str] = ()) -> Chunk:
         lines.append(jsonl)
         rows.append(csv_text)
     failed = list(islice((r for r in records if r["status"] == "FAILED"), FAILED_SHOWN))
-    return _chunk(counts, failed, "".join(lines), "".join(rows), formats)
+    return Chunk(counts, failed, "".join(lines), "".join(rows))
 
 
 def write_jsonl(chunks: Iterable[Chunk], path: str) -> None:
@@ -559,8 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--exhaustive-am", action="store_true",
                        help="sweep the full integer parameter grid per prime")
     check.add_argument("--jobs", type=partial(parse_size, least=1), default=None,
-                       help="parallel workers over primes (default: all cores); "
-                            "eq1.2 and cor2.3 run in one pass in this process")
+                       help="at most this many worker processes over primes (default: "
+                            "all cores when the estimated work pays for a pool, else "
+                            "none); eq1.2 and cor2.3 run in one pass in this process")
     check.add_argument("--out", default=None, help="JSONL output path")
     check.add_argument("--csv", default=None, help="CSV output path")
     check.set_defaults(func=_cmd_check)

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import time
 from argparse import ArgumentTypeError
 from fractions import Fraction
@@ -209,6 +211,35 @@ def test_resolve_jobs_is_bounded():
     assert _resolve_jobs(None, 0) == 1
     assert _resolve_jobs(0, 50) == 1
     assert _resolve_jobs(-4, 50) == 1
+
+
+def test_without_jobs_a_sweep_forks_only_where_its_estimate_pays_for_a_pool():
+    cores = os.cpu_count() or 1
+    small = primes_in_range(3, 67)
+    for theorem in ("thm2.1", "thm2.3"):
+        serial_s = cli._serial_s(theorem, small, True, ("jsonl", "csv"))
+        assert _resolve_jobs(None, len(small), serial_s) == 1, theorem
+        # an explicit request still forks below the break-even
+        assert _resolve_jobs(2, len(small), serial_s) == min(cores, 2)
+    grid = primes_in_range(3, 199)
+    assert _resolve_jobs(None, len(grid), cli._serial_s("thm2.3", grid, True, ())) == min(
+        cores, len(grid))
+    many = primes_in_range(3, 20000)
+    assert _resolve_jobs(None, len(many), cli._serial_s("thm2.3", many, False, ("jsonl",))) == (
+        min(cores, len(many)))
+
+
+@pytest.mark.parametrize("jobs, pooled", [((), False), (("--jobs", "2"), True)])
+def test_a_small_grid_loads_the_pool_only_at_an_explicit_jobs(jobs, pooled):
+    argv = ["check", "thm2.3", "--exhaustive-am", "--primes", "3..13", *jobs]
+    code = ("import sys\nfrom supercong.cli import main\n"
+            f"main({argv!r})\nprint('concurrent.futures.process' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    # a one-core machine gets no pool at --jobs 2 either
+    assert out.stdout.splitlines()[-1] == str(pooled and (os.cpu_count() or 1) > 1), out.stderr
 
 
 def _started(item):
