@@ -31,18 +31,19 @@ sort_keys=True)`` and of ``csv.writer`` over the flat projection; a string
 that csv.writer would quote is refused.  Each prime gives JSONL and CSV
 text with the status counts and first FAILED records; the caller adds up
 the counts and writes the chunks in prime order, so report files are
-byte-identical regardless of --jobs.  Dict records (a statement at fixed
-arguments, remark2.3, and the vacuous record of explicit parameters that
-do not apply) are sorted and encoded as rows of one point
-(:func:`encode`).
+byte-identical regardless of --jobs.  A statement at fixed arguments fills
+the same templates record by record from the columns of its sums, cases
+in report order (:func:`_encode_fixed`), and ``explore`` prints its
+summary from the sums.  Only the vacuous record of explicit parameters
+that do not apply is a dict, encoded as a row of one point
+(:func:`encode`).  Log lines go to stderr with no stdlib ``logging``
+(:func:`_log`).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import logging
 import os
 import re
 import sys
@@ -58,13 +59,8 @@ from . import oracle
 from .errors import BoundExceeded, RangeError, SupercongError
 from .modring import make_context, reduce_rational
 
-log = logging.getLogger("supercong")
-
-_LOG_LEVELS = {
-    "quiet": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
+# SUPERCONG_LOG's values, each with the levels it writes to stderr.
+_LOG_LEVELS = {"quiet": (), "info": ("INFO",), "debug": ("INFO", "DEBUG")}
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -156,7 +152,7 @@ def _reports_for_prime(
     failed, jsonl, csv_text = _encode((theorem, *cg.record_names(theorem)), p, spec.e,
                                       [s for s, _ in axes[arg]], cg.points(theorem, ctx, axes),
                                       formats, counts)
-    log.debug("p=%d: %d report(s) for %s", p, sum(counts.values()), theorem)
+    _log("DEBUG", "p=%d: %d report(s) for %s", p, sum(counts.values()), theorem)
     return Chunk(counts, [cg.record(theorem, p, pt) for pt in failed], jsonl, csv_text)
 
 
@@ -241,11 +237,11 @@ def run_checks(
     spec = cg.STATEMENTS[theorem]
     qualifying = sorted(p for p in primes if p >= spec.min_p)
     if not spec.params:
-        log.info("checking %s over %d prime(s) in one pass", theorem, len(qualifying))
-        return [encode(spec.check(qualifying), formats)]
+        _log("INFO", "checking %s over %d prime(s) in one pass", theorem, len(qualifying))
+        return [_encode_fixed(theorem, qualifying, cg.fixed_sums(theorem, qualifying), formats)]
     serial_s = _serial_s(theorem, qualifying, exhaustive, formats)
     jobs = _resolve_jobs(jobs, len(qualifying), serial_s)
-    log.info("checking %s over %d prime(s) %s (serial estimate %.2f s)", theorem,
+    _log("INFO", "checking %s over %d prime(s) %s (serial estimate %.2f s)", theorem,
              len(qualifying), f"with {jobs} workers" if jobs > 1 else "in this process",
              serial_s)
     fn = partial(_reports_for_prime, theorem=theorem, params=params,
@@ -253,13 +249,15 @@ def run_checks(
     return _parallel_map(fn, qualifying, jobs)
 
 
-def run_exploration(primes: Iterable[int]) -> List[dict]:
-    """remark2.3 records over the qualifying primes (those in its class), in
-    ascending p."""
+def run_exploration(primes: Iterable[int]) -> List[Tuple[int, int]]:
+    """remark2.3's sum mod p^3 at each qualifying prime (those in its
+    class), as (p, residue) in ascending p.  No prime of its class divides
+    its scale, so every one has a residue."""
     [(_, _, mod, classes)] = cg.STATEMENTS["remark2.3"].cases
     qualifying = sorted(p for p in primes if p % mod in classes)
-    log.info("exploring remark2.3 over %d prime(s)", len(qualifying))
-    return cg.explore_remark_2_3(qualifying)
+    _log("INFO", "exploring remark2.3 over %d prime(s)", len(qualifying))
+    [sums] = cg.fixed_sums("remark2.3", qualifying)
+    return list(sums.items())
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +269,8 @@ FAILED_SHOWN = 5
 _PARAM_COLUMNS = ("a", "x", "m", "u", "family")
 _CSV_COLUMNS = ("theorem", "p", "e", *_PARAM_COLUMNS, "hypothesis_holds",
                 "conclusion_holds", "status", "residues")
+# The header row as csv.writer writes it: no column name needs quoting.
+_CSV_HEADER = ",".join(_CSV_COLUMNS) + "\r\n"
 
 # The string escape json.dumps applies (ensure_ascii).
 _json_str = json.encoder.encode_basestring_ascii
@@ -396,11 +396,60 @@ def _encode(shape: Tuple[str, Tuple[str, ...], Tuple[str, ...]], p: int, e: int,
     return failed, "".join(lines), "".join(csv_rows)
 
 
+def _encode_fixed(theorem: str, primes: Sequence[int], sums: Sequence[Dict[int, int]],
+                  formats: Sequence[str]) -> Chunk:
+    """The records of a statement at fixed arguments over ``primes``, from
+    the sums of its cases (``congruences.fixed_sums``), encoded in
+    ``formats`` in report order: per prime, one record per case.
+
+    Each case's columns (``congruences.fixed_columns``) fill the templates
+    of its record shape record by record, p and the family in the first
+    step and the point in the second, with no dict per record: only the
+    first FAILED_SHOWN FAILED records become dicts.  A prime with no
+    residue takes the shape with none, whose template is built only then.
+    """
+    e = cg.STATEMENTS[theorem].e
+    names, residue_names = cg.record_names(theorem)
+    shape, bare = (theorem, names, residue_names), (theorem, names, ())
+    jsonl, csv_row, *_ = _TEMPLATES.get(shape) or _template(shape)
+    as_json, as_csv = "jsonl" in formats, "csv" in formats
+    columns = cg.fixed_columns(theorem, primes, sums)
+    counts: Counter = Counter()
+    failing: List[Tuple[int, int]] = []  # (prime index, case index)
+    lines: List[List[str]] = []
+    rows: List[List[str]] = []
+    for j, ((family, x), hypotheses, conclusions, residues) in enumerate(columns):
+        statuses = list(map(getitem, map(cg.STATUS.__getitem__, hypotheses), conclusions))
+        counts.update(statuses)
+        failing += islice(((i, j) for i, s in enumerate(statuses) if s == "FAILED"),
+                          FAILED_SHOWN)
+        bare_jsonl = bare_csv = None
+        if None in residues:
+            bare_jsonl, bare_csv, *_ = _TEMPLATES.get(bare) or _template(bare)
+        head = _literal(family)
+        points = list(zip(primes, hypotheses, conclusions, residues, statuses))
+        if as_json:
+            fam, xj = _json_str(head), _json_str(x)
+            lines.append([
+                jsonl % (e, p, fam) % (_JSON_BOOL[c], _JSON_BOOL[h], xj, r, _JSON_STATUS[s])
+                if r is not None else
+                bare_jsonl % (e, p, fam) % (_JSON_BOOL[c], _JSON_BOOL[h], xj, _JSON_STATUS[s])
+                for p, h, c, r, s in points])
+        if as_csv:
+            if csv_row is None or _csv_quoted(family + x):
+                raise ValueError(_CSV_QUOTE_ERROR)
+            rows.append([csv_row % (p, e, head) % (x, h, c, s, r) if r is not None else
+                         bare_csv % (p, e, head) % (x, h, c, s)
+                         for p, h, c, r, s in points])
+    failed = [cg.fixed_record(theorem, primes[i], columns[j][0], True, False, columns[j][3][i])
+              for i, j in sorted(failing)[:FAILED_SHOWN]]
+    return Chunk(counts, failed, "".join(chain.from_iterable(zip(*lines))),
+                 "".join(chain.from_iterable(zip(*rows))))
+
+
 def encode(records: List[dict], formats: Sequence[str] = ()) -> Chunk:
-    """Sort records into report order, in place: p, theorem, then the
-    parameters as (name, string) pairs, so "10" comes before "2".  Encode
-    them in each of ``formats``, each as a row of one point of its shape."""
-    records.sort(key=lambda d: (d["p"], d["theorem"], tuple(sorted(d["params"].items()))))
+    """Encode records in the order given in each of ``formats``, each as a
+    row of one point of its shape."""
     counts: Counter = Counter()
     lines: List[str] = []
     rows: List[str] = []
@@ -424,7 +473,7 @@ def write_jsonl(chunks: Iterable[Chunk], path: str) -> None:
 
 def write_csv(chunks: Iterable[Chunk], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(_CSV_COLUMNS)
+        fh.write(_CSV_HEADER)
         fh.writelines(c.csv for c in chunks)
 
 
@@ -489,20 +538,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    primes = primes_in_range(*args.primes)
-    reports = run_exploration(primes)
-    vanishing = sum(1 for r in reports if r["residues"]["sum_mod_p3"] == 0)
-    print(
-        f"remark2.3: {vanishing}/{len(reports)} qualifying prime(s) vanish mod p^3"
-    )
-    for r in reports:
-        if r["residues"]["sum_mod_p3"] != 0:
-            print(
-                f"  NON-VANISHING at p={r['p']}: "
-                f"residue {r['residues']['sum_mod_p3']} mod {r['p']}^3"
-            )
+    sums = dict(run_exploration(primes_in_range(*args.primes)))
+    print(f"remark2.3: {list(sums.values()).count(0)}/{len(sums)} qualifying prime(s) "
+          "vanish mod p^3")
+    for p, residue in sums.items():
+        if residue:
+            print(f"  NON-VANISHING at p={p}: residue {residue} mod {p}^3")
     if args.out:
-        write_jsonl([encode(reports, ("jsonl",))], args.out)
+        write_jsonl([_encode_fixed("remark2.3", list(sums), [sums], ("jsonl",))], args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -637,25 +680,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging() -> bool:
-    raw = os.environ.get("SUPERCONG_LOG", "quiet")
-    level = _LOG_LEVELS.get(raw)
-    if level is None:
-        print(
-            f"error: SUPERCONG_LOG must be one of {sorted(_LOG_LEVELS)}, got {raw!r}",
-            file=sys.stderr,
-        )
-        return False
-    logging.basicConfig(
-        level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s",
-        force=True,
-    )
-    log.setLevel(level)
-    return True
+def _log(level: str, message: str, *args: object) -> None:
+    """Write the line ``LEVEL supercong: message % args`` to stderr if
+    SUPERCONG_LOG turns LEVEL on, in one write, so that the lines of pool
+    workers do not interleave."""
+    if level in _LOG_LEVELS.get(os.environ.get("SUPERCONG_LOG", "quiet"), ()):
+        sys.stderr.write(f"{level} supercong: {message % args}\n")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if not _configure_logging():
+    raw = os.environ.get("SUPERCONG_LOG", "quiet")
+    if raw not in _LOG_LEVELS:
+        print(f"error: SUPERCONG_LOG must be one of {sorted(_LOG_LEVELS)}, got {raw!r}",
+              file=sys.stderr)
         return 2
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -19,8 +19,11 @@ argument vector, and yields it row by row, each row as columns that the
 statement's verdict computes from columns of sums; and :func:`_report`,
 which wraps a point into a plain dict record whose status follows one fixed
 rule, :data:`STATUS`.  A checker is the grid of one point, so explicit
-parameters, grids and checker calls share one path.  One evaluator builds
-the records of eq1.2, cor2.3 and remark 2.3 from their cases.
+parameters, grids and checker calls share one path.  A statement at fixed
+arguments (eq1.2, cor2.3, remark 2.3) sums each of its cases over the whole
+prime list at once (:func:`fixed_sums`) and gives its verdict as columns
+over the primes, cases in report order (:func:`fixed_columns`); its checker
+builds dict records from those columns.
 """
 
 from __future__ import annotations
@@ -374,8 +377,11 @@ def _admitted(theorem: str, name: str, q: Rational, ctx: PrimeContext) -> int:
 
 def record_names(theorem: str) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     """The parameter and residue names of a statement's records, in record
-    order: the spec axis, if any, then the argument axis."""
+    order: the spec axis, if any, then the argument axis; at fixed
+    arguments, the family and x, and the sum mod p^e."""
     row = STATEMENTS[theorem]
+    if row.series is None:
+        return ("family", "x"), (f"sum_mod_p{row.e}",)
     *_, arg = row.params
     spec = row.series.spec
     return ((spec, arg) if spec else (arg,)), row.series.residues
@@ -490,22 +496,60 @@ def check_identity_1_3(m: Rational, ctx: PrimeContext) -> dict:
 # ---------------------------------------------------------------------------
 # Statements at fixed arguments
 
-def _fixed_argument(theorem: str, primes: Iterable[int]) -> List[dict]:
-    """A statement's records, per prime in list order and per case in table
-    order, from one :func:`family_sums` pass per case.  A prime dividing the
-    scale gets a vacuous record with no residues; at any other, the class
-    test is the hypothesis and "the sum vanishes mod p^e" the conclusion."""
+# One case of a statement at fixed arguments: (family, scale, modulus, classes).
+Case = Tuple[FamilyTag, int, int, Tuple[int, ...]]
+# A case over a prime list: its parameter strings (family, x), then columns
+# over the primes of hypotheses, conclusions and residues (None: no residue).
+CaseColumns = Tuple[Tuple[str, str], List[bool], List[bool], List[Optional[int]]]
+
+
+def _cases(theorem: str) -> List[Case]:
+    """A statement's cases in report order: by family label, then by x as a
+    string."""
+    return sorted(STATEMENTS[theorem].cases, key=lambda c: (c[0].label, f"1/{c[1]}"))
+
+
+def fixed_sums(theorem: str, primes: Sequence[int]) -> List[Dict[int, int]]:
+    """The family sum at x = 1/scale of each case of a statement at fixed
+    arguments, in report order, over a prime list: one :func:`family_sums`
+    pass per case, {p: residue mod p^e} without the primes that divide the
+    scale."""
     row = STATEMENTS[theorem]
-    primes = list(primes)
     if any(p < row.min_p for p in primes):
         raise RangeError(f"stated for p >= {row.min_p}")
-    sums = [family_sums(f, Fraction(1, scale), primes, row.e) for f, scale, _, _ in row.cases]
-    return [
-        _report(theorem, p, {"family": f.label, "x": f"1/{scale}"},
-                *((p % mod in classes, s[p] == 0, {f"sum_mod_p{row.e}": s[p]}) if p in s
-                  else (False, True, {})))
-        for p in primes for (f, scale, mod, classes), s in zip(row.cases, sums)
-    ]
+    return [family_sums(f, Fraction(1, scale), primes, row.e) for f, scale, _, _ in _cases(theorem)]
+
+
+def fixed_columns(theorem: str, primes: Sequence[int],
+                  sums: Sequence[Dict[int, int]]) -> List[CaseColumns]:
+    """The columns of each case, in report order, over ``primes`` from its
+    ``sums`` (:func:`fixed_sums`).  A prime dividing the scale has no
+    residue and a vacuous record; at any other, the class test is the
+    hypothesis and "the sum vanishes mod p^e" the conclusion."""
+    out = []
+    for (f, scale, mod, classes), s in zip(_cases(theorem), sums):
+        residues = list(map(s.get, primes))
+        out.append(((f.label, f"1/{scale}"),
+                    [r is not None and p % mod in classes for p, r in zip(primes, residues)],
+                    list(map(not_, residues)), residues))
+    return out
+
+
+def fixed_record(theorem: str, p: int, params: Tuple[str, str], hypothesis: bool,
+                 conclusion: bool, residue: Optional[int]) -> dict:
+    """The plain record of one case of :func:`fixed_columns` at p."""
+    names, [name] = record_names(theorem)
+    return _report(theorem, p, dict(zip(names, params)), hypothesis, conclusion,
+                   {} if residue is None else {name: residue})
+
+
+def _fixed_argument(theorem: str, primes: Iterable[int]) -> List[dict]:
+    """A statement's records, per prime in list order and per case in report
+    order, from the columns of :func:`fixed_columns`."""
+    primes = list(primes)
+    columns = fixed_columns(theorem, primes, fixed_sums(theorem, primes))
+    return [fixed_record(theorem, p, params, h[i], c[i], r[i])
+            for i, p in enumerate(primes) for params, h, c, r in columns]
 
 
 def check_rodriguez_villegas(primes: Iterable[int]) -> List[dict]:

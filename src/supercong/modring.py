@@ -179,18 +179,6 @@ def hyper_terms(
     return row
 
 
-# An upper-triangular integer matrix [[a, b], [0, d]], stored as (a, b, d).
-_Tri = Tuple[int, int, int]
-
-
-def _tri_mul(x: _Tri, y: _Tri) -> _Tri:
-    return x[0] * y[0], x[0] * y[1] + x[1] * y[2], x[2] * y[2]
-
-
-def _tri_mod(x: _Tri, m: int) -> _Tri:
-    return x[0] % m, x[1] % m, x[2] % m
-
-
 def _moduli_tree(moduli: Sequence[int], lo: int, hi: int) -> tuple:
     """(product, left subtree, right subtree) over moduli[lo:hi], split at
     the midpoint; a leaf is (modulus,)."""
@@ -234,6 +222,12 @@ def hyper_sums(
     (Costa, Gerbicz and Harvey, arXiv:1209.3436) then reduces every prefix
     product mod its own p^e.  That is O(log n) levels of big-integer products
     and remainders for n primes, in place of sum(p) Python steps.
+
+    A product of blocks is only ever read modulo the product of the moduli
+    of the primes after it, so each node of the walk is passed that product
+    and reduces the product of its blocks there once it outgrows it; an
+    upper-triangular matrix [[a, b], [0, d]] is kept as the three ints a, b
+    and d.
     """
     if not isinstance(e, int) or e not in (1, 2, 3):
         raise BadExponent(f"exponent must be 1, 2 or 3, got {e!r}")
@@ -248,46 +242,59 @@ def hyper_sums(
     out = [0] * len(primes)
     root = tree[0]
 
-    def leaf(j: int) -> _Tri:
-        """The product of the steps from the previous prime to p_j - 1.
-        Every later use reduces it mod a divisor of the product of all
-        moduli, so it is reduced mod that product once it outgrows it: a
-        long gap (a list that starts high) stays O(gap) steps on numbers
-        below it, and a short one is never reduced (a reduced negative
-        entry would be as long as the modulus)."""
-        a, b, dd = 1, 0, 1
-        for k in range(primes[j - 1] if j else 1, primes[j]):
-            a *= num * (s1 * k + r1) * (s2 * k + r2) * (s3 * k + r3)
-            bk = den * k**d
-            b = a + b * bk
-            dd *= bk
-            if abs(a) > root or abs(dd) > root:
-                a, b, dd = a % root, b % root, dd % root
+    def walk(node: tuple, lo: int, hi: int, prefix: Optional[Tuple[int, int, int]],
+             after: Optional[int]) -> Optional[Tuple[int, int, int]]:
+        """Fill out[lo:hi] from the product of the blocks before lo, reduced
+        mod node's modulus (None: no block precedes).  Where a caller reads
+        the product of blocks lo .. hi-1, ``after`` is the product of the
+        moduli of the primes from hi on that it is read by, and the product
+        is returned, reduced mod ``after`` once it outgrows it; else None.
+
+        A leaf multiplies the steps from the previous prime to p_lo - 1.
+        Its product is reduced mod the product of all moduli once it
+        outgrows it: a long gap (a list that starts high) stays O(gap)
+        steps on numbers below it, and a short one is never reduced (a
+        reduced negative entry would be as long as the modulus)."""
+        if hi - lo == 1:
+            a, b, dd = 1, 0, 1
+            for k in range(primes[lo - 1] if lo else 1, primes[lo]):
+                a *= num * (s1 * k + r1) * (s2 * k + r2) * (s3 * k + r3)
+                bk = den * k**d
+                b = a + b * bk
+                dd *= bk
+                if abs(a) > root or abs(dd) > root:
+                    a, b, dd = a % root, b % root, dd % root
+            m = node[0]
+            if prefix is None:
+                pb, pd = b, dd
+            else:
+                pa, pb, pd = prefix
+                pb, pd = (pa * b + pb * dd) % m, pd * dd % m
+            out[lo] = (pb + pd) * pow(pd, -1, m) % m
+        else:
+            mid = (lo + hi) // 2
+            left, right = node[1], node[2]
+            ml, mr = left[0], right[0]
+            if prefix is not None:
+                pa, pb, pd = prefix
+                prefix = pa % ml, pb % ml, pd % ml
+            a, b, dd = walk(left, lo, mid, prefix, mr if after is None else mr * after)
+            ha, hb, hd = a % mr, b % mr, dd % mr
+            if prefix is not None:
+                pa, pb, pd = pa % mr, pb % mr, pd % mr
+                ha, hb, hd = pa * ha % mr, (pa * hb + pb * hd) % mr, pd * hd % mr
+            rest = walk(right, mid, hi, (ha, hb, hd), after)
+            if after is None:
+                return None
+            ra, rb, rd = rest
+            a, b, dd = a * ra, a * rb + b * rd, dd * rd
+        if after is None:
+            return None
+        if abs(a) > after or abs(dd) > after:
+            a, b, dd = a % after, b % after, dd % after
         return a, b, dd
 
-    def walk(node: tuple, lo: int, hi: int, prefix: Optional[_Tri],
-             need: bool) -> Optional[_Tri]:
-        """Fill out[lo:hi] from the product of the blocks before lo, reduced
-        mod node's modulus (None: no block precedes), and return the product
-        of blocks lo .. hi-1 where a caller reads it (need)."""
-        if hi - lo == 1:
-            block = leaf(lo)
-            m = node[0]
-            _, b, dd = block if prefix is None else _tri_mod(_tri_mul(prefix, block), m)
-            out[lo] = (b + dd) * pow(dd, -1, m) % m
-            return block
-        mid = (lo + hi) // 2
-        left, right = node[1], node[2]
-        before = None if prefix is None else _tri_mod(prefix, left[0])
-        product = walk(left, lo, mid, before, True)
-        mr = right[0]
-        head = _tri_mod(product, mr)
-        if prefix is not None:
-            head = _tri_mod(_tri_mul(_tri_mod(prefix, mr), head), mr)
-        rest = walk(right, mid, hi, head, need)
-        return _tri_mul(product, rest) if need else None
-
-    walk(tree, 0, len(primes), None, False)
+    walk(tree, 0, len(primes), None, None)
     return out
 
 

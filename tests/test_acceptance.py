@@ -20,6 +20,7 @@ from supercong.congruences import (
     check_theorem_2_3,
     check_theorem_2_4,
     core_sum,
+    explore_remark_2_3,
     family_sum,
     family_sums,
     plain_sum,
@@ -220,7 +221,9 @@ def test_criterion_09_family_dictionary():
 
 def test_criterion_10_remark_2_3_exploration():
     t0 = time.perf_counter()
-    reports = run_exploration(primes_in_range(5, 999))
+    sums = run_exploration(primes_in_range(5, 999))
+    reports = explore_remark_2_3([p for p, _ in sums])
+    assert [(r["p"], r["residues"]["sum_mod_p3"]) for r in reports] == sums
     assert all(r["e"] == 3 and "sum_mod_p3" in r["residues"] for r in reports)
     vanishing = [r for r in reports if r["residues"]["sum_mod_p3"] == 0]
     surfaced = [r for r in reports if r["residues"]["sum_mod_p3"] != 0]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from argparse import ArgumentTypeError
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -171,6 +172,37 @@ def test_log_env_validation(monkeypatch, capsys):
     assert "SUPERCONG_LOG" in capsys.readouterr().err
     monkeypatch.setenv("SUPERCONG_LOG", "info")
     assert main(["check", "cor2.3", "--primes", "5..5"]) == 0
+    capsys.readouterr()
+    # one "LEVEL supercong: message" line per enabled call, and none when quiet
+    assert main(["check", "eq1.2", "--primes", "5..7"]) == 0
+    assert capsys.readouterr().err == (
+        "INFO supercong: checking eq1.2 over 2 prime(s) in one pass\n")
+    assert main(["explore", "remark2.3", "--primes", "3..20"]) == 0
+    assert capsys.readouterr().err == "INFO supercong: exploring remark2.3 over 3 prime(s)\n"
+    monkeypatch.setenv("SUPERCONG_LOG", "debug")
+    assert main(["check", "thm2.3", "--a", "1", "--m", "2", "--primes", "3..7"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "INFO supercong: checking thm2.3 over 3 prime(s) in this process "
+        "(serial estimate 0.00 s)",
+        *(f"DEBUG supercong: p={p}: 1 report(s) for thm2.3" for p in (3, 5, 7))]
+    monkeypatch.setenv("SUPERCONG_LOG", "quiet")
+    assert main(["check", "eq1.2", "--primes", "5..7"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_quiet_fixed_argument_check_imports_neither_logging_nor_csv():
+    code = ("import runpy, sys\n"
+            "sys.argv = ['supercong', 'check', 'eq1.2', '--primes', '5..7']\n"
+            "try:\n"
+            "    runpy.run_module('supercong', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, 'logging' in sys.modules, 'csv' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("SUPERCONG_LOG", None)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "0 False False", out.stderr
 
 
 def test_run_checks_library_surface():
@@ -190,10 +222,57 @@ def test_run_checks_library_surface():
 
 
 def test_run_exploration_and_family_sums():
-    reports = run_exploration(primes_in_range(5, 40))
-    assert [r["p"] for r in reports] == [5, 11, 17, 23, 29]
+    sums = run_exploration(primes_in_range(5, 40))
+    assert [p for p, _ in sums] == [5, 11, 17, 23, 29]
+    assert sums == [(r["p"], r["residues"]["sum_mod_p3"])
+                    for r in cg.explore_remark_2_3([5, 11, 17, 23, 29])]
     sums = cg.family_sums(FamilyTag.TWO_THREE, Fraction(1, 1458), [5, 11, 17], 2)
     assert sums == {5: 0, 11: 0, 17: 0}
+
+
+def _nonzero_where(keep):
+    """A stand-in for congruences.family_sums whose sum is p at the primes
+    ``keep`` selects and 0 elsewhere."""
+    def family_sums(f, x, primes, e):
+        return {p: p if keep(p) else 0 for p in sorted(primes) if Fraction(x).denominator % p}
+    return family_sums
+
+
+def test_explore_prints_every_non_vanishing_prime_in_ascending_order(monkeypatch, capsys,
+                                                                     tmp_path):
+    # remark 2.3 vanishes at every prime tried, so the sums are replaced:
+    # p = 3 mod 4 does not vanish, more primes than FAILED_SHOWN
+    monkeypatch.setattr(cg, "family_sums", _nonzero_where(lambda p: p % 4 == 3))
+    qualifying = [p for p in primes_in_range(3, 200) if p % 6 == 5]
+    loud = [p for p in qualifying if p % 4 == 3]
+    assert len(loud) > cli.FAILED_SHOWN
+    out = tmp_path / "e.jsonl"
+    assert main(["explore", "remark2.3", "--primes", "3..200", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (f"remark2.3: {len(qualifying) - len(loud)}/{len(qualifying)} "
+                        "qualifying prime(s) vanish mod p^3")
+    assert lines[1:-1] == [f"  NON-VANISHING at p={p}: residue {p} mod {p}^3" for p in loud]
+    records = cg.explore_remark_2_3(qualifying)
+    assert sum(r["status"] == "FAILED" for r in records) == len(loud)
+    assert out.read_text() == reference.encode_report(records)[0]
+
+
+def test_fixed_argument_summary_shows_the_first_failed_records_in_report_order(monkeypatch,
+                                                                              capsys):
+    # every sum is p: each in-class case fails, several per prime and case
+    monkeypatch.setattr(cg, "family_sums", _nonzero_where(lambda p: True))
+    records = cg.check_rodriguez_villegas(primes_in_range(5, 60))
+    failed = sorted((r for r in records if r["status"] == "FAILED"),
+                    key=lambda d: (d["p"], tuple(sorted(d["params"].items()))))
+    assert failed[0]["params"]["family"] != failed[1]["params"]["family"]
+    assert failed[0]["p"] == failed[1]["p"]
+    [chunk] = run_checks("eq1.2", primes_in_range(3, 60))
+    assert chunk.failed == failed[:cli.FAILED_SHOWN]
+    assert chunk.counts == Counter(r["status"] for r in records)
+    assert main(["check", "eq1.2", "--primes", "3..60"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"  FAILED: p={r['p']} params={r['params']} residues={r['residues']}"
+        for r in failed[:cli.FAILED_SHOWN]]
 
 
 def test_family_sums_skip_primes_dividing_the_denominator():
@@ -589,11 +668,13 @@ ENCODED_EXPLICIT = {
 
 
 @pytest.mark.parametrize("theorem", list(cg.STATEMENTS))
-def test_encoder_writes_the_bytes_of_json_dumps_and_csv_writer(theorem):
+def test_encoder_writes_the_bytes_of_json_dumps_and_csv_writer(theorem, tmp_path):
     """The records of the grid over 3..31 and of explicit parameters, as
     the grid's points are encoded per prime and again as records in one
     chunk; or of a fixed-argument statement over 5..200 (for cor2.3 this
-    includes p = 5, which divides its scale 3375), encoded in one chunk."""
+    includes p = 5, which divides its scale 3375), encoded in one chunk,
+    and its CLI text over 5..2000 (and explore's JSONL for remark2.3),
+    written from its sums with no record dicts."""
     spec = cg.STATEMENTS[theorem]
     if spec.params:
         assert set(ENCODED_EXPLICIT) == {t for t, row in cg.STATEMENTS.items() if row.params}
@@ -607,6 +688,17 @@ def test_encoder_writes_the_bytes_of_json_dumps_and_csv_writer(theorem):
         assert "".join(c.jsonl for c in chunks).splitlines(True) == jsonl.splitlines(True)
         assert "".join(c.csv for c in chunks).splitlines(True) == csv_rows.splitlines(True)
     else:
+        primes = primes_in_range(5, 2000)
+        chunks = run_checks(theorem, primes, formats=("jsonl", "csv"))
+        jsonl, csv_rows = reference.encode_report(spec.check(primes))
+        assert "".join(c.jsonl for c in chunks).splitlines(True) == jsonl.splitlines(True)
+        assert "".join(c.csv for c in chunks).splitlines(True) == csv_rows.splitlines(True)
+        if theorem == "remark2.3":
+            out = tmp_path / "e.jsonl"
+            assert main(["explore", theorem, "--primes", "5..2000", "--out", str(out)]) == 0
+            qualifying = [p for p in primes if p % 6 == 5]
+            assert out.read_text().splitlines(True) == reference.encode_report(
+                spec.check(qualifying))[0].splitlines(True)
         records = spec.check(primes_in_range(5, 200))
     shapes = {(bool(r["params"]), bool(r["residues"])) for r in records}
     assert (True, True) in shapes
