@@ -38,6 +38,15 @@ summary from the sums.  Only the vacuous record of explicit parameters
 that do not apply is a dict, encoded as a row of one point
 (:func:`encode`).  Log lines go to stderr with no stdlib ``logging``
 (:func:`_log`).
+
+``oracle reduce-equivalence`` holds the modular sums against
+``oracle.exact_reduce_sums`` over the grids ``oracle.GRID_X`` and
+``oracle.GRID_A``.  At each (p, e) it reduces each grid value whose
+denominator p does not divide once, builds the family, core and plain
+specs of ``congruences`` from them, and sums every spec in one
+``PrimeContext.series`` call at the vector of those x: the packed pass
+that every grid runs.  It compares in the order p, e, x, series and names
+the first mismatch.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, islice
 from operator import getitem, methodcaller
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import congruences as cg
 from . import oracle
@@ -596,21 +605,31 @@ def _run_oracle_target(target: str, args: argparse.Namespace) -> Tuple[bool, str
     if target == "reduce-equivalence":
         p_max = _oracle_size(target, args)
         primes = primes_in_range(3, p_max)
-        # (a, which, the modular sum at (x, ctx), its name, a in a mismatch)
-        series = [(0, f, partial(cg.family_sum, f), f"family {f.label}", "")
-                  for f in cg.FamilyTag]
-        series += [(a, which, partial(fn, a), which, f" a={a}")
-                   for a in oracle.GRID_A
-                   for which, fn in (("core", cg.core_sum), ("plain", cg.plain_sum))]
-        cases = [(x, modular, name, at_a, oracle.exact_reduce_sums(a, x, which, primes, 3))
-                 for x in oracle.GRID_X for a, which, modular, name, at_a in series]
-        # each context, and the rows it caches, lives for one (p, e)
+        # per series: its name, a in a mismatch, and its exact sums at each x
+        # of GRID_X as {p: sum mod p^3}; the families, then core and plain per a
+        def exact(a: Fraction, which: Union[str, cg.FamilyTag]) -> List[Dict[int, int]]:
+            return [oracle.exact_reduce_sums(a, x, which, primes, 3) for x in oracle.GRID_X]
+
+        families = [(f"family {f.label}", "", exact(Fraction(0), f)) for f in cg.FamilyTag]
+        at_a = [(a, [(which, f" a={a}", exact(a, which)) for which in ("core", "plain")])
+                for a in oracle.GRID_A]
         for p in primes:
+            xs = [(i, x) for i, x in enumerate(oracle.GRID_X) if x.denominator % p]
+            usable = [(a, pair) for a, pair in at_a if a.denominator % p]
+            live = families + [s for _, pair in usable for s in pair]
+            # each context, and the rows it caches, lives for one (p, e); it
+            # sums every live series at every usable x in one packed pass
             for e in (1, 2, 3):
                 ctx = make_context(p, e)
-                for x, modular, name, at_a, exact in cases:
-                    if p in exact and modular(x, ctx) != exact[p] % ctx.modulus:
-                        return False, f"{name} differs at p={p} e={e}{at_a} x={x}"
+                specs = [cg._family_spec(f, p) for f in cg.FamilyTag]
+                for a, _ in usable:
+                    ah = cg._residue(a, ctx)
+                    specs += cg._core_spec(ah, p), cg._plain_spec(ah, p)
+                sums = ctx.series(specs, [cg._residue(x, ctx) for _, x in xs])
+                for k, (i, x) in enumerate(xs):
+                    for (name, at, exact_sums), got in zip(live, sums):
+                        if got[k] != exact_sums[i][p] % ctx.modulus:
+                            return False, f"{name} differs at p={p} e={e}{at} x={x}"
         return True, f"modular pipeline matches exact reduction for all p <= {p_max}"
     raise ValueError(f"unknown oracle target {target!r}")
 

@@ -41,6 +41,7 @@ from .modring import (
     PrimeContext,
     Rational,
     Spec,
+    Trees,
     hyper_sums,
     reduce_rational,
 )
@@ -125,16 +126,19 @@ def family_sum(f: FamilyTag, x: Rational, ctx: PrimeContext) -> int:
 
 
 def family_sums(
-    f: FamilyTag, x: Rational, primes: Iterable[int], e: int
+    f: FamilyTag, x: Rational, primes: Iterable[int], e: int,
+    trees: Optional[Trees] = None,
 ) -> Dict[int, int]:
     """:func:`family_sum` at one x for every prime at once: {p: residue}.
 
     Primes dividing the denominator of x have no residue and are left out.
+    ``trees`` is :func:`~supercong.modring.hyper_sums`'s: calls that share
+    it and their usable primes share one moduli tree.
     """
     x = Fraction(x)
     usable = sorted({p for p in primes if x.denominator % p})
     c = f.const * x
-    sums = hyper_sums(c.numerator, c.denominator, f.factors, 3, usable, e)
+    sums = hyper_sums(c.numerator, c.denominator, f.factors, 3, usable, e, trees)
     return dict(zip(usable, sums))
 
 
@@ -513,11 +517,14 @@ def fixed_sums(theorem: str, primes: Sequence[int]) -> List[Dict[int, int]]:
     """The family sum at x = 1/scale of each case of a statement at fixed
     arguments, in report order, over a prime list: one :func:`family_sums`
     pass per case, {p: residue mod p^e} without the primes that divide the
-    scale."""
+    scale.  The cases share one moduli tree per distinct list of usable
+    primes."""
     row = STATEMENTS[theorem]
     if any(p < row.min_p for p in primes):
         raise RangeError(f"stated for p >= {row.min_p}")
-    return [family_sums(f, Fraction(1, scale), primes, row.e) for f, scale, _, _ in _cases(theorem)]
+    trees: Trees = {}
+    return [family_sums(f, Fraction(1, scale), primes, row.e, trees)
+            for f, scale, _, _ in _cases(theorem)]
 
 
 def fixed_columns(theorem: str, primes: Sequence[int],

@@ -23,6 +23,10 @@ Rational = Union[Fraction, int]
 # t_0 = 1 and t_k / t_{k-1} = c * prod_i (s_i k + r_i) / k^d (see hyper_terms).
 Spec = Tuple[int, Tuple[Tuple[int, int], ...], int, int]
 
+# Checked moduli trees by (ascending prime list, e), as hyper_sums keeps them
+# for its caller.
+Trees = Dict[Tuple[Tuple[int, ...], int], tuple]
+
 # Deterministic Miller-Rabin witness sets: the full set is exact for all
 # n < 3.3e24 (in particular the whole sweep range below 2^64), the first four
 # bases for all n below the smallest strong pseudoprime to all of them.
@@ -205,6 +209,7 @@ def hyper_sums(
     d: int,
     primes: Sequence[int],
     e: int,
+    trees: Optional[Trees] = None,
 ) -> List[int]:
     """sum_{k=0}^{p-1} t_k mod p^e for every prime p of an ascending list,
     for t_0 = 1 and the term ratio
@@ -228,13 +233,21 @@ def hyper_sums(
     and reduces the product of its blocks there once it outgrows it; an
     upper-triangular matrix [[a, b], [0, d]] is kept as the three ints a, b
     and d.
+
+    ``trees``, a dict the caller keeps, holds the checked moduli tree of
+    each (prime list, e) it has met, so calls over the same list build and
+    check one tree.
     """
     if not isinstance(e, int) or e not in (1, 2, 3):
         raise BadExponent(f"exponent must be 1, 2 or 3, got {e!r}")
     primes = tuple(primes)
     if not primes:
         return []
-    tree = _prime_power_tree(primes, e)
+    if trees is None:
+        trees = {}
+    if (primes, e) not in trees:
+        trees[primes, e] = _prime_power_tree(primes, e)
+    tree = trees[primes, e]
     for p in primes:
         if den % p == 0:
             raise NotPIntegral(f"{num}/{den} has denominator divisible by {p}")
@@ -243,12 +256,16 @@ def hyper_sums(
     root = tree[0]
 
     def walk(node: tuple, lo: int, hi: int, prefix: Optional[Tuple[int, int, int]],
-             after: Optional[int]) -> Optional[Tuple[int, int, int]]:
+             after: Optional[tuple]) -> Optional[Tuple[int, int, int]]:
         """Fill out[lo:hi] from the product of the blocks before lo, reduced
         mod node's modulus (None: no block precedes).  Where a caller reads
         the product of blocks lo .. hi-1, ``after`` is the product of the
         moduli of the primes from hi on that it is read by, and the product
         is returned, reduced mod ``after`` once it outgrows it; else None.
+        ``after`` is kept unformed, as the chain (bits, factor, rest) whose
+        factors multiply to it and whose bits add up their bit lengths: it
+        is formed only at the few nodes whose product has more bits than
+        that.
 
         A leaf multiplies the steps from the previous prime to p_lo - 1.
         Its product is reduced mod the product of all moduli once it
@@ -278,7 +295,8 @@ def hyper_sums(
             if prefix is not None:
                 pa, pb, pd = prefix
                 prefix = pa % ml, pb % ml, pd % ml
-            a, b, dd = walk(left, lo, mid, prefix, mr if after is None else mr * after)
+            a, b, dd = walk(left, lo, mid, prefix,
+                            (mr.bit_length() + (after[0] if after else 0), mr, after))
             ha, hb, hd = a % mr, b % mr, dd % mr
             if prefix is not None:
                 pa, pb, pd = pa % mr, pb % mr, pd % mr
@@ -290,8 +308,12 @@ def hyper_sums(
             a, b, dd = a * ra, a * rb + b * rd, dd * rd
         if after is None:
             return None
-        if abs(a) > after or abs(dd) > after:
-            a, b, dd = a % after, b % after, dd % after
+        bits, n, rest = after
+        if a.bit_length() > bits or dd.bit_length() > bits:
+            while rest:
+                _, factor, rest = rest
+                n *= factor
+            a, b, dd = a % n, b % n, dd % n
         return a, b, dd
 
     walk(tree, 0, len(primes), None, None)

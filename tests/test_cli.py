@@ -233,7 +233,7 @@ def test_run_exploration_and_family_sums():
 def _nonzero_where(keep):
     """A stand-in for congruences.family_sums whose sum is p at the primes
     ``keep`` selects and 0 elsewhere."""
-    def family_sums(f, x, primes, e):
+    def family_sums(f, x, primes, e, trees=None):
         return {p: p if keep(p) else 0 for p in sorted(primes) if Fraction(x).denominator % p}
     return family_sums
 
@@ -857,16 +857,48 @@ def test_oracle_p_max_below_the_first_prime_is_rejected_before_any_work(
     assert "--p-max must be at least 3" in captured.err
 
 
+def _off_by_one_where(monkeypatch, hit):
+    """Wrap PrimeContext.series so that each value of a spec at an x where
+    ``hit(ctx, spec, xs, x)`` holds is one more, mod p^e."""
+    real = modring.PrimeContext.series
+
+    def series(self, specs, xs):
+        return [[(v + 1) % self.modulus if hit(self, spec, xs, x) else v
+                 for v, x in zip(values, xs)]
+                for spec, values in zip(specs, real(self, specs, xs))]
+
+    monkeypatch.setattr(modring.PrimeContext, "series", series)
+
+
 def test_oracle_mismatch_names_the_point(monkeypatch, capsys):
-    real = cg.plain_sum
-
-    def off_by_one(a, x, ctx):
-        return (real(a, x, ctx) + 1) % ctx.modulus
-
-    monkeypatch.setattr(cg, "plain_sum", off_by_one)
+    # the plain sums are the only ones with k^2 in their term ratio
+    _off_by_one_where(monkeypatch, lambda ctx, spec, xs, x: spec[2] == 2)
     assert main(["oracle", "reduce-equivalence", "--p-max", "5"]) == 1
     assert capsys.readouterr().out == (
         "oracle reduce-equivalence: MISMATCH -- plain differs at p=3 e=1 a=0 x=0\n"
+    )
+
+
+def test_oracle_reaches_the_packed_evaluator(monkeypatch, capsys):
+    # only evaluations at several x at once are wrong, so a one-point oracle
+    # would pass
+    _off_by_one_where(monkeypatch, lambda ctx, spec, xs, x: len(xs) > 1)
+    assert main(["oracle", "reduce-equivalence", "--p-max", "13"]) == 1
+    assert capsys.readouterr().out == (
+        "oracle reduce-equivalence: MISMATCH -- family cube differs at p=3 e=1 x=0\n"
+    )
+
+
+def test_oracle_names_the_first_fault_in_scan_order(monkeypatch, capsys):
+    # p, e, x, then the series: the four families, then core and plain per a
+    def hit(ctx, spec, xs, x):
+        return (ctx.p >= 5 and ctx.e == 2 and spec == cg._family_spec(FamilyTag.TWO_FOUR, ctx.p)
+                and x == modring.reduce_rational(Fraction(9, 8), ctx))
+
+    _off_by_one_where(monkeypatch, hit)
+    assert main(["oracle", "reduce-equivalence", "--p-max", "13"]) == 1
+    assert capsys.readouterr().out == (
+        "oracle reduce-equivalence: MISMATCH -- family two_four differs at p=5 e=2 x=9/8\n"
     )
 
 

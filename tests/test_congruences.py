@@ -12,6 +12,7 @@ from reference import binom_frac
 from supercong.congruences import (
     STATEMENTS,
     FamilyTag,
+    _cases,
     _report,
     check_corollary_2_2,
     check_corollary_2_3,
@@ -25,6 +26,7 @@ from supercong.congruences import (
     explore_remark_2_3,
     family_sum,
     family_sums,
+    fixed_sums,
     format_rational,
     plain_sum,
     points,
@@ -35,6 +37,7 @@ from supercong.errors import (
     NotPIntegral,
     RangeError,
 )
+from supercong import modring
 from supercong.cli import primes_in_range, run_checks
 from supercong.modring import make_context, reduce_rational
 from supercong.oracle import exact_reduce_sum, exact_reduce_sums
@@ -406,6 +409,26 @@ def test_family_sums_equal_the_scalar_kernel(f, e):
             if x.denominator % ctx.p
         }
         assert family_sums(f, x, GATE_PRIMES, e) == want, (f, e, x)
+
+
+def test_fixed_sums_build_one_moduli_tree_per_list_of_usable_primes(monkeypatch):
+    built = []
+    real = modring._prime_power_tree
+
+    def counted(primes, e):
+        built.append((primes, e))
+        return real(primes, e)
+
+    monkeypatch.setattr(modring, "_prime_power_tree", counted)
+    # eq1.2's scales are prime to every p >= 5; cor2.3's 3375 is divisible by 5
+    for theorem, hi, trees in (("eq1.2", 2000, 1), ("cor2.3", 400, 2)):
+        primes = primes_in_range(5, hi)
+        e = STATEMENTS[theorem].e
+        want = [family_sums(f, Fraction(1, scale), primes, e)
+                for f, scale, _, _ in _cases(theorem)]
+        built.clear()
+        assert fixed_sums(theorem, primes) == want, theorem
+        assert len(built) == trees, theorem
 
 
 def test_family_sums_on_empty_and_one_prime_lists():
