@@ -2,25 +2,20 @@
 
 Exact arithmetic over Z/p^e, one division-free kernel for the truncated
 hypergeometric sums sum_k C(2k,k) C(a,k) C(-1-a,k) x^k and for the squared
-Legendre values P_n(sqrt(1+4x))^2 mod p^e, checkers for the associated
-congruence statements, exact integer oracles, and a prime-sweeping CLI
-driven by one statement table.
+Legendre values P_n(sqrt(1+4x))^2 mod p^e, one checker per kind of
+congruence statement (``check`` for one point of a statement with
+parameters, ``fixed_records`` for a statement at fixed arguments over a
+prime list), exact integer oracles, and a prime-sweeping CLI driven by one
+statement table.
 """
 
 from .congruences import (
     FamilyTag,
-    check_corollary_2_2,
-    check_corollary_2_3,
-    check_identity_1_3,
-    check_rodriguez_villegas,
-    check_theorem_2_1,
-    check_theorem_2_2,
-    check_theorem_2_3,
-    check_theorem_2_4,
+    check,
     core_sum,
-    explore_remark_2_3,
     family_sum,
     family_sums,
+    fixed_records,
     plain_sum,
 )
 from .errors import (

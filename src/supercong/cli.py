@@ -3,7 +3,7 @@ exploration, exact-oracle runs, and JSONL/CSV report emission.
 
 Every ``check`` id and the ``explore`` conjecture is a row of
 ``congruences.STATEMENTS``, which gives its parameters, exponent, smallest
-prime and its series or checker; this module states none of them.  Whether a
+prime and its series or cases; this module states none of them.  Whether a
 parameter applies at a prime is one rule, ``congruences.applies``: the
 --exhaustive-am grid takes the residues that apply, and an explicit
 parameter gives one vacuous record at a prime where it does not.  --primes
@@ -34,10 +34,11 @@ the counts and writes the chunks in prime order, so report files are
 byte-identical regardless of --jobs.  A statement at fixed arguments fills
 the same templates record by record from the columns of its sums, cases
 in report order (:func:`_encode_fixed`), and ``explore`` prints its
-summary from the sums.  Only the vacuous record of explicit parameters
-that do not apply is a dict, encoded as a row of one point
-(:func:`encode`).  Log lines go to stderr with no stdlib ``logging``
-(:func:`_log`).
+summary from the sums.  Explicit parameters that do not apply at a prime
+give a row of one vacuous point, with the given names and no residues.
+Only the first FAILED_SHOWN FAILED records become dicts
+(``congruences.record``), for the summary.  Log lines go to stderr with
+no stdlib ``logging`` (:func:`_log`).
 
 ``oracle reduce-equivalence`` holds the modular sums against
 ``oracle.exact_reduce_sums`` over the grids ``oracle.GRID_X`` and
@@ -143,23 +144,30 @@ def _reports_for_prime(
     hold the residues that apply (grid) or the one given value (explicit),
     and :func:`congruences.points` sums every series of the statement at
     its whole argument vector on one context.  Explicit parameters that do
-    not apply at p give one vacuous record and no sums.
+    not apply at p give no sums but one vacuous point, encoded as a row of
+    the shape of the given names with no residues.
     """
     spec = cg.STATEMENTS[theorem]
     ctx = make_context(p, spec.e)
+    *_, arg = spec.params
+    shape = (theorem, *cg.record_names(theorem))
     if exhaustive:
         axes = {n: sorted([(str(r), r) for r in range(p) if cg.applies(theorem, n, r, p)])
                 for n in spec.params}
+        rows = cg.points(theorem, ctx, axes)
     else:
         given = {n: params[n] for n in spec.params}
-        vacuous = cg.inapplicable(theorem, p, given)
-        if vacuous:
-            return encode([vacuous], formats)
-        axes = {n: [(cg.format_rational(q), reduce_rational(q, ctx))] for n, q in given.items()}
-    *_, arg = spec.params
+        if all(cg.applies(theorem, n, q, p) for n, q in given.items()):
+            axes = {n: [(cg.format_rational(q), reduce_rational(q, ctx))]
+                    for n, q in given.items()}
+            rows = cg.points(theorem, ctx, axes)
+        else:
+            # one vacuous point of the given names, with no residues
+            *head, last = map(cg.format_rational, given.values())
+            shape, axes = (theorem, tuple(given), ()), {arg: [(last, None)]}
+            rows = [(tuple(head), [False], [True], ())]
     counts: Counter = Counter()
-    failed, jsonl, csv_text = _encode((theorem, *cg.record_names(theorem)), p, spec.e,
-                                      [s for s, _ in axes[arg]], cg.points(theorem, ctx, axes),
+    failed, jsonl, csv_text = _encode(shape, p, spec.e, [s for s, _ in axes[arg]], rows,
                                       formats, counts)
     _log("DEBUG", "p=%d: %d report(s) for %s", p, sum(counts.values()), theorem)
     return Chunk(counts, [cg.record(theorem, p, pt) for pt in failed], jsonl, csv_text)
@@ -238,7 +246,7 @@ def run_checks(
     jobs: Optional[int] = None,
     formats: Sequence[str] = (),
 ) -> List[Chunk]:
-    """Run one theorem's checker over primes, encoded in ``formats``: one
+    """Check one theorem over primes, its records encoded in ``formats``: one
     chunk per prime in ascending order, over the workers
     :func:`_resolve_jobs` gives for ``jobs`` (1: in this process), or, for a
     statement at fixed arguments, one chunk from one pass over the whole
@@ -450,29 +458,10 @@ def _encode_fixed(theorem: str, primes: Sequence[int], sums: Sequence[Dict[int, 
             rows.append([csv_row % (p, e, head) % (x, h, c, s, r) if r is not None else
                          bare_csv % (p, e, head) % (x, h, c, s)
                          for p, h, c, r, s in points])
-    failed = [cg.fixed_record(theorem, primes[i], columns[j][0], True, False, columns[j][3][i])
+    failed = [cg.record(theorem, primes[i], (columns[j][0], True, False, (columns[j][3][i],)))
               for i, j in sorted(failing)[:FAILED_SHOWN]]
     return Chunk(counts, failed, "".join(chain.from_iterable(zip(*lines))),
                  "".join(chain.from_iterable(zip(*rows))))
-
-
-def encode(records: List[dict], formats: Sequence[str] = ()) -> Chunk:
-    """Encode records in the order given in each of ``formats``, each as a
-    row of one point of its shape."""
-    counts: Counter = Counter()
-    lines: List[str] = []
-    rows: List[str] = []
-    for r in records:
-        params, residues = r["params"], r["residues"]
-        *head, arg = params.values()
-        _, jsonl, csv_text = _encode(
-            (r["theorem"], tuple(params), tuple(residues)), r["p"], r["e"], (arg,),
-            [(head, [r["hypothesis_holds"]], [r["conclusion_holds"]],
-              [(v,) for v in residues.values()])], formats, counts)
-        lines.append(jsonl)
-        rows.append(csv_text)
-    failed = list(islice((r for r in records if r["status"] == "FAILED"), FAILED_SHOWN))
-    return Chunk(counts, failed, "".join(lines), "".join(rows))
 
 
 def write_jsonl(chunks: Iterable[Chunk], path: str) -> None:

@@ -11,19 +11,22 @@ One table, :data:`STATEMENTS`, states each statement once: its exponent,
 smallest prime, parameters with their excluded values and either, for a
 statement with parameters, its :class:`Series` (which series it sums at
 which arguments, and its verdict on the sums), or, for a statement at fixed
-arguments, its cases and checker.  Everything else reads its row:
-:func:`applies`, the one rule for a parameter at a prime; :func:`_require`,
-the checkers' guard on the context; :func:`points`, which sums a
-statement's grid at one prime, each distinct series once at its whole
-argument vector, and yields it row by row, each row as columns that the
-statement's verdict computes from columns of sums; and :func:`_report`,
-which wraps a point into a plain dict record whose status follows one fixed
-rule, :data:`STATUS`.  A checker is the grid of one point, so explicit
-parameters, grids and checker calls share one path.  A statement at fixed
+arguments, its cases.  Everything else reads its row: :func:`applies`, the
+one rule for a parameter at a prime; :func:`_require`, the guard on a
+context; :func:`points`, which sums a statement's grid at one prime, each
+distinct series once at its whole argument vector, and yields it row by
+row, each row as columns that the statement's verdict computes from columns
+of sums; and :func:`record`, the one builder of a plain dict record, whose
+status follows one fixed rule, :data:`STATUS`.  A statement at fixed
 arguments (eq1.2, cor2.3, remark 2.3) sums each of its cases over the whole
 prime list at once (:func:`fixed_sums`) and gives its verdict as columns
-over the primes, cases in report order (:func:`fixed_columns`); its checker
-builds dict records from those columns.
+over the primes, cases in report order (:func:`fixed_columns`).
+
+There is one library entry per kind of statement: :func:`check`, the record
+of one point of a statement with parameters, a grid of one point on the
+path the CLI's grids and explicit parameters run; and
+:func:`fixed_records`, the records of a statement at fixed arguments over a
+prime list, built from its columns.
 """
 
 from __future__ import annotations
@@ -151,30 +154,6 @@ def family_sums(
 STATUS = (("vacuous", "vacuous"), ("FAILED", "verified"))
 
 
-def _report(
-    theorem: str,
-    p: int,
-    params: Dict[str, str],
-    hypothesis: bool,
-    conclusion: bool,
-    residues: Dict[str, int],
-) -> dict:
-    """One checker outcome as a plain record, at the statement's e, with the
-    status :data:`STATUS` gives its two booleans.  Rational parameters are
-    serialized as "num/den" strings for lossless round-trips.
-    """
-    return {
-        "theorem": theorem,
-        "p": p,
-        "e": STATEMENTS[theorem].e,
-        "params": params,
-        "hypothesis_holds": hypothesis,
-        "conclusion_holds": conclusion,
-        "residues": residues,
-        "status": STATUS[hypothesis][conclusion],
-    }
-
-
 def format_rational(q: Rational) -> str:
     if isinstance(q, int):
         return str(q)
@@ -239,16 +218,12 @@ class Statement(NamedTuple):
     and ``series`` states what the statement sums at one prime and its
     verdict.  A statement at fixed arguments has no ``params`` but ``cases``
     (family, scale, modulus, classes), each claiming that the family sum at
-    x = 1/scale vanishes mod p^e for p mod modulus in classes; its
-    ``check(primes)`` gives the records for a whole prime list in one pass.
-    ``check`` looks up ``check_*`` on this module at call time, so rebinding
-    one reaches its row.
+    x = 1/scale vanishes mod p^e for p mod modulus in classes.
     """
 
     e: int
     min_p: int
     params: Dict[str, Tuple[Fraction, ...]]
-    check: Optional[Callable[[List[int]], List[dict]]] = None
     cases: Tuple[Tuple[FamilyTag, int, int, Tuple[int, ...]], ...] = ()
     series: Optional[Series] = None
 
@@ -293,53 +268,63 @@ _LIFT = ("sum_mod_p2", "sum_mod_p")
 _IMPLICATION = ("hypothesis_sum_mod_p", "conclusion_sum_mod_p2")
 _X_1458 = (FamilyTag.TWO_THREE, 1458, 6, (5,))
 STATEMENTS: Dict[str, Statement] = {
-    # core sum at x; P_<a>(sqrt(1-4x))^2 and its mirror index at x
+    # Triple congruence mod p: the core sum at x equals the squared Legendre
+    # value P_<a>(sqrt(1-4x))^2 at both the index <a>_p and its mirror.
     "thm2.1": Statement(
         1, 3, {"a": (), "x": ()},
         series=Series("a", lambda n, p: (_core_spec(n, p), legendre_square_spec(n, p),
                                          legendre_square_spec(p - 1 - n, p)),
                       lambda x, mod: (x, -x, -x), _equal,
                       ("sum", "legendre_sq", "legendre_sq_mirror"))),
-    # plain sum at x, core sum at x(1-x)
+    # The squared plain sum at x equals the core sum at x(1-x) mod p^2.
     "thm2.2": Statement(
         2, 3, {"a": (), "x": ()},
         series=Series("a", lambda a, p: (_plain_spec(a, p), _core_spec(a, p)),
                       lambda x, mod: (x, x * (1 - x)), _squared_plain_sum,
                       ("plain_sum_sq", "core_sum"))),
+    # The core sum at 1/m: vanishing mod p lifts to mod p^2.
     "thm2.3": Statement(
         2, 3, {"a": (), **_M},
         series=Series("a", lambda a, p: (_core_spec(a, p),), _inverse, _lift, _LIFT)),
+    # Vanishing mod p at u^2/(1-4u)^3 forces vanishing mod p^2 at
+    # -u/(1-16u)^3, for the family C(2k,k)^2 C(3k,k).  Outside the excluded
+    # classes of u, every denominator of the two arguments is a unit mod p.
     "thm2.4i": Statement(
         2, 3, {"u": (Fraction(1, 4), Fraction(1, 16))},
         series=Series(None, lambda _, p: (_family_spec(FamilyTag.TWO_THREE, p),) * 2,
                       lambda u, mod: (u**2 * pow(1 - 4 * u, -3, mod),
                                       -u * pow(1 - 16 * u, -3, mod)),
                       _implication, _IMPLICATION)),
+    # The same with C(2k,k)^2 C(4k,2k) at u^3/(1+3u)^4 and u/(1+27u)^4.
     "thm2.4ii": Statement(
         2, 3, {"u": (Fraction(-1, 3), Fraction(-1, 27))},
         series=Series(None, lambda _, p: (_family_spec(FamilyTag.TWO_FOUR, p),) * 2,
                       lambda u, mod: (u**3 * pow(1 + 3 * u, -4, mod),
                                       u * pow(1 + 27 * u, -4, mod)),
                       _implication, _IMPLICATION)),
+    # The lift of thm2.3 for each binomial-product family at 1/m.
     "cor2.2": Statement(
         2, 3, _M,
         series=Series("family", lambda f, p: (_family_spec(f, p),), _inverse, _lift, _LIFT,
                       tuple(sorted((f.label, f) for f in FamilyTag)))),
-    "cor2.3": Statement(2, 5, {}, lambda primes: check_corollary_2_3(primes),
-                        (_X_1458, (FamilyTag.TWO_THREE, 3375, 15, (11, 14)))),
-    # Rodriguez-Villegas's three residue-class zero congruences
-    "eq1.2": Statement(2, 5, {}, lambda primes: check_rodriguez_villegas(primes),
-                       ((FamilyTag.TWO_THREE, 108, 3, (2,)),
-                        (FamilyTag.TWO_FOUR, 256, 8, (5, 7)),
-                        (FamilyTag.THREE_SIX, 1728, 4, (3,)))),
-    # the cube family at 1/m; P_{(p-1)/2}(sqrt(1-64/m))^2
+    # The 1/1458 and 1/3375 class congruences: two records per prime.
+    "cor2.3": Statement(2, 5, {}, (_X_1458, (FamilyTag.TWO_THREE, 3375, 15, (11, 14)))),
+    # Rodriguez-Villegas's three residue-class zero congruences: three
+    # records per prime.
+    "eq1.2": Statement(2, 5, {}, ((FamilyTag.TWO_THREE, 108, 3, (2,)),
+                                  (FamilyTag.TWO_FOUR, 256, 8, (5, 7)),
+                                  (FamilyTag.THREE_SIX, 1728, 4, (3,)))),
+    # The cube family C(2k,k)^3 at 1/m equals the squared Legendre value
+    # P_{(p-1)/2}(sqrt(1-64/m))^2 mod p^2.
     "eq1.3": Statement(
         2, 5, _M,
         series=Series(None, lambda _, p: (_family_spec(FamilyTag.CUBE, p),
                                           legendre_square_spec((p - 1) // 2, p)),
                       lambda r, mod: (pow(r, -1, mod), -16 * pow(r, -1, mod)), _equal,
                       ("family_sum", "legendre_sq"))),
-    "remark2.3": Statement(3, 5, {}, lambda primes: explore_remark_2_3(primes), (_X_1458,)),
+    # The 1/1458 congruence mod p^3: one record per prime, vacuous outside
+    # its class.
+    "remark2.3": Statement(3, 5, {}, (_X_1458,)),
 }
 
 
@@ -357,15 +342,6 @@ def applies(theorem: str, name: str, q: Rational, p: int) -> bool:
     """The one rule for a parameter at a prime: ``name`` = q applies at p iff
     p does not divide its denominator and it is in no excluded class."""
     return q.denominator % p != 0 and _excluded_class(theorem, name, q, p) is None
-
-
-def inapplicable(theorem: str, p: int, params: Dict[str, Rational]) -> Optional[dict]:
-    """The vacuous record, with no residues, of explicit ``params`` at a
-    prime where one of them does not apply; None where all apply."""
-    if all(applies(theorem, n, q, p) for n, q in params.items()):
-        return None
-    return _report(theorem, p, {n: format_rational(q) for n, q in params.items()},
-                   False, True, {})
 
 
 def _admitted(theorem: str, name: str, q: Rational, ctx: PrimeContext) -> int:
@@ -431,70 +407,53 @@ def points(theorem: str, ctx: PrimeContext, axes: Dict[str, Sequence[AxisValue]]
 
 
 def record(theorem: str, p: int, point: Point) -> dict:
-    """The plain record of one point of a :func:`points` row."""
+    """The plain record of one point at p, at the statement's e, with the
+    status :data:`STATUS` gives its two booleans: a point of a :func:`points`
+    row, or of a case of :func:`fixed_columns` with its residue, if any.
+    Rational parameters are serialized as "num/den" strings for lossless
+    round-trips."""
     params, hypothesis, conclusion, residues = point
     names, residue_names = record_names(theorem)
-    return _report(theorem, p, dict(zip(names, params)), hypothesis, conclusion,
-                   dict(zip(residue_names, residues)))
+    return {
+        "theorem": theorem,
+        "p": p,
+        "e": STATEMENTS[theorem].e,
+        "params": dict(zip(names, params)),
+        "hypothesis_holds": hypothesis,
+        "conclusion_holds": conclusion,
+        "residues": dict(zip(residue_names, residues)),
+        "status": STATUS[hypothesis][conclusion],
+    }
 
 
-# ---------------------------------------------------------------------------
-# Checkers: one point of each statement's grid
+def check(theorem: str, ctx: PrimeContext, **params: object) -> dict:
+    """The record of one point of a statement with parameters at ctx's
+    prime: a grid of one point through :func:`points`.
 
-def _one_point(theorem: str, ctx: PrimeContext, params: Dict[str, Rational],
-               axes: Optional[Dict[str, Sequence[AxisValue]]] = None) -> dict:
-    """The record of one parameter tuple, through :func:`points`, after the
-    statement's guard on ctx.  The parameters are admitted last first, so
-    an argument's error comes before a's."""
-    _require(theorem, ctx)
-    axes = dict(axes or {})
-    for name, q in reversed(params.items()):
-        axes[name] = [(format_rational(q), _admitted(theorem, name, q, ctx))]
-    [(head, [hypothesis], [conclusion], residues)] = points(theorem, ctx, axes)
-    *_, arg = params.values()
-    return record(theorem, ctx.p, ((*head, format_rational(arg)), hypothesis, conclusion,
-                                   tuple(c[0] for c in residues)))
-
-
-def check_theorem_2_1(a: Rational, x: Rational, ctx: PrimeContext) -> dict:
-    """Triple congruence mod p: the truncated core sum equals the squared
-    Legendre value at sqrt(1-4x) for both the index <a>_p and its mirror."""
-    return _one_point("thm2.1", ctx, {"a": a, "x": x})
-
-
-def check_theorem_2_2(a: Rational, x: Rational, ctx: PrimeContext) -> dict:
-    """Squared plain sum against the core sum at x(1-x), mod p^2."""
-    return _one_point("thm2.2", ctx, {"a": a, "x": x})
-
-
-def check_theorem_2_3(a: Rational, m: Rational, ctx: PrimeContext) -> dict:
-    """The core sum at 1/m: vanishing mod p lifts to mod p^2."""
-    return _one_point("thm2.3", ctx, {"a": a, "m": m})
-
-
-def check_corollary_2_2(f: FamilyTag, m: Rational, ctx: PrimeContext) -> dict:
-    """The same lift for one binomial-product family at 1/m."""
-    return _one_point("cor2.2", ctx, {"m": m}, {"family": [(f.label, f)]})
-
-
-def check_theorem_2_4(part: str, u: Rational, ctx: PrimeContext) -> dict:
-    """The two rational-argument implications between family sums.
-
-    Part i: vanishing mod p at u^2/(1-4u)^3 forces vanishing mod p^2 at
-    -u/(1-16u)^3 (family C(2k,k)^2 C(3k,k)).  Part ii: same with
-    C(2k,k)^2 C(4k,2k), arguments u^3/(1+3u)^4 and u/(1+27u)^4.  Outside
-    the classes of u that each part's row of :data:`STATEMENTS` excludes,
-    every denominator of the two arguments is a unit mod p.
+    ``params`` are named as :func:`record_names` names them; cor2.2's
+    family takes a :class:`FamilyTag`, the others a rational.  An unknown
+    id, a statement at fixed arguments and a wrong set of names raise
+    ValueError; then the statement's guard on ctx runs, and the parameters
+    are admitted last first, so an argument's error comes before a's.
     """
-    if part not in ("i", "ii"):
-        raise ValueError(f"part must be 'i' or 'ii', got {part!r}")
-    return _one_point(f"thm2.4{part}", ctx, {"u": u})
-
-
-def check_identity_1_3(m: Rational, ctx: PrimeContext) -> dict:
-    """C(2k,k)^3/m^k summed mod p^2 against the squared Legendre value
-    P_{(p-1)/2}(sqrt(1-64/m))^2."""
-    return _one_point("eq1.3", ctx, {"m": m})
+    row = STATEMENTS.get(theorem)
+    if row is None:
+        raise ValueError(f"unknown statement {theorem!r}")
+    if row.series is None:
+        raise ValueError(f"{theorem} is a statement at fixed arguments: use fixed_records")
+    names, _ = record_names(theorem)
+    if set(params) != set(names):
+        raise ValueError(f"{theorem} takes {', '.join(names)}, got {', '.join(params)}")
+    _require(theorem, ctx)
+    axes = {}
+    for name in reversed(names):
+        q = params[name]
+        axes[name] = [(format_rational(q), _admitted(theorem, name, q, ctx))
+                      if name in row.params else (q.label, q)]
+    [(head, [hypothesis], [conclusion], residues)] = points(theorem, ctx, axes)
+    [(arg, _)] = axes[names[-1]]
+    return record(theorem, ctx.p, ((*head, arg), hypothesis, conclusion,
+                                   tuple(c[0] for c in residues)))
 
 
 # ---------------------------------------------------------------------------
@@ -542,34 +501,13 @@ def fixed_columns(theorem: str, primes: Sequence[int],
     return out
 
 
-def fixed_record(theorem: str, p: int, params: Tuple[str, str], hypothesis: bool,
-                 conclusion: bool, residue: Optional[int]) -> dict:
-    """The plain record of one case of :func:`fixed_columns` at p."""
-    names, [name] = record_names(theorem)
-    return _report(theorem, p, dict(zip(names, params)), hypothesis, conclusion,
-                   {} if residue is None else {name: residue})
-
-
-def _fixed_argument(theorem: str, primes: Iterable[int]) -> List[dict]:
-    """A statement's records, per prime in list order and per case in report
-    order, from the columns of :func:`fixed_columns`."""
+def fixed_records(theorem: str, primes: Iterable[int]) -> List[dict]:
+    """The records of a statement at fixed arguments over a prime list, per
+    prime in list order and per case in report order, from the columns of
+    :func:`fixed_columns`."""
+    if STATEMENTS[theorem].series is not None:
+        raise ValueError(f"{theorem} is a statement with parameters: use check")
     primes = list(primes)
     columns = fixed_columns(theorem, primes, fixed_sums(theorem, primes))
-    return [fixed_record(theorem, p, params, h[i], c[i], r[i])
+    return [record(theorem, p, (params, h[i], c[i], () if r[i] is None else (r[i],)))
             for i, p in enumerate(primes) for params, h, c, r in columns]
-
-
-def check_rodriguez_villegas(primes: Iterable[int]) -> List[dict]:
-    """eq1.2 over a prime list: three records per prime."""
-    return _fixed_argument("eq1.2", primes)
-
-
-def check_corollary_2_3(primes: Iterable[int]) -> List[dict]:
-    """cor2.3 over a prime list: two records per prime."""
-    return _fixed_argument("cor2.3", primes)
-
-
-def explore_remark_2_3(primes: Iterable[int]) -> List[dict]:
-    """remark2.3 over a prime list: one record per prime, vacuous outside its
-    class."""
-    return _fixed_argument("remark2.3", primes)

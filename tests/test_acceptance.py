@@ -12,17 +12,11 @@ from fractions import Fraction
 
 from supercong.congruences import (
     FamilyTag,
-    check_corollary_2_3,
-    check_identity_1_3,
-    check_rodriguez_villegas,
-    check_theorem_2_1,
-    check_theorem_2_2,
-    check_theorem_2_3,
-    check_theorem_2_4,
+    check,
     core_sum,
-    explore_remark_2_3,
     family_sum,
     family_sums,
+    fixed_records,
     plain_sum,
 )
 from supercong.cli import primes_in_range, run_exploration
@@ -45,7 +39,7 @@ def _announce(num: int, detail: str) -> None:
 def test_criterion_01_rodriguez_villegas_classes():
     t0 = time.perf_counter()
     in_class = 0
-    for r in check_rodriguez_villegas(primes_in_range(5, 1999)):
+    for r in fixed_records("eq1.2", primes_in_range(5, 1999)):
         assert r["status"] != "FAILED", r
         if r["hypothesis_holds"]:
             assert r["residues"]["sum_mod_p2"] == 0, r
@@ -65,7 +59,7 @@ def test_criterion_02_theorem_2_2_random_triples():
         dens = [d for d in range(1, 10) if d % p]
         a = Fraction(rng.randint(-30, 30), rng.choice(dens))
         x = Fraction(rng.randint(-30, 30), rng.choice(dens))
-        r = check_theorem_2_2(a, x, make_context(p, 2))
+        r = check("thm2.2", make_context(p, 2), a=a, x=x)
         assert r["status"] == "verified", (p, a, x, r["residues"])
         checked += 1
     _announce(2, f"thm2.2: 200 random (a, x, p<500) triples exact mod p^2 "
@@ -79,7 +73,7 @@ def test_criterion_03_theorem_2_3_exhaustive():
         ctx = make_context(p, 2)
         for a in range(p):
             for m in range(1, p):
-                r = check_theorem_2_3(a, m, ctx)
+                r = check("thm2.3", ctx, a=a, m=m)
                 assert r["status"] != "FAILED", (p, a, m, r["residues"])
                 checked += 1
                 lifted += r["status"] == "verified"
@@ -95,7 +89,7 @@ def test_criterion_04_theorem_2_1_exhaustive():
         ctx = make_context(p, 1)
         for a in range(p):
             for x in range(p):
-                r = check_theorem_2_1(a, x, ctx)
+                r = check("thm2.1", ctx, a=a, x=x)
                 assert r["status"] == "verified", (p, a, x, r["residues"])
                 checked += 1
     _announce(4, f"thm2.1: triple congruence exact for all {checked} (a, x) pairs, "
@@ -110,7 +104,7 @@ def test_criterion_05_theorem_2_4_exhaustive():
         for part in ("i", "ii"):
             for u in range(p):
                 try:
-                    r = check_theorem_2_4(part, u, ctx)
+                    r = check(f"thm2.4{part}", ctx, u=u)
                 except ExcludedValue:
                     continue
                 assert r["status"] != "FAILED", (p, part, u, r["residues"])
@@ -123,7 +117,7 @@ def test_criterion_06_corollary_2_3_classes():
     t0 = time.perf_counter()
     first = second = 0
     primes = primes_in_range(5, 1999)
-    reports = check_corollary_2_3(primes)
+    reports = fixed_records("cor2.3", primes)
     for p, r1458, r3375 in zip(primes, reports[::2], reports[1::2]):
         if p % 6 == 5:
             assert r1458["status"] == "verified" and r1458["residues"]["sum_mod_p2"] == 0, p
@@ -148,7 +142,7 @@ def test_criterion_07_identity_1_3_random_m():
             den = rng.randint(1, 30)
             if num == 0 or num % p == 0 or den % p == 0:
                 continue
-            r = check_identity_1_3(Fraction(num, den), ctx)
+            r = check("eq1.3", ctx, m=Fraction(num, den))
             assert r["status"] == "verified", (p, num, den, r["residues"])
             done += 1
         checked += done
@@ -222,7 +216,7 @@ def test_criterion_09_family_dictionary():
 def test_criterion_10_remark_2_3_exploration():
     t0 = time.perf_counter()
     sums = run_exploration(primes_in_range(5, 999))
-    reports = explore_remark_2_3([p for p, _ in sums])
+    reports = fixed_records("remark2.3", [p for p, _ in sums])
     assert [(r["p"], r["residues"]["sum_mod_p3"]) for r in reports] == sums
     assert all(r["e"] == 3 and "sum_mod_p3" in r["residues"] for r in reports)
     vanishing = [r for r in reports if r["residues"]["sum_mod_p3"] == 0]

@@ -28,7 +28,7 @@ from supercong.cli import (
     write_jsonl,
 )
 from supercong.congruences import FamilyTag
-from supercong.errors import BadExponent, ExcludedValue, RangeError
+from supercong.errors import BadExponent, ExcludedValue, NotPIntegral, RangeError
 from supercong.modring import make_context
 
 import reference
@@ -225,7 +225,7 @@ def test_run_exploration_and_family_sums():
     sums = run_exploration(primes_in_range(5, 40))
     assert [p for p, _ in sums] == [5, 11, 17, 23, 29]
     assert sums == [(r["p"], r["residues"]["sum_mod_p3"])
-                    for r in cg.explore_remark_2_3([5, 11, 17, 23, 29])]
+                    for r in cg.fixed_records("remark2.3", [5, 11, 17, 23, 29])]
     sums = cg.family_sums(FamilyTag.TWO_THREE, Fraction(1, 1458), [5, 11, 17], 2)
     assert sums == {5: 0, 11: 0, 17: 0}
 
@@ -252,7 +252,7 @@ def test_explore_prints_every_non_vanishing_prime_in_ascending_order(monkeypatch
     assert lines[0] == (f"remark2.3: {len(qualifying) - len(loud)}/{len(qualifying)} "
                         "qualifying prime(s) vanish mod p^3")
     assert lines[1:-1] == [f"  NON-VANISHING at p={p}: residue {p} mod {p}^3" for p in loud]
-    records = cg.explore_remark_2_3(qualifying)
+    records = cg.fixed_records("remark2.3", qualifying)
     assert sum(r["status"] == "FAILED" for r in records) == len(loud)
     assert out.read_text() == reference.encode_report(records)[0]
 
@@ -261,7 +261,7 @@ def test_fixed_argument_summary_shows_the_first_failed_records_in_report_order(m
                                                                               capsys):
     # every sum is p: each in-class case fails, several per prime and case
     monkeypatch.setattr(cg, "family_sums", _nonzero_where(lambda p: True))
-    records = cg.check_rodriguez_villegas(primes_in_range(5, 60))
+    records = cg.fixed_records("eq1.2", primes_in_range(5, 60))
     failed = sorted((r for r in records if r["status"] == "FAILED"),
                     key=lambda d: (d["p"], tuple(sorted(d["params"].items()))))
     assert failed[0]["params"]["family"] != failed[1]["params"]["family"]
@@ -343,7 +343,7 @@ def test_jsonl_and_csv_writers_round_trip(tmp_path):
     write_jsonl(chunks, str(jpath))
     write_csv(chunks, str(cpath))
     back = [json.loads(line) for line in jpath.read_text().splitlines()]
-    assert back == cg.check_corollary_2_3([5, 11])
+    assert back == cg.fixed_records("cor2.3", [5, 11])
     with cpath.open() as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["theorem"] == "cor2.3"
@@ -366,36 +366,34 @@ EXPLICIT = {
 
 
 def direct_reports(theorem, p, params):
-    """One prime's records by direct checker calls, without the table."""
-    if theorem == "cor2.3":
-        return cg.check_corollary_2_3([p])
-    if theorem == "eq1.2":
-        return cg.check_rodriguez_villegas([p])
+    """One prime's records by direct calls of the library entries, one
+    point or one prime list at a time, without the CLI."""
+    if theorem in ("cor2.3", "eq1.2"):
+        return cg.fixed_records(theorem, [p])
     ctx = make_context(p, 1 if theorem == "thm2.1" else 2)
     out = []
     if theorem in ("thm2.1", "thm2.2"):
-        check = cg.check_theorem_2_1 if theorem == "thm2.1" else cg.check_theorem_2_2
         pairs = [(params["a"], params["x"])] if params else [
             (a, x) for a in range(p) for x in range(p)
         ]
-        out = [check(a, x, ctx) for a, x in pairs]
+        out = [cg.check(theorem, ctx, a=a, x=x) for a, x in pairs]
     elif theorem == "thm2.3":
         pairs = [(params["a"], params["m"])] if params else [
             (a, m) for a in range(p) for m in range(1, p)
         ]
-        out = [cg.check_theorem_2_3(a, m, ctx) for a, m in pairs]
+        out = [cg.check(theorem, ctx, a=a, m=m) for a, m in pairs]
     elif theorem.startswith("thm2.4"):
         for u in [params["u"]] if params else range(p):
             try:
-                out.append(cg.check_theorem_2_4(theorem[6:], u, ctx))
+                out.append(cg.check(theorem, ctx, u=u))
             except ExcludedValue:
                 assert not params
     elif theorem == "cor2.2":
         for m in [params["m"]] if params else range(1, p):
-            out.extend(cg.check_corollary_2_2(f, m, ctx) for f in FamilyTag)
+            out.extend(cg.check(theorem, ctx, family=f, m=m) for f in FamilyTag)
     else:  # eq1.3
         for m in [params["m"]] if params else range(1, p):
-            out.append(cg.check_identity_1_3(m, ctx))
+            out.append(cg.check(theorem, ctx, m=m))
     return out
 
 
@@ -544,20 +542,21 @@ def test_every_grid_shares_its_rows_on_one_grid_context(monkeypatch, p):
         assert len(rows) == len(set(rows)) == n_rows, theorem
 
 
-# Each statement with parameters at the parameter value 1, by its checker.
+# Each statement with parameters at the parameter value 1, as congruences.check
+# takes it: the names of its records' parameters.
 ONE_POINT = {
-    "thm2.1": lambda ctx: cg.check_theorem_2_1(1, 1, ctx),
-    "thm2.2": lambda ctx: cg.check_theorem_2_2(1, 1, ctx),
-    "thm2.3": lambda ctx: cg.check_theorem_2_3(1, 1, ctx),
-    "thm2.4i": lambda ctx: cg.check_theorem_2_4("i", 1, ctx),
-    "thm2.4ii": lambda ctx: cg.check_theorem_2_4("ii", 1, ctx),
-    "cor2.2": lambda ctx: cg.check_corollary_2_2(FamilyTag.CUBE, 1, ctx),
-    "eq1.3": lambda ctx: cg.check_identity_1_3(1, ctx),
+    "thm2.1": {"a": 1, "x": 1},
+    "thm2.2": {"a": 1, "x": 1},
+    "thm2.3": {"a": 1, "m": 1},
+    "thm2.4i": {"u": 1},
+    "thm2.4ii": {"u": 1},
+    "cor2.2": {"family": FamilyTag.CUBE, "m": 1},
+    "eq1.3": {"m": 1},
 }
 
 
 @pytest.mark.parametrize("theorem", list(cg.STATEMENTS))
-def test_every_statement_guards_its_e_and_smallest_prime(tmp_path, theorem):
+def test_every_statement_guards_its_e_and_smallest_prime(tmp_path, monkeypatch, theorem):
     row = cg.STATEMENTS[theorem]
     out = tmp_path / "r.jsonl"
     if theorem == "remark2.3":
@@ -569,15 +568,43 @@ def test_every_statement_guards_its_e_and_smallest_prime(tmp_path, theorem):
     assert records
     assert all(r["e"] == row.e and r["p"] >= row.min_p for r in records)
     assert sorted(ONE_POINT) == sorted(t for t, r in cg.STATEMENTS.items() if r.params)
-    if row.params:
+
+    # every rule below raises before any sum is computed
+    def summed(*args):
+        raise AssertionError("summed")
+
+    monkeypatch.setattr(cg, "points", summed)
+    monkeypatch.setattr(cg, "family_sums", summed)
+    ctx = make_context(7, row.e)
+    if not row.params:
+        with pytest.raises(ValueError, match="fixed_records"):
+            cg.check(theorem, ctx)
+    else:
+        with pytest.raises(ValueError, match="use check"):
+            cg.fixed_records(theorem, [7])
+        params = ONE_POINT[theorem]
+        assert tuple(params) == cg.record_names(theorem)[0]
+        with pytest.raises(ValueError, match="unknown"):
+            cg.check(theorem + "x", ctx, **params)
+        *first, last = params
+        for names in (dict.fromkeys(first, 1),  # the argument missing
+                      {**params, "y": 1},  # an extra name
+                      {**dict.fromkeys(first, 1), last + "_": 1}):  # misspelled
+            with pytest.raises(ValueError, match=f"^{theorem} takes "):
+                cg.check(theorem, ctx, **names)
         with pytest.raises(BadExponent):
-            ONE_POINT[theorem](make_context(7, 2 if row.e == 1 else 1))
+            cg.check(theorem, make_context(7, 2 if row.e == 1 else 1), **params)
+        # a and the argument both fail at 7: the argument's error comes first
+        both = {n: q if n == "family" else Fraction(i + 1, 7)
+                for i, (n, q) in enumerate(params.items())}
+        with pytest.raises(NotPIntegral, match=f"^{len(both)}/7 "):
+            cg.check(theorem, ctx, **both)
     if row.min_p > 3:
         with pytest.raises(RangeError, match=f"^stated for p >= {row.min_p}$"):
             if row.params:
-                ONE_POINT[theorem](make_context(3, row.e))
+                cg.check(theorem, make_context(3, row.e), **ONE_POINT[theorem])
             else:
-                row.check([3])
+                cg.fixed_records(theorem, [3])
 
 
 def _choices(command, dest):
@@ -667,6 +694,23 @@ ENCODED_EXPLICIT = {
 }
 
 
+def _encode_records(records, formats):
+    """JSONL and CSV text of dict records, in the order given, each record
+    driven through cli._encode as a row of one point: its parameter strings
+    but the last as the row's head, the last as its argument."""
+    counts, jsonl, csv_rows = Counter(), [], []
+    for r in records:
+        params, residues = r["params"], r["residues"]
+        *head, arg = params.values()
+        _, lines, rows = cli._encode(
+            (r["theorem"], tuple(params), tuple(residues)), r["p"], r["e"], [arg],
+            [(tuple(head), [r["hypothesis_holds"]], [r["conclusion_holds"]],
+              [(v,) for v in residues.values()])], formats, counts)
+        jsonl.append(lines)
+        csv_rows.append(rows)
+    return "".join(jsonl), "".join(csv_rows)
+
+
 @pytest.mark.parametrize("theorem", list(cg.STATEMENTS))
 def test_encoder_writes_the_bytes_of_json_dumps_and_csv_writer(theorem, tmp_path):
     """The records of the grid over 3..31 and of explicit parameters, as
@@ -690,7 +734,7 @@ def test_encoder_writes_the_bytes_of_json_dumps_and_csv_writer(theorem, tmp_path
     else:
         primes = primes_in_range(5, 2000)
         chunks = run_checks(theorem, primes, formats=("jsonl", "csv"))
-        jsonl, csv_rows = reference.encode_report(spec.check(primes))
+        jsonl, csv_rows = reference.encode_report(cg.fixed_records(theorem, primes))
         assert "".join(c.jsonl for c in chunks).splitlines(True) == jsonl.splitlines(True)
         assert "".join(c.csv for c in chunks).splitlines(True) == csv_rows.splitlines(True)
         if theorem == "remark2.3":
@@ -698,33 +742,32 @@ def test_encoder_writes_the_bytes_of_json_dumps_and_csv_writer(theorem, tmp_path
             assert main(["explore", theorem, "--primes", "5..2000", "--out", str(out)]) == 0
             qualifying = [p for p in primes if p % 6 == 5]
             assert out.read_text().splitlines(True) == reference.encode_report(
-                spec.check(qualifying))[0].splitlines(True)
-        records = spec.check(primes_in_range(5, 200))
+                cg.fixed_records(theorem, qualifying))[0].splitlines(True)
+        records = cg.fixed_records(theorem, primes_in_range(5, 200))
     shapes = {(bool(r["params"]), bool(r["residues"])) for r in records}
     assert (True, True) in shapes
     assert ((True, False) in shapes) == (theorem not in ("eq1.2", "remark2.3"))
-    chunk = cli.encode(records, ("jsonl", "csv"))
+    encoded = _encode_records(records, ("jsonl", "csv"))
     jsonl, csv_rows = reference.encode_report(records)
     # lists of lines, which pytest reports by their first difference
-    assert chunk.jsonl.splitlines(True) == jsonl.splitlines(True)
-    assert chunk.csv.splitlines(True) == csv_rows.splitlines(True)
+    assert encoded[0].splitlines(True) == jsonl.splitlines(True)
+    assert encoded[1].splitlines(True) == csv_rows.splitlines(True)
 
 
 @pytest.mark.parametrize("field", ["1,2", 'say "1"', "1\n2", "1\r2"])
 def test_a_csv_field_csv_writer_would_quote_raises(field):
-    record = cg.check_theorem_2_3(1, 2, make_context(5, 2))
+    record = cg.check("thm2.3", make_context(5, 2), a=1, m=2)
     record["params"]["a"] = field
-    assert cli.encode([dict(record)], ("jsonl",)).jsonl == reference.encode_report([record])[0]
+    assert _encode_records([record], ("jsonl",))[0] == reference.encode_report([record])[0]
     with pytest.raises(ValueError, match="CSV field"):
-        cli.encode([record], ("csv",))
+        _encode_records([record], ("csv",))
 
 
 def test_a_percent_sign_in_a_name_is_written_as_is():
     record = {"theorem": "thm%s", "p": 5, "e": 2, "params": {"a%d": "1"},
               "hypothesis_holds": False, "conclusion_holds": True,
               "residues": {"r%%": 3}, "status": "vacuous"}
-    chunk = cli.encode([record], ("jsonl", "csv"))
-    assert (chunk.jsonl, chunk.csv) == reference.encode_report([record])
+    assert _encode_records([record], ("jsonl", "csv")) == reference.encode_report([record])
 
 def test_template_cache_holds_one_entry_per_record_shape(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_TEMPLATES", {})
@@ -781,6 +824,43 @@ def test_unusable_prime_gives_one_vacuous_record(tmp_path, argv, bad_p):
     params = {k.lstrip("-"): parse_rational(v) for k, v in given.items()}
     rest = _records(run_checks(argv[0], usable, params=params, jobs=1, formats=("jsonl",)))
     assert [r for r in records if r["p"] != bad_p] == rest
+
+
+def _no_dict(*args):
+    raise AssertionError("a dict record was built")
+
+
+# A vacuous prime of each shape of explicit parameters: thm2.2's a and x at
+# p = 3, and cor2.2's m, given with no family, at p = 5.
+@pytest.mark.parametrize("argv", [
+    ["thm2.2", "--primes", "3..30", "--a", "1/3", "--x", "1"],
+    ["cor2.2", "--primes", "3..7", "--m", "1/5"],
+])
+def test_a_vacuous_explicit_record_is_written_with_no_dict(tmp_path, monkeypatch, argv):
+    out, csvp = tmp_path / "r.jsonl", tmp_path / "r.csv"
+    written = []
+    for patched in (False, True):
+        if patched:  # the one builder of dict records refuses from here on
+            monkeypatch.setattr(cg, "record", _no_dict)
+        assert main(["check", *argv, "--out", str(out), "--csv", str(csvp)]) == 0
+        written.append((out.read_bytes(), csvp.read_bytes()))
+    assert b'"residues": {}' in written[0][0]
+    assert written[0] == written[1]
+
+
+def test_a_negative_fraction_is_given_after_an_equals_sign(tmp_path, capsys):
+    # argparse reads "-1/3" after "--a" as an option; it takes a negative
+    # integer there, and any value joined to the option by "=".
+    argv = ["check", "thm2.3", "--primes", "5..13", "--m", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--a", "-1/3"])
+    assert exc.value.code == 2
+    assert "argument --a: expected one argument" in capsys.readouterr().err
+    out = tmp_path / "r.jsonl"
+    for given, a in ((["--a", "-1"], "-1"), (["--a=-1/3"], "-1/3")):
+        assert main([*argv, *given, "--out", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["params"] for r in records] == [{"a": a, "m": "2"}] * 4
 
 
 @pytest.mark.parametrize("theorem",

@@ -1,4 +1,5 @@
-"""Truncated sums, the family dictionary, and every theorem checker."""
+"""Truncated sums, the family dictionary, and every statement through `check`
+and `fixed_records`."""
 
 import json
 import random
@@ -13,23 +14,16 @@ from supercong.congruences import (
     STATEMENTS,
     FamilyTag,
     _cases,
-    _report,
-    check_corollary_2_2,
-    check_corollary_2_3,
-    check_identity_1_3,
-    check_rodriguez_villegas,
-    check_theorem_2_1,
-    check_theorem_2_2,
-    check_theorem_2_3,
-    check_theorem_2_4,
+    check,
     core_sum,
-    explore_remark_2_3,
     family_sum,
     family_sums,
+    fixed_records,
     fixed_sums,
     format_rational,
     plain_sum,
     points,
+    record,
 )
 from supercong.errors import (
     BadExponent,
@@ -175,13 +169,14 @@ def test_report_status_rule():
         (False, True, "vacuous"),
         (False, False, "vacuous"),
     ]:
-        r = _report("thm2.1", 7, {"a": "0"}, hypothesis, conclusion, {"sum": 1})
+        r = record("thm2.1", 7, (("0", "3"), hypothesis, conclusion, (1, 2, 3)))
         assert r == {
-            "theorem": "thm2.1", "p": 7, "e": 1, "params": {"a": "0"},
+            "theorem": "thm2.1", "p": 7, "e": 1, "params": {"a": "0", "x": "3"},
             "hypothesis_holds": hypothesis, "conclusion_holds": conclusion,
-            "residues": {"sum": 1}, "status": status,
+            "residues": {"sum": 1, "legendre_sq": 2, "legendre_sq_mirror": 3},
+            "status": status,
         }
-    r = check_theorem_2_1(0, 3, make_context(7, 1))
+    r = check("thm2.1", make_context(7, 1), a=0, x=3)
     assert r["status"] == "verified" and r["hypothesis_holds"] and r["conclusion_holds"]
 
 
@@ -206,12 +201,12 @@ def test_format_rational_round_trip():
 
 def test_check_theorem_2_1_examples():
     ctx = make_context(7, 1)
-    r = check_theorem_2_1(0, 5, ctx)
+    r = check("thm2.1", ctx, a=0, x=5)
     assert r["status"] == "verified"
     assert r["residues"]["sum"] == 1 and r["residues"]["legendre_sq"] == 1
-    assert check_theorem_2_1(Fraction(-1, 2), Fraction(1, 4), ctx)["status"] == "verified"
+    assert check("thm2.1", ctx, a=Fraction(-1, 2), x=Fraction(1, 4))["status"] == "verified"
     with pytest.raises(BadExponent):
-        check_theorem_2_1(0, 0, make_context(7, 2))
+        check("thm2.1", make_context(7, 2), a=0, x=0)
 
 
 def test_check_theorem_2_1_random_small_sweep():
@@ -222,38 +217,38 @@ def test_check_theorem_2_1_random_small_sweep():
             dens = [d for d in range(1, 8) if d % p]
             a = Fraction(rng.randint(-20, 20), rng.choice(dens))
             x = Fraction(rng.randint(-20, 20), rng.choice(dens))
-            assert check_theorem_2_1(a, x, ctx)["status"] == "verified", (p, a, x)
+            assert check("thm2.1", ctx, a=a, x=x)["status"] == "verified", (p, a, x)
 
 
 def test_check_theorem_2_2_examples():
     ctx = make_context(11, 2)
-    r = check_theorem_2_2(Fraction(5, 3), 0, ctx)
+    r = check("thm2.2", ctx, a=Fraction(5, 3), x=0)
     assert r["status"] == "verified" and r["residues"]["plain_sum_sq"] == 1
-    assert check_theorem_2_2(Fraction(-1, 4), 3, ctx)["status"] == "verified"
-    assert check_theorem_2_2(Fraction(-1, 3), Fraction(1, 2), ctx)["status"] == "verified"
+    assert check("thm2.2", ctx, a=Fraction(-1, 4), x=3)["status"] == "verified"
+    assert check("thm2.2", ctx, a=Fraction(-1, 3), x=Fraction(1, 2))["status"] == "verified"
 
 
 def test_check_theorem_2_3_examples():
     ctx = make_context(5, 2)
     # hypothesis-true instance: core_sum(-1/3, 1/4) is the 108-family congruence
-    r = check_theorem_2_3(Fraction(-1, 3), 4, ctx)
+    r = check("thm2.3", ctx, a=Fraction(-1, 3), m=4)
     assert r["status"] == "verified"
     assert r["hypothesis_holds"] and r["conclusion_holds"]
-    r = check_theorem_2_3(0, 3, ctx)
+    r = check("thm2.3", ctx, a=0, m=3)
     assert r["status"] == "vacuous" and r["residues"]["sum_mod_p2"] == 1
     with pytest.raises(ExcludedValue):
-        check_theorem_2_3(1, 10, ctx)
+        check("thm2.3", ctx, a=1, m=10)
     with pytest.raises(NotPIntegral):
-        check_theorem_2_3(1, Fraction(2, 5), ctx)
+        check("thm2.3", ctx, a=1, m=Fraction(2, 5))
 
 
 def test_check_theorem_2_3_checks_m_before_a():
     # both parameters are bad at p = 5; m's error comes first
     ctx = make_context(5, 2)
     with pytest.raises(ExcludedValue):
-        check_theorem_2_3(Fraction(1, 5), 10, ctx)
+        check("thm2.3", ctx, a=Fraction(1, 5), m=10)
     with pytest.raises(NotPIntegral, match="2/5"):
-        check_theorem_2_3(Fraction(1, 5), Fraction(2, 5), ctx)
+        check("thm2.3", ctx, a=Fraction(1, 5), m=Fraction(2, 5))
 
 
 def test_check_theorem_2_3_exhaustive_tiny():
@@ -261,13 +256,13 @@ def test_check_theorem_2_3_exhaustive_tiny():
         ctx = make_context(p, 2)
         for a in range(p):
             for m in range(1, p):
-                assert check_theorem_2_3(a, m, ctx)["status"] != "FAILED", (p, a, m)
+                assert check("thm2.3", ctx, a=a, m=m)["status"] != "FAILED", (p, a, m)
 
 
 def test_check_corollary_2_2_families():
     ctx = make_context(5, 2)
     # the 108-instance of the TWO_THREE family is hypothesis-true at p = 5
-    r = check_corollary_2_2(FamilyTag.TWO_THREE, 108, ctx)
+    r = check("cor2.2", ctx, family=FamilyTag.TWO_THREE, m=108)
     assert r["status"] == "verified" and r["params"]["family"] == "two_three"
     for f in FamilyTag:
         for m in (1, 2, 3, 4, 7, 9):
@@ -275,9 +270,9 @@ def test_check_corollary_2_2_families():
             # implication genuinely breaks (see the dedicated test below)
             if m % 5 == 4 * f.scale % 5:
                 continue
-            assert check_corollary_2_2(f, m, ctx)["status"] != "FAILED"
+            assert check("cor2.2", ctx, family=f, m=m)["status"] != "FAILED"
     with pytest.raises(ExcludedValue):
-        check_corollary_2_2(FamilyTag.CUBE, 5, ctx)
+        check("cor2.2", ctx, family=FamilyTag.CUBE, m=5)
 
 
 def test_check_corollary_2_2_reports_ramified_failure_honestly():
@@ -285,7 +280,7 @@ def test_check_corollary_2_2_reports_ramified_failure_honestly():
     # 15 mod 25 (the square root behind the implication leaves Z_p when
     # 1 - 4*scale/m = 0 mod p without vanishing exactly).  The checker must
     # report that, not mask it.
-    r = check_corollary_2_2(FamilyTag.TWO_THREE, 3, make_context(5, 2))
+    r = check("cor2.2", make_context(5, 2), family=FamilyTag.TWO_THREE, m=3)
     assert r["status"] == "FAILED"
     assert r["hypothesis_holds"] and not r["conclusion_holds"]
     assert r["residues"]["sum_mod_p2"] == 15
@@ -295,19 +290,19 @@ def test_check_theorem_2_4_examples():
     # u = -1/2 in part i reproduces the 1/1458 congruence for p = 5 mod 6
     for p in (5, 11, 17, 23):
         ctx = make_context(p, 2)
-        r = check_theorem_2_4("i", Fraction(-1, 2), ctx)
+        r = check("thm2.4i", ctx, u=Fraction(-1, 2))
         assert r["status"] == "verified", p
         assert r["hypothesis_holds"] and r["conclusion_holds"]
-    r = check_theorem_2_4("i", 0, make_context(7, 2))
+    r = check("thm2.4i", make_context(7, 2), u=0)
     assert r["status"] == "vacuous"
     with pytest.raises(ExcludedValue):
-        check_theorem_2_4("i", Fraction(1, 4), make_context(7, 2))
+        check("thm2.4i", make_context(7, 2), u=Fraction(1, 4))
     with pytest.raises(ExcludedValue):
-        check_theorem_2_4("i", Fraction(1, 16), make_context(7, 2))
+        check("thm2.4i", make_context(7, 2), u=Fraction(1, 16))
     with pytest.raises(ExcludedValue):
-        check_theorem_2_4("ii", Fraction(-1, 3), make_context(7, 2))
+        check("thm2.4ii", make_context(7, 2), u=Fraction(-1, 3))
     with pytest.raises(ValueError):
-        check_theorem_2_4("iii", 1, make_context(7, 2))
+        check("thm2.4iii", make_context(7, 2), u=1)
 
 
 def test_check_theorem_2_4_exhaustive_tiny():
@@ -316,55 +311,55 @@ def test_check_theorem_2_4_exhaustive_tiny():
         for part in ("i", "ii"):
             for u in range(p):
                 try:
-                    r = check_theorem_2_4(part, u, ctx)
+                    r = check(f"thm2.4{part}", ctx, u=u)
                 except ExcludedValue:
                     continue
                 assert r["status"] != "FAILED", (p, part, u)
 
 
 def test_check_rodriguez_villegas_classes():
-    reports = {r["params"]["family"]: r for r in check_rodriguez_villegas([5])}
+    reports = {r["params"]["family"]: r for r in fixed_records("eq1.2", [5])}
     assert reports["two_three"]["status"] == "verified"   # 5 = 2 mod 3
     assert reports["two_four"]["status"] == "verified"    # 5 mod 8 in {5, 7}
     assert reports["three_six"]["status"] == "vacuous"    # 5 = 1 mod 4
-    reports = {r["params"]["family"]: r for r in check_rodriguez_villegas([7])}
+    reports = {r["params"]["family"]: r for r in fixed_records("eq1.2", [7])}
     assert reports["two_three"]["status"] == "vacuous"    # 7 = 1 mod 3
     assert reports["two_four"]["status"] == "verified"    # 7 mod 8 = 7
     assert reports["three_six"]["status"] == "verified"   # 7 = 3 mod 4
     with pytest.raises(RangeError):
-        check_rodriguez_villegas([3])
+        fixed_records("eq1.2", [3])
 
 
 def test_check_corollary_2_3_examples():
-    first, second = check_corollary_2_3([5])
+    first, second = fixed_records("cor2.3", [5])
     assert first["status"] == "verified" and first["params"]["x"] == "1/1458"
     assert second["status"] == "vacuous"  # 3375 shares the factor 5; skipped
-    first, second = check_corollary_2_3([7])
+    first, second = fixed_records("cor2.3", [7])
     assert first["status"] == "vacuous" and second["status"] == "vacuous"
-    first, second = check_corollary_2_3([11])
+    first, second = fixed_records("cor2.3", [11])
     assert first["status"] == "verified" and second["status"] == "verified"
     with pytest.raises(RangeError):
-        check_corollary_2_3([3])
+        fixed_records("cor2.3", [3])
 
 
 def test_check_identity_1_3_examples():
-    assert check_identity_1_3(64, make_context(7, 2))["status"] == "verified"
-    assert check_identity_1_3(1, make_context(5, 2))["status"] == "verified"
-    assert check_identity_1_3(Fraction(-3, 7), make_context(11, 2))["status"] == "verified"
+    assert check("eq1.3", make_context(7, 2), m=64)["status"] == "verified"
+    assert check("eq1.3", make_context(5, 2), m=1)["status"] == "verified"
+    assert check("eq1.3", make_context(11, 2), m=Fraction(-3, 7))["status"] == "verified"
     with pytest.raises(RangeError):
-        check_identity_1_3(1, make_context(3, 2))
+        check("eq1.3", make_context(3, 2), m=1)
     with pytest.raises(ExcludedValue):
-        check_identity_1_3(7, make_context(7, 2))
+        check("eq1.3", make_context(7, 2), m=7)
 
 
 def test_explore_remark_2_3():
-    [r] = explore_remark_2_3([5])
+    [r] = fixed_records("remark2.3", [5])
     assert r["e"] == 3 and r["p"] == 5
     assert "sum_mod_p3" in r["residues"]
     assert r["residues"]["sum_mod_p3"] == 0  # recorded, expected by the conjecture
-    assert explore_remark_2_3([11])[0]["residues"]["sum_mod_p3"] == 0
+    assert fixed_records("remark2.3", [11])[0]["residues"]["sum_mod_p3"] == 0
     # 7 = 1 mod 6 is outside the remark's class: a vacuous record, as in eq1.2
-    [r] = explore_remark_2_3([7])
+    [r] = fixed_records("remark2.3", [7])
     assert not r["hypothesis_holds"] and r["status"] == "vacuous"
     assert set(r["residues"]) == {"sum_mod_p3"}
 
@@ -452,7 +447,7 @@ def test_thm2_3_lift_fails_exactly_on_its_class_over_all_residues_mod_p2(p):
     q = p * p
     ctx = make_context(p, 2)
     failed = {(a, m) for a in range(q) for m in range(q)
-              if m % p and check_theorem_2_3(a, m, ctx)["status"] == "FAILED"}
+              if m % p and check("thm2.3", ctx, a=a, m=m)["status"] == "FAILED"}
     assert failed == {(a, m) for a in range(q) for m in range(q)
                       if a % p % 2 and m % p == 4 % p and m != 4}
     assert len(failed) == (p - 1) // 2 * p * (p - 1)
@@ -465,7 +460,7 @@ def test_cor2_2_lift_fails_exactly_on_its_class_over_all_residues_mod_p2(p):
     q = p * p
     ctx = make_context(p, 2)
     failed = {(f, m) for f in FamilyTag for m in range(q)
-              if m % p and check_corollary_2_2(f, m, ctx)["status"] == "FAILED"}
+              if m % p and check("cor2.2", ctx, family=f, m=m)["status"] == "FAILED"}
     odd = [f for f in FamilyTag if reduce_rational(f.a, make_context(p, 1)) % 2]
     assert failed == {(f, m) for f in odd for m in range(q)
                       if m % p == 4 * f.scale % p and m != 4 * f.scale % q}

@@ -6,10 +6,12 @@ package code outside its own definition.  ``__init__`` re-exports do not
 count as a use, and dunder methods are exempt.  The only exceptions are
 the console entry point ``main``; ``exact_reduce_sum``, the one-prime
 oracle whose record's ``value`` the benchmark's output checks read (package
-code calls ``exact_reduce_sums``); the one-point checkers of the
-statements with parameters, the public API that the benchmark's tracer
-binds (package code runs those statements through ``congruences.points``);
-and the one-point sums ``core_sum``, ``plain_sum`` and ``family_sum``, the
+code calls ``exact_reduce_sums``); the two library checkers ``check`` (one
+point of a statement with parameters) and ``fixed_records`` (a statement at
+fixed arguments over a prime list), whose records the tests hold the CLI's
+report text against (package code encodes ``congruences.points`` rows and
+``congruences.fixed_columns`` columns with no dict per record); and the
+one-point sums ``core_sum``, ``plain_sum`` and ``family_sum``, the
 public API through which the tests check the one-x (Horner) path of
 ``PrimeContext.series`` and which the benchmark's tracer binds (package
 code, the ``reduce-equivalence`` oracle too, sums at whole argument
@@ -25,9 +27,8 @@ from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "supercong"
-ENTRY_POINTS = {"main", "exact_reduce_sum", "check_theorem_2_1", "check_theorem_2_2",
-                "check_theorem_2_3", "check_theorem_2_4", "check_corollary_2_2",
-                "check_identity_1_3", "core_sum", "plain_sum", "family_sum"}
+ENTRY_POINTS = {"main", "exact_reduce_sum", "check", "fixed_records", "core_sum",
+                "plain_sum", "family_sum"}
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
