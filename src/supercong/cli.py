@@ -22,23 +22,24 @@ default or at --jobs N, takes the primes largest first.
 ``congruences.points`` sums each series of the grid once, at its whole
 argument vector in one packed pass, and yields the grid row by row.
 
-Records are encoded where they are computed, a row at a time, with no sort
-and no dict per record (:func:`_encode`): a row fills the %-format template
-of its shape (theorem, parameter names, residue names), built once per
-process, with its constants, then the text of its points with one flat
-tuple of its columns.  That writes the bytes of ``json.dumps(record,
-sort_keys=True)`` and of ``csv.writer`` over the flat projection; a string
-that csv.writer would quote is refused.  Each prime gives JSONL and CSV
-text with the status counts and first FAILED records; the caller adds up
-the counts and writes the chunks in prime order, so report files are
-byte-identical regardless of --jobs.  A statement at fixed arguments fills
-the same templates record by record from the columns of its sums, cases
-in report order (:func:`_encode_fixed`), and ``explore`` prints its
-summary from the sums.  Explicit parameters that do not apply at a prime
-give a row of one vacuous point, with the given names and no residues.
-Only the first FAILED_SHOWN FAILED records become dicts
-(``congruences.record``), for the summary.  Log lines go to stderr with
-no stdlib ``logging`` (:func:`_log`).
+Every record is encoded by one function, :func:`_encode`, a row at a time,
+with no sort and no dict per record: a row fills the %-format template of
+its shape (theorem, parameter names, residue names, and the slot that
+varies along the row), built once per process, with its constants, then
+the text of its points with one flat tuple of its columns.  That writes
+the bytes of ``json.dumps(record, sort_keys=True)`` and of ``csv.writer``
+over the flat projection; a string that csv.writer would quote is
+refused.  A grid row varies its argument at one prime; each prime gives
+JSONL and CSV text with the status counts and first FAILED records; the
+caller adds up the counts and writes the chunks in prime order, so report
+files are byte-identical regardless of --jobs.  A case of a statement at
+fixed arguments is a row along p, encoded a run of primes with or without
+a residue at a time, and the cases' records interleave in report order
+(:func:`_encode_fixed`); ``explore`` prints its summary from the sums.
+Explicit parameters that do not apply at a prime give a row of one
+vacuous point, with the given names and no residues.  Only the first
+FAILED_SHOWN FAILED records become dicts (``congruences.record``), for the
+summary.  Log lines go to stderr with no stdlib ``logging`` (:func:`_log`).
 
 ``oracle reduce-equivalence`` holds the modular sums against
 ``oracle.exact_reduce_sums`` over the grids ``oracle.GRID_X`` and
@@ -60,9 +61,9 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice
-from operator import getitem, methodcaller
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import chain, groupby, islice
+from operator import attrgetter, getitem, itemgetter
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import congruences as cg
 from . import oracle
@@ -150,7 +151,7 @@ def _reports_for_prime(
     spec = cg.STATEMENTS[theorem]
     ctx = make_context(p, spec.e)
     *_, arg = spec.params
-    shape = (theorem, *cg.record_names(theorem))
+    shape = (theorem, *cg.record_names(theorem), arg)
     if exhaustive:
         axes = {n: sorted([(str(r), r) for r in range(p) if cg.applies(theorem, n, r, p)])
                 for n in spec.params}
@@ -164,13 +165,11 @@ def _reports_for_prime(
         else:
             # one vacuous point of the given names, with no residues
             *head, last = map(cg.format_rational, given.values())
-            shape, axes = (theorem, tuple(given), ()), {arg: [(last, None)]}
+            shape, axes = (theorem, tuple(given), (), arg), {arg: [(last, None)]}
             rows = [(tuple(head), [False], [True], ())]
-    counts: Counter = Counter()
-    failed, jsonl, csv_text = _encode(shape, p, spec.e, [s for s, _ in axes[arg]], rows,
-                                      formats, counts)
-    _log("DEBUG", "p=%d: %d report(s) for %s", p, sum(counts.values()), theorem)
-    return Chunk(counts, [cg.record(theorem, p, pt) for pt in failed], jsonl, csv_text)
+    chunk = _encode(shape, p, spec.e, [s for s, _ in axes[arg]], rows, formats)
+    _log("DEBUG", "p=%d: %d report(s) for %s", p, sum(chunk.counts.values()), theorem)
+    return chunk
 
 
 # The serial cost of a sweep: a record costs RECORD_S plus FORMAT_S per
@@ -293,11 +292,12 @@ _CSV_HEADER = ",".join(_CSV_COLUMNS) + "\r\n"
 _json_str = json.encoder.encode_basestring_ascii
 _JSON_BOOL = ("false", "true")
 _JSON_STATUS = {s: _json_str(s) for row in cg.STATUS for s in row}
-# A value written into a template as literal text.
-_literal = methodcaller("replace", "%", "%%")
 # A character that makes csv.writer quote a field, which encoding refuses.
 _csv_quoted = re.compile('[,"\r\n]').search
 _CSV_QUOTE_ERROR = "a CSV field holds a comma, a quote or a line break"
+# The records of report text, each with its "\n": "." matches all but "\n",
+# where str.splitlines also breaks at characters csv.writer leaves unquoted.
+_lines = re.compile(".*\n").findall
 
 
 class Chunk(NamedTuple):
@@ -310,32 +310,33 @@ class Chunk(NamedTuple):
     csv: str
 
 
-# A record shape's JSONL and CSV templates (None if csv.writer would quote
-# its theorem or a residue name), and the indices that put the parameters
-# and residues of a row, in record order, in template order.
+# A record shape: the theorem, the parameter and residue names in record
+# order, and the slot that varies along its rows: the last parameter, or p.
+Shape = Tuple[str, Tuple[str, ...], Tuple[str, ...], str]
+# A shape's JSONL and CSV templates (CSV None if csv.writer would quote its
+# theorem or a residue name), and the indices that put a row's constant
+# parameters and its residues, in record order, in template order.
 _Template = Tuple[str, Optional[str], List[int], List[int], List[int]]
-# One template per (theorem, parameter names, residue names), names in
-# record order: p and e are slots, so a sweep needs a few dozen however many
-# primes it covers.  The entries are pure functions of their key, so every
-# caller may share them.
-_TEMPLATES: Dict[Tuple[str, Tuple[str, ...], Tuple[str, ...]], _Template] = {}
+# One template per shape: p and e are slots, so a sweep needs a few dozen
+# however many primes it covers.  The entries are pure functions of their
+# key, so every caller may share them.
+_TEMPLATES: Dict[Shape, _Template] = {}
 
 
-def _template(shape: Tuple[str, Tuple[str, ...], Tuple[str, ...]]) -> _Template:
+def _template(shape: Shape) -> _Template:
     """Build and keep the template of one record shape: the bytes of
     json.dumps(record, sort_keys=True) and of csv.writer over the flat
     projection, literal parts written once, filled in two steps.
 
-    The last parameter is the argument, which varies along a row.  A row's
-    constants come first: e, p and the other parameters, escaped and in name
-    order (JSONL), or p, e and those in column order (CSV).  That leaves the
-    text of one point, whose slots take the two booleans as JSON, the
-    escaped argument, the residues in name order and the escaped status
-    (JSONL), or the argument, the two booleans, the status and the residues
-    (CSV).  A shape whose theorem or residue name csv.writer would quote
-    has no CSV template."""
-    theorem, params, residues = shape
-    arg = params[-1]
+    A row's constants come first: e, p and the parameters but the one that
+    varies, escaped and in name order (JSONL), or p, e and those in column
+    order (CSV).  Along p, p's slot there takes the row's p (None) as no
+    text.  That leaves the text of one point, whose slots take the two
+    booleans as JSON, the varying slot, the residues in name order and the
+    escaped status (JSONL), or the varying slot, the two booleans, the
+    status and the residues (CSV).  A shape whose theorem or residue name
+    csv.writer would quote has no CSV template."""
+    theorem, params, residues, along = shape
     json_order = sorted(params)
     csv_order = [n for n in _PARAM_COLUMNS if n in params]
     residue_order = sorted(range(len(residues)), key=residues.__getitem__)
@@ -343,51 +344,53 @@ def _template(shape: Tuple[str, Tuple[str, ...], Tuple[str, ...]]) -> _Template:
     def lit(text: str) -> str:  # a literal through both steps
         return text.replace("%", "%%%%")
 
-    def slot(name: str) -> str:  # a row's constant, or the point's argument
-        return "%%s" if name == arg else "%s"
+    def slot(name: str, const: str = "%s") -> str:  # a row's constant, or a point's slot
+        return "%.0s%%s" if name == along == "p" else "%%s" if name == along else const
 
     jsonl = "".join((
-        '{"conclusion_holds": %%s, "e": %d, "hypothesis_holds": %%s, "p": %d, "params": {',
-        ", ".join(lit(_json_str(n)) + ": " + slot(n) for n in json_order),
+        '{"conclusion_holds": %%s, "e": %d, "hypothesis_holds": %%s, "p": ', slot("p", "%d"),
+        ', "params": {', ", ".join(lit(_json_str(n)) + ": " + slot(n) for n in json_order),
         '}, "residues": {',
         ", ".join(lit(_json_str(residues[i])) + ": %%d" for i in residue_order),
         '}, "status": %%s, "theorem": ', lit(_json_str(theorem)), "}\n",
     ))
-    # an argument with no CSV column fills an empty slot
+    # a varying parameter with no CSV column fills an empty slot
     csv_row = ",".join((
-        lit(theorem), "%d", "%d", *(slot(n) if n in params else "" for n in _PARAM_COLUMNS),
-        ("" if arg in _PARAM_COLUMNS else "%%.0s") + "%%s", "%%s", "%%s",
+        lit(theorem), slot("p", "%d"), "%d",
+        *(slot(n) if n in params else "" for n in _PARAM_COLUMNS),
+        ("" if along in ("p", *_PARAM_COLUMNS) else "%%.0s") + "%%s", "%%s", "%%s",
         ";".join(lit(residues[i]) + "=%%d" for i in residue_order),
     )) + "\r\n" if not _csv_quoted("".join((theorem, *residues))) else None
-    t = _TEMPLATES[shape] = (jsonl, csv_row, [params.index(n) for n in json_order if n != arg],
-                             [params.index(n) for n in csv_order if n != arg], residue_order)
+    t = _TEMPLATES[shape] = (jsonl, csv_row, [params.index(n) for n in json_order if n != along],
+                             [params.index(n) for n in csv_order if n != along], residue_order)
     return t
 
 
-def _encode(shape: Tuple[str, Tuple[str, ...], Tuple[str, ...]], p: int, e: int,
-            args: Sequence[str], rows: Iterable[cg.Row], formats: Sequence[str],
-            counts: Counter) -> Tuple[List[cg.Point], str, str]:
-    """The rows of one record shape at p, each at the argument strings
-    ``args``, encoded in ``formats`` ("jsonl", "csv"), their statuses
-    added to ``counts``: the first FAILED_SHOWN FAILED points, and the
+def _encode(shape: Shape, p: Optional[int], e: int, args: Sequence[str], rows: Iterable[cg.Row],
+            formats: Sequence[str]) -> Chunk:
+    """The rows of one record shape at p (None along p), each at the strings
+    ``args`` of its varying slot, encoded in ``formats`` ("jsonl", "csv"):
+    the count per status, the first FAILED_SHOWN FAILED records, and the
     JSONL lines and CSV rows, in the order given.
 
     A row fills its constants into its shape's template, repeats the text
-    of one point once per argument and fills that with a single ``%`` from
-    one flat tuple of its columns.  A JSONL line is the bytes of
+    of one point once per arg and fills that with a single ``%`` from one
+    flat tuple of its columns.  A JSONL line is the bytes of
     ``json.dumps(record, sort_keys=True)``; a CSV row is the bytes
     ``csv.writer`` writes for the flat projection.  A CSV field that
     csv.writer would quote (a comma, quote or line break) raises
-    ValueError: the strings that vary, a row's head and the arguments, are
+    ValueError: the strings that vary, a row's head and the args, are
     checked here, and the names when the template is built.
     """
+    theorem, _, _, along = shape
     jsonl, csv_row, json_head, csv_head, residue_order = (
         _TEMPLATES.get(shape) or _template(shape))
     as_csv = "csv" in formats
     if as_csv and (csv_row is None or _csv_quoted("".join(args))):
         raise ValueError(_CSV_QUOTE_ERROR)
-    json_args = list(map(_json_str, args))
-    failed: List[cg.Point] = []
+    json_args = args if along == "p" else list(map(_json_str, args))
+    counts: Counter = Counter()
+    failed: List[dict] = []
     lines: List[str] = []
     csv_rows: List[str] = []
     for head, hypothesis, conclusion, residues in rows:
@@ -396,10 +399,12 @@ def _encode(shape: Tuple[str, Tuple[str, ...], Tuple[str, ...]], p: int, e: int,
         statuses = list(map(getitem, map(cg.STATUS.__getitem__, hypothesis), conclusion))
         counts.update(statuses)
         if len(failed) < FAILED_SHOWN and "FAILED" in statuses:
-            failed += islice((((*head, args[i]), True, False, tuple(c[i] for c in residues))
-                              for i, s in enumerate(statuses) if s == "FAILED"),
-                             FAILED_SHOWN - len(failed))
-        head = list(map(_literal, head))
+            for i in islice((i for i, s in enumerate(statuses) if s == "FAILED"),
+                            FAILED_SHOWN - len(failed)):
+                q, params = (int(args[i]), head) if along == "p" else (p, (*head, args[i]))
+                failed.append(cg.record(theorem, q, (params, True, False,
+                                                     tuple(c[i] for c in residues))))
+        head = [h.replace("%", "%%") for h in head]  # literal text in the template
         residues = list(map(residues.__getitem__, residue_order))
         if "jsonl" in formats:
             text = jsonl % (e, p, *map(_json_str, map(head.__getitem__, json_head)))
@@ -410,7 +415,7 @@ def _encode(shape: Tuple[str, Tuple[str, ...], Tuple[str, ...]], p: int, e: int,
             text = csv_row % (p, e, *map(head.__getitem__, csv_head))
             csv_rows.append(text * len(args) % tuple(chain.from_iterable(zip(
                 args, hypothesis, conclusion, statuses, *residues))))
-    return failed, "".join(lines), "".join(csv_rows)
+    return Chunk(counts, failed, "".join(lines), "".join(csv_rows))
 
 
 def _encode_fixed(theorem: str, primes: Sequence[int], sums: Sequence[Dict[int, int]],
@@ -419,49 +424,32 @@ def _encode_fixed(theorem: str, primes: Sequence[int], sums: Sequence[Dict[int, 
     the sums of its cases (``congruences.fixed_sums``), encoded in
     ``formats`` in report order: per prime, one record per case.
 
-    Each case's columns (``congruences.fixed_columns``) fill the templates
-    of its record shape record by record, p and the family in the first
-    step and the point in the second, with no dict per record: only the
-    first FAILED_SHOWN FAILED records become dicts.  A prime with no
-    residue takes the shape with none, whose template is built only then.
+    Each case (``congruences.fixed_columns``) is a row along the primes,
+    which :func:`_encode` encodes one run of primes with a residue, or
+    without one, at a time; the cases' records are then interleaved, and
+    their FAILED records merged, in report order.
     """
     e = cg.STATEMENTS[theorem].e
     names, residue_names = cg.record_names(theorem)
-    shape, bare = (theorem, names, residue_names), (theorem, names, ())
-    jsonl, csv_row, *_ = _TEMPLATES.get(shape) or _template(shape)
-    as_json, as_csv = "jsonl" in formats, "csv" in formats
-    columns = cg.fixed_columns(theorem, primes, sums)
-    counts: Counter = Counter()
-    failing: List[Tuple[int, int]] = []  # (prime index, case index)
-    lines: List[List[str]] = []
-    rows: List[List[str]] = []
-    for j, ((family, x), hypotheses, conclusions, residues) in enumerate(columns):
-        statuses = list(map(getitem, map(cg.STATUS.__getitem__, hypotheses), conclusions))
-        counts.update(statuses)
-        failing += islice(((i, j) for i, s in enumerate(statuses) if s == "FAILED"),
-                          FAILED_SHOWN)
-        bare_jsonl = bare_csv = None
-        if None in residues:
-            bare_jsonl, bare_csv, *_ = _TEMPLATES.get(bare) or _template(bare)
-        head = _literal(family)
-        points = list(zip(primes, hypotheses, conclusions, residues, statuses))
-        if as_json:
-            fam, xj = _json_str(head), _json_str(x)
-            lines.append([
-                jsonl % (e, p, fam) % (_JSON_BOOL[c], _JSON_BOOL[h], xj, r, _JSON_STATUS[s])
-                if r is not None else
-                bare_jsonl % (e, p, fam) % (_JSON_BOOL[c], _JSON_BOOL[h], xj, _JSON_STATUS[s])
-                for p, h, c, r, s in points])
-        if as_csv:
-            if csv_row is None or _csv_quoted(family + x):
-                raise ValueError(_CSV_QUOTE_ERROR)
-            rows.append([csv_row % (p, e, head) % (x, h, c, s, r) if r is not None else
-                         bare_csv % (p, e, head) % (x, h, c, s)
-                         for p, h, c, r, s in points])
-    failed = [cg.record(theorem, primes[i], (columns[j][0], True, False, (columns[j][3][i],)))
-              for i, j in sorted(failing)[:FAILED_SHOWN]]
-    return Chunk(counts, failed, "".join(chain.from_iterable(zip(*lines))),
-                 "".join(chain.from_iterable(zip(*rows))))
+    ps = list(map(str, primes))
+    cases: List[List[Chunk]] = []
+    for head, hypotheses, conclusions, (residues,) in cg.fixed_columns(theorem, primes, sums):
+        cases.append([])
+        for bare, run in groupby(zip(ps, hypotheses, conclusions, residues),
+                                 lambda point: point[3] is None):
+            args, h, c, r = zip(*run)
+            cases[-1].append(_encode((theorem, names, () if bare else residue_names, "p"), None,
+                                     e, args, [(head, h, c, () if bare else (r,))], formats))
+    chunks = list(chain.from_iterable(cases))
+
+    def interleave(text: Callable[[Chunk], str]) -> str:
+        return "".join(chain.from_iterable(zip(*(_lines("".join(map(text, runs)))
+                                                 for runs in cases))))
+
+    # each case's FAILED records come in prime order, cases in report order
+    return Chunk(sum((c.counts for c in chunks), Counter()),
+                 sorted((r for c in chunks for r in c.failed), key=itemgetter("p"))[:FAILED_SHOWN],
+                 interleave(attrgetter("jsonl")), interleave(attrgetter("csv")))
 
 
 def write_jsonl(chunks: Iterable[Chunk], path: str) -> None:

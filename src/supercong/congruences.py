@@ -19,14 +19,14 @@ row, each row as columns that the statement's verdict computes from columns
 of sums; and :func:`record`, the one builder of a plain dict record, whose
 status follows one fixed rule, :data:`STATUS`.  A statement at fixed
 arguments (eq1.2, cor2.3, remark 2.3) sums each of its cases over the whole
-prime list at once (:func:`fixed_sums`) and gives its verdict as columns
-over the primes, cases in report order (:func:`fixed_columns`).
+prime list at once (:func:`fixed_sums`) and gives its verdict as one row
+per case along the primes, cases in report order (:func:`fixed_columns`).
 
 There is one library entry per kind of statement: :func:`check`, the record
 of one point of a statement with parameters, a grid of one point on the
 path the CLI's grids and explicit parameters run; and
 :func:`fixed_records`, the records of a statement at fixed arguments over a
-prime list, built from its columns.
+prime list, built from its rows.
 """
 
 from __future__ import annotations
@@ -182,9 +182,11 @@ AxisValue = Tuple[str, object]
 # One point of a grid: its parameter strings, hypothesis, conclusion and
 # residues, the names of both in the order record_names gives.
 Point = Tuple[Tuple[str, ...], bool, bool, Tuple[int, ...]]
-# A grid row, a spec-axis value at every argument: its spec-axis strings (none
-# without that axis), then Columns in argument-axis order: hypotheses,
-# conclusions and one column per residue.
+# A row, the points along one axis: its constant parameter strings, then
+# Columns along the axis: hypotheses, conclusions and one column per residue.
+# A grid row is a spec-axis value (its string, none without that axis) along
+# the argument axis; a case of a statement at fixed arguments is (family, x)
+# along the primes, its one residue column None at a prime with no residue.
 Columns = Tuple[List[bool], List[bool], Tuple[Sequence[int], ...]]
 Row = Tuple[Tuple[str, ...], List[bool], List[bool], Tuple[Sequence[int], ...]]
 
@@ -418,7 +420,7 @@ def record(theorem: str, p: int, point: Point) -> dict:
         "theorem": theorem,
         "p": p,
         "e": STATEMENTS[theorem].e,
-        "params": dict(zip(names, params)),
+        "params": dict(zip(names, params, strict=True)),
         "hypothesis_holds": hypothesis,
         "conclusion_holds": conclusion,
         "residues": dict(zip(residue_names, residues)),
@@ -461,9 +463,6 @@ def check(theorem: str, ctx: PrimeContext, **params: object) -> dict:
 
 # One case of a statement at fixed arguments: (family, scale, modulus, classes).
 Case = Tuple[FamilyTag, int, int, Tuple[int, ...]]
-# A case over a prime list: its parameter strings (family, x), then columns
-# over the primes of hypotheses, conclusions and residues (None: no residue).
-CaseColumns = Tuple[Tuple[str, str], List[bool], List[bool], List[Optional[int]]]
 
 
 def _cases(theorem: str) -> List[Case]:
@@ -487,8 +486,8 @@ def fixed_sums(theorem: str, primes: Sequence[int]) -> List[Dict[int, int]]:
 
 
 def fixed_columns(theorem: str, primes: Sequence[int],
-                  sums: Sequence[Dict[int, int]]) -> List[CaseColumns]:
-    """The columns of each case, in report order, over ``primes`` from its
+                  sums: Sequence[Dict[int, int]]) -> List[Row]:
+    """Each case, in report order, as a row along ``primes`` from its
     ``sums`` (:func:`fixed_sums`).  A prime dividing the scale has no
     residue and a vacuous record; at any other, the class test is the
     hypothesis and "the sum vanishes mod p^e" the conclusion."""
@@ -497,17 +496,17 @@ def fixed_columns(theorem: str, primes: Sequence[int],
         residues = list(map(s.get, primes))
         out.append(((f.label, f"1/{scale}"),
                     [r is not None and p % mod in classes for p, r in zip(primes, residues)],
-                    list(map(not_, residues)), residues))
+                    list(map(not_, residues)), (residues,)))
     return out
 
 
 def fixed_records(theorem: str, primes: Iterable[int]) -> List[dict]:
     """The records of a statement at fixed arguments over a prime list, per
-    prime in list order and per case in report order, from the columns of
+    prime in list order and per case in report order, from the rows of
     :func:`fixed_columns`."""
     if STATEMENTS[theorem].series is not None:
         raise ValueError(f"{theorem} is a statement with parameters: use check")
     primes = list(primes)
     columns = fixed_columns(theorem, primes, fixed_sums(theorem, primes))
     return [record(theorem, p, (params, h[i], c[i], () if r[i] is None else (r[i],)))
-            for i, p in enumerate(primes) for params, h, c, r in columns]
+            for i, p in enumerate(primes) for params, h, c, (r,) in columns]

@@ -255,23 +255,24 @@ def hyper_sums(
     out = [0] * len(primes)
     root = tree[0]
 
-    def walk(node: tuple, lo: int, hi: int, prefix: Optional[Tuple[int, int, int]],
+    def walk(node: tuple, lo: int, hi: int, prefix: Tuple[int, int, int],
              after: Optional[tuple]) -> Optional[Tuple[int, int, int]]:
         """Fill out[lo:hi] from the product of the blocks before lo, reduced
-        mod node's modulus (None: no block precedes).  Where a caller reads
-        the product of blocks lo .. hi-1, ``after`` is the product of the
-        moduli of the primes from hi on that it is read by, and the product
-        is returned, reduced mod ``after`` once it outgrows it; else None.
-        ``after`` is kept unformed, as the chain (bits, factor, rest) whose
-        factors multiply to it and whose bits add up their bit lengths: it
-        is formed only at the few nodes whose product has more bits than
-        that.
+        mod node's modulus (the identity (1, 0, 1) if no block precedes).
+        Where a caller reads the product of blocks lo .. hi-1, ``after`` is
+        the product of the moduli of the primes from hi on that it is read
+        by, and the product is returned, reduced mod ``after`` once it
+        outgrows it; else None.  ``after`` is kept unformed, as the chain
+        (bits, factor, rest) whose factors multiply to it and whose bits add
+        up their bit lengths: it is formed only at the few nodes whose
+        product has more bits than that.
 
         A leaf multiplies the steps from the previous prime to p_lo - 1.
         Its product is reduced mod the product of all moduli once it
         outgrows it: a long gap (a list that starts high) stays O(gap)
         steps on numbers below it, and a short one is never reduced (a
         reduced negative entry would be as long as the modulus)."""
+        pa, pb, pd = prefix
         if hi - lo == 1:
             a, b, dd = 1, 0, 1
             for k in range(primes[lo - 1] if lo else 1, primes[lo]):
@@ -282,25 +283,17 @@ def hyper_sums(
                 if abs(a) > root or abs(dd) > root:
                     a, b, dd = a % root, b % root, dd % root
             m = node[0]
-            if prefix is None:
-                pb, pd = b, dd
-            else:
-                pa, pb, pd = prefix
-                pb, pd = (pa * b + pb * dd) % m, pd * dd % m
+            pb, pd = (pa * b + pb * dd) % m, pd * dd % m
             out[lo] = (pb + pd) * pow(pd, -1, m) % m
         else:
             mid = (lo + hi) // 2
             left, right = node[1], node[2]
             ml, mr = left[0], right[0]
-            if prefix is not None:
-                pa, pb, pd = prefix
-                prefix = pa % ml, pb % ml, pd % ml
-            a, b, dd = walk(left, lo, mid, prefix,
+            a, b, dd = walk(left, lo, mid, (pa % ml, pb % ml, pd % ml),
                             (mr.bit_length() + (after[0] if after else 0), mr, after))
             ha, hb, hd = a % mr, b % mr, dd % mr
-            if prefix is not None:
-                pa, pb, pd = pa % mr, pb % mr, pd % mr
-                ha, hb, hd = pa * ha % mr, (pa * hb + pb * hd) % mr, pd * hd % mr
+            pa, pb, pd = pa % mr, pb % mr, pd % mr
+            ha, hb, hd = pa * ha % mr, (pa * hb + pb * hd) % mr, pd * hd % mr
             rest = walk(right, mid, hi, (ha, hb, hd), after)
             if after is None:
                 return None
@@ -316,7 +309,7 @@ def hyper_sums(
             a, b, dd = a % n, b % n, dd % n
         return a, b, dd
 
-    walk(tree, 0, len(primes), None, None)
+    walk(tree, 0, len(primes), (1, 0, 1), None)
     return out
 
 

@@ -259,20 +259,23 @@ def test_explore_prints_every_non_vanishing_prime_in_ascending_order(monkeypatch
 
 def test_fixed_argument_summary_shows_the_first_failed_records_in_report_order(monkeypatch,
                                                                               capsys):
-    # every sum is p: each in-class case fails, several per prime and case
+    # every sum is p: each in-class case fails, several per prime and case;
+    # cor2.3's 1/3375 has no residue at p = 5, which splits its row in two
     monkeypatch.setattr(cg, "family_sums", _nonzero_where(lambda p: True))
-    records = cg.fixed_records("eq1.2", primes_in_range(5, 60))
-    failed = sorted((r for r in records if r["status"] == "FAILED"),
-                    key=lambda d: (d["p"], tuple(sorted(d["params"].items()))))
-    assert failed[0]["params"]["family"] != failed[1]["params"]["family"]
-    assert failed[0]["p"] == failed[1]["p"]
-    [chunk] = run_checks("eq1.2", primes_in_range(3, 60))
-    assert chunk.failed == failed[:cli.FAILED_SHOWN]
-    assert chunk.counts == Counter(r["status"] for r in records)
-    assert main(["check", "eq1.2", "--primes", "3..60"]) == 1
-    assert capsys.readouterr().out.splitlines()[1:] == [
-        f"  FAILED: p={r['p']} params={r['params']} residues={r['residues']}"
-        for r in failed[:cli.FAILED_SHOWN]]
+    for theorem, key, first, bare in (("eq1.2", "family", 0, 0), ("cor2.3", "x", 1, 1)):
+        records = cg.fixed_records(theorem, primes_in_range(5, 60))
+        assert sum(not r["residues"] for r in records) == bare
+        failed = sorted((r for r in records if r["status"] == "FAILED"),
+                        key=lambda d: (d["p"], tuple(sorted(d["params"].items()))))
+        assert failed[first]["params"][key] != failed[first + 1]["params"][key]
+        assert failed[first]["p"] == failed[first + 1]["p"]
+        [chunk] = run_checks(theorem, primes_in_range(3, 60))
+        assert chunk.failed == failed[:cli.FAILED_SHOWN]
+        assert chunk.counts == Counter(r["status"] for r in records)
+        assert main(["check", theorem, "--primes", "3..60"]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"  FAILED: p={r['p']} params={r['params']} residues={r['residues']}"
+            for r in failed[:cli.FAILED_SHOWN]]
 
 
 def test_family_sums_skip_primes_dividing_the_denominator():
@@ -698,14 +701,14 @@ def _encode_records(records, formats):
     """JSONL and CSV text of dict records, in the order given, each record
     driven through cli._encode as a row of one point: its parameter strings
     but the last as the row's head, the last as its argument."""
-    counts, jsonl, csv_rows = Counter(), [], []
+    jsonl, csv_rows = [], []
     for r in records:
         params, residues = r["params"], r["residues"]
         *head, arg = params.values()
-        _, lines, rows = cli._encode(
-            (r["theorem"], tuple(params), tuple(residues)), r["p"], r["e"], [arg],
-            [(tuple(head), [r["hypothesis_holds"]], [r["conclusion_holds"]],
-              [(v,) for v in residues.values()])], formats, counts)
+        _, _, lines, rows = cli._encode(
+            (r["theorem"], tuple(params), tuple(residues), tuple(params)[-1]), r["p"], r["e"],
+            [arg], [(tuple(head), [r["hypothesis_holds"]], [r["conclusion_holds"]],
+                     [(v,) for v in residues.values()])], formats)
         jsonl.append(lines)
         csv_rows.append(rows)
     return "".join(jsonl), "".join(csv_rows)
@@ -769,6 +772,20 @@ def test_a_percent_sign_in_a_name_is_written_as_is():
               "residues": {"r%%": 3}, "status": "vacuous"}
     assert _encode_records([record], ("jsonl", "csv")) == reference.encode_report([record])
 
+
+def test_a_line_separator_csv_writer_leaves_unquoted_stays_in_its_record(monkeypatch):
+    # str.splitlines breaks at these; the cases of cor2.3 (with the bare
+    # record at p = 5) must still interleave record by record
+    fixed_columns = cg.fixed_columns
+    monkeypatch.setattr(cg, "fixed_columns", lambda *a: [
+        ((f"a\x0bb {family}\x85", x), *rest) for (family, x), *rest in fixed_columns(*a)])
+    primes = primes_in_range(5, 60)
+    chunk = cli._encode_fixed("cor2.3", primes, cg.fixed_sums("cor2.3", primes),
+                              ("jsonl", "csv"))
+    assert (chunk.jsonl, chunk.csv) == reference.encode_report(cg.fixed_records("cor2.3", primes))
+    assert "\x0b" in chunk.csv
+
+
 def test_template_cache_holds_one_entry_per_record_shape(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_TEMPLATES", {})
     out, csvp = tmp_path / "r.jsonl", tmp_path / "r.csv"
@@ -779,7 +796,7 @@ def test_template_cache_holds_one_entry_per_record_shape(monkeypatch, tmp_path):
         main([*argv, "--out", str(out)])
         records += [json.loads(line) for line in out.read_text().splitlines()]
     assert len({r["p"] for r in records}) > 600
-    shapes = {(r["theorem"], tuple(r["params"]), tuple(r["residues"])) for r in records}
+    shapes = {(r["theorem"], tuple(r["params"]), tuple(r["residues"]), "p") for r in records}
     # remark2.3, eq1.2, and cor2.3 with and without residues (p = 5)
     assert len(shapes) == len(cli._TEMPLATES) == 4
     assert set(cli._TEMPLATES) == shapes

@@ -180,6 +180,13 @@ def test_report_status_rule():
     assert r["status"] == "verified" and r["hypothesis_holds"] and r["conclusion_holds"]
 
 
+def test_a_record_point_with_a_value_too_many_raises():
+    # such as a prime passed as a parameter: it must not vanish from the record
+    for theorem, params in (("thm2.1", ("0", "3", "7")), ("eq1.2", ("two_three", "1/108", "7"))):
+        with pytest.raises(ValueError):
+            record(theorem, 7, (params, True, False, (1, 2, 3)))
+
+
 @pytest.mark.parametrize("theorem", [t for t, spec in STATEMENTS.items() if spec.params])
 def test_every_grid_record_has_the_status_of_its_booleans(theorem):
     chunks = run_checks(theorem, primes_in_range(3, 13), exhaustive=True, jobs=1,
