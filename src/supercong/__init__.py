@@ -37,12 +37,23 @@ from .modring import (
     make_context,
     reduce_rational,
 )
-from .oracle import (
-    exact_reduce_sum,
-    exact_reduce_sums,
-    identity_1_7_check,
-    lemma_2_1_exact_check,
-    lemma_2_2_check,
-)
 
 __version__ = "0.1.0"
+
+# The oracles' names, which load ``oracle`` on first use, so that importing
+# the package or running ``check`` and ``explore`` does not.
+_ORACLE_NAMES = frozenset({
+    "exact_reduce_sum",
+    "exact_reduce_sums",
+    "identity_1_7_check",
+    "lemma_2_1_exact_check",
+    "lemma_2_2_check",
+})
+
+
+def __getattr__(name: str) -> object:
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -48,7 +48,8 @@ denominator p does not divide once, builds the family, core and plain
 specs of ``congruences`` from them, and sums every spec in one
 ``PrimeContext.series`` call at the vector of those x: the packed pass
 that every grid runs.  It compares in the order p, e, x, series and names
-the first mismatch.
+the first mismatch.  Only the ``oracle`` command imports ``oracle``, so
+``check`` and ``explore`` never load it.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from operator import attrgetter, getitem, itemgetter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import congruences as cg
-from . import oracle
 from .errors import BoundExceeded, RangeError, SupercongError
 from .modring import make_context, reduce_rational
 
@@ -536,52 +536,24 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     return 0
 
 
-# Per oracle target: the size option it reads, its minimum, its default and
-# its cap.  The other size options are rejected.  reduce-equivalence starts
-# at p = 3, so a smaller --p-max would compare nothing.
-_ORACLE_SIZES = {
-    "lemma2.1": ("n_max", 0, oracle.LEMMA_2_1_BOUND, oracle.LEMMA_2_1_BOUND),
-    "lemma2.2": ("n_max", 0, oracle.LEMMA_2_2_BOUND, oracle.LEMMA_2_2_BOUND),
-    "eq1.7": ("k_max", 0, oracle.IDENTITY_1_7_BOUND, oracle.IDENTITY_1_7_BOUND),
-    "reduce-equivalence": ("p_max", 3, 97, oracle.REDUCE_P_BOUND),
-}
+def _run_oracle_target(target: str, size: int) -> Tuple[bool, str]:
+    from . import oracle
 
-
-def _oracle_size(target: str, args: argparse.Namespace) -> int:
-    """The target's size: the user's, checked against the minimum and the
-    cap, or the default."""
-    name, least, default, cap = _ORACLE_SIZES[target]
-    size = getattr(args, name)
-    if size is None:
-        return default
-    flag = "--" + name.replace("_", "-")
-    if size < least:
-        raise RangeError(f"{flag} must be at least {least} for {target}, got {size}")
-    if size > cap:
-        raise BoundExceeded(f"{flag} must be at most {cap} for {target}, got {size}")
-    return size
-
-
-def _run_oracle_target(target: str, args: argparse.Namespace) -> Tuple[bool, str]:
     if target == "lemma2.1":
-        n_max = _oracle_size(target, args)
-        for n in range(n_max + 1):
+        for n in range(size + 1):
             if not oracle.lemma_2_1_exact_check(n):
                 return False, f"squared-value expansion differs at n={n}"
-        return True, f"squared-value expansion exact for all n <= {n_max}"
+        return True, f"squared-value expansion exact for all n <= {size}"
     if target == "lemma2.2":
-        n_max = _oracle_size(target, args)
-        failure = oracle.lemma_2_2_check(n_max)
-        return failure is None, failure or f"identity and certificate exact for all n <= {n_max}"
+        failure = oracle.lemma_2_2_check(size)
+        return failure is None, failure or f"identity and certificate exact for all n <= {size}"
     if target == "eq1.7":
-        k_max = _oracle_size(target, args)
-        for k in range(k_max + 1):
+        for k in range(size + 1):
             if not oracle.identity_1_7_check(k):
                 return False, f"dictionary equality fails at k={k}"
-        return True, f"dictionary exact for all k <= {k_max}"
+        return True, f"dictionary exact for all k <= {size}"
     if target == "reduce-equivalence":
-        p_max = _oracle_size(target, args)
-        primes = primes_in_range(3, p_max)
+        primes = primes_in_range(3, size)
         # per series: its name, a in a mismatch, and its exact sums at each x
         # of GRID_X as {p: sum mod p^3}; the families, then core and plain per a
         def exact(a: Fraction, which: Union[str, cg.FamilyTag]) -> List[Dict[int, int]]:
@@ -607,22 +579,43 @@ def _run_oracle_target(target: str, args: argparse.Namespace) -> Tuple[bool, str
                     for (name, at, exact_sums), got in zip(live, sums):
                         if got[k] != exact_sums[i][p] % ctx.modulus:
                             return False, f"{name} differs at p={p} e={e}{at} x={x}"
-        return True, f"modular pipeline matches exact reduction for all p <= {p_max}"
+        return True, f"modular pipeline matches exact reduction for all p <= {size}"
     raise ValueError(f"unknown oracle target {target!r}")
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    read = _ORACLE_SIZES[args.target][0]
+    # Imported here, so that check and explore do not load the oracles.
+    from . import oracle
+
+    # Per target: the size option it reads, its minimum, its default and its
+    # cap.  The other size options are rejected.  reduce-equivalence starts
+    # at p = 3, so a smaller --p-max would compare nothing.
+    sizes = {
+        "lemma2.1": ("n_max", 0, oracle.LEMMA_2_1_BOUND, oracle.LEMMA_2_1_BOUND),
+        "lemma2.2": ("n_max", 0, oracle.LEMMA_2_2_BOUND, oracle.LEMMA_2_2_BOUND),
+        "eq1.7": ("k_max", 0, oracle.IDENTITY_1_7_BOUND, oracle.IDENTITY_1_7_BOUND),
+        "reduce-equivalence": ("p_max", 3, 97, oracle.REDUCE_P_BOUND),
+    }
+    target = args.target
+    name, least, default, cap = sizes[target]
     unread = [
-        "--" + name.replace("_", "-")
-        for name in dict.fromkeys(size[0] for size in _ORACLE_SIZES.values())
-        if name != read and getattr(args, name) is not None
+        "--" + other.replace("_", "-")
+        for other in dict.fromkeys(option for option, *_ in sizes.values())
+        if other != name and getattr(args, other) is not None
     ]
     if unread:
-        print(f"error: {args.target} takes no {' '.join(unread)}", file=sys.stderr)
+        print(f"error: {target} takes no {' '.join(unread)}", file=sys.stderr)
         return 2
-    ok, message = _run_oracle_target(args.target, args)
-    print(f"oracle {args.target}: {'ok' if ok else 'MISMATCH'} -- {message}")
+    size = getattr(args, name)
+    flag = "--" + name.replace("_", "-")
+    if size is None:
+        size = default
+    elif size < least:
+        raise RangeError(f"{flag} must be at least {least} for {target}, got {size}")
+    elif size > cap:
+        raise BoundExceeded(f"{flag} must be at most {cap} for {target}, got {size}")
+    ok, message = _run_oracle_target(target, size)
+    print(f"oracle {target}: {'ok' if ok else 'MISMATCH'} -- {message}")
     return 0 if ok else 1
 
 

@@ -1,7 +1,8 @@
 """Exact arithmetic in Z/p^e on plain ints in [0, p^e): rational reduction
 and the division-free hypergeometric kernel behind every truncated sum, as
-the coefficient row of a series at one prime or over n = p - 1 for a whole
-prime list at once.
+the coefficient row of a series at one prime or as the sum to p - 1 for a
+whole prime list at once, each prime read at its last term that can be
+nonzero mod p^e.
 
 A :class:`PrimeContext` keeps the coefficient row of each series it meets
 and evaluates rows at a whole argument vector in one packed big-int pass,
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BadExponent, CompositeModulus, NotPIntegral, RangeError
@@ -202,6 +204,28 @@ def _prime_power_tree(primes: Tuple[int, ...], e: int) -> tuple:
     return _moduli_tree([p**e for p in primes], 0, len(primes))
 
 
+def _readouts(primes: Sequence[int], e: int, factors: Sequence[Tuple[int, int]]) -> List[int]:
+    """The index n(p) at which :func:`hyper_sums` reads each prime of an
+    ascending list: no term past n(p) is nonzero mod p^e, and n(p) <= p - 1
+    never decreases along the list.
+
+    A factor s k + r with p not dividing s vanishes mod p at k = -r / s mod p.
+    At each such root k in [1, p) the term numerator U_k gains a factor p,
+    and U_k divides every later U, so every term from j_e on, the e-th
+    smallest root counted once per factor, is 0 mod p^e: n(p) = j_e - 1, or
+    p - 1 with fewer than e roots.  A p dividing num, a factor with p | s, a
+    factor that is exactly 0 and p^2 dividing a factor at its root are left
+    out: each could only end the nonzero terms sooner, and the partial sum
+    is the same read anywhere in [n(p), p - 1].  That also lets each n(p)
+    be raised to the one before it, so the readouts never decrease.
+
+    A factor with no root in [1, p) reads p, as do e more columns, so the
+    e-th smallest of a prime's roots is p with fewer than e of them.
+    """
+    roots = [[-r * pow(s, -1, p) % p or p if s % p else p for p in primes] for s, r in factors]
+    return list(accumulate([sorted(js)[e - 1] - 1 for js in zip(*roots, *[primes] * e)], max))
+
+
 def hyper_sums(
     num: int,
     den: int,
@@ -221,12 +245,16 @@ def hyper_sums(
     partial sum t_0 + ... + t_k is N_k / D_k; the row vector (U, N) steps by
     [[a_k, a_k], [0, b_k]], with
     a_k = num * prod_i (s_i k + r_i) and b_k = den * k^d, so the product
-    [[A, B], [0, D]] of the steps k = 1 .. p-1 gives the sum (B + D) / D,
-    and D is a unit for p not dividing den.  One leaf block multiplies the
-    steps between two consecutive primes; an accumulating remainder tree
-    (Costa, Gerbicz and Harvey, arXiv:1209.3436) then reduces every prefix
-    product mod its own p^e.  That is O(log n) levels of big-integer products
-    and remainders for n primes, in place of sum(p) Python steps.
+    [[A, B], [0, D]] of the steps k = 1 .. n gives the partial sum
+    (B + D) / D, and D is a unit when n < p and p does not divide den.
+    Each prime is read at its n(p) (:func:`_readouts`): every term past it
+    is 0 mod p^e, so that partial sum is the sum to p - 1, and at e = 2
+    every family of ``congruences`` is read at (p - 1) / 2.  One leaf block
+    multiplies the steps between the readouts of two consecutive primes; an
+    accumulating remainder tree (Costa, Gerbicz and Harvey,
+    arXiv:1209.3436) then reduces every prefix product mod its own p^e.
+    That is O(log n) levels of big-integer products and remainders for n
+    primes, in place of sum(p) Python steps.
 
     A product of blocks is only ever read modulo the product of the moduli
     of the primes after it, so each node of the walk is passed that product
@@ -252,6 +280,7 @@ def hyper_sums(
         if den % p == 0:
             raise NotPIntegral(f"{num}/{den} has denominator divisible by {p}")
     (s1, r1), (s2, r2), (s3, r3) = (*factors, *((0, 1),) * (3 - len(factors)))
+    stop = [n + 1 for n in _readouts(primes, e, factors)]
     out = [0] * len(primes)
     root = tree[0]
 
@@ -267,15 +296,16 @@ def hyper_sums(
         up their bit lengths: it is formed only at the few nodes whose
         product has more bits than that.
 
-        A leaf multiplies the steps from the previous prime to p_lo - 1.
-        Its product is reduced mod the product of all moduli once it
-        outgrows it: a long gap (a list that starts high) stays O(gap)
-        steps on numbers below it, and a short one is never reduced (a
-        reduced negative entry would be as long as the modulus)."""
+        A leaf multiplies the steps after the previous prime's readout up
+        to its own, none if the two are equal.  Its product is reduced mod
+        the product of all moduli once it outgrows it: a long gap (a list
+        that starts high) stays O(gap) steps on numbers below it, and a
+        short one is never reduced (a reduced negative entry would be as
+        long as the modulus)."""
         pa, pb, pd = prefix
         if hi - lo == 1:
             a, b, dd = 1, 0, 1
-            for k in range(primes[lo - 1] if lo else 1, primes[lo]):
+            for k in range(stop[lo - 1] if lo else 1, stop[lo]):
                 a *= num * (s1 * k + r1) * (s2 * k + r2) * (s3 * k + r3)
                 bk = den * k**d
                 b = a + b * bk

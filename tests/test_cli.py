@@ -311,17 +311,27 @@ def test_without_jobs_a_sweep_forks_only_where_its_estimate_pays_for_a_pool():
         min(cores, len(many)))
 
 
-@pytest.mark.parametrize("jobs, pooled", [((), False), (("--jobs", "2"), True)])
-def test_a_small_grid_loads_the_pool_only_at_an_explicit_jobs(jobs, pooled):
-    argv = ["check", "thm2.3", "--exhaustive-am", "--primes", "3..13", *jobs]
+GRID = ["check", "thm2.3", "--exhaustive-am", "--primes", "3..13"]
+
+
+# (argv, a module, whether a fresh process that runs argv loads it); only
+# the oracle command loads the oracles
+@pytest.mark.parametrize("argv, module, loaded", [
+    (GRID, "concurrent.futures.process", False),
+    # a one-core machine gets no pool at --jobs 2 either
+    ([*GRID, "--jobs", "2"], "concurrent.futures.process", (os.cpu_count() or 1) > 1),
+    (["check", "eq1.2", "--primes", "3..7"], "supercong.oracle", False),
+    (["explore", "remark2.3", "--primes", "3..7"], "supercong.oracle", False),
+    (["oracle", "lemma2.2", "--n-max", "2"], "supercong.oracle", True),
+], ids=["jobs0-False", "jobs1-True", "check-no-oracle", "explore-no-oracle", "oracle"])
+def test_a_small_grid_loads_the_pool_only_at_an_explicit_jobs(argv, module, loaded):
     code = ("import sys\nfrom supercong.cli import main\n"
-            f"main({argv!r})\nprint('concurrent.futures.process' in sys.modules)")
+            f"main({argv!r})\nprint({module!r} in sys.modules)")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    # a one-core machine gets no pool at --jobs 2 either
-    assert out.stdout.splitlines()[-1] == str(pooled and (os.cpu_count() or 1) > 1), out.stderr
+    assert out.stdout.splitlines()[-1] == str(loaded), out.stderr
 
 
 def _started(item):

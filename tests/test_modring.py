@@ -17,6 +17,7 @@ from reference import (
 )
 from supercong.errors import BadExponent, CompositeModulus, NotPIntegral, RangeError
 from supercong import modring
+from supercong.congruences import FamilyTag
 from supercong.modring import (
     hyper_sums,
     hyper_terms,
@@ -174,17 +175,49 @@ def test_hyper_sums_match_the_scalar_kernel():
     # random specs: one to three factors, d = 1..3, a constant num/den
     rng = random.Random(20261018)
     primes = [p for p in range(3, 400) if is_prime(p)]
+    specs = []
     for _ in range(30):
         factors = tuple(
             (rng.randint(-6, 6), rng.randint(-9, 9)) for _ in range(rng.randint(1, 3))
         )
         d, e = rng.randint(1, 3), rng.choice((1, 2, 3))
         num, den = rng.randint(-50, 50), rng.choice((1, 2, 4, 8))
+        specs.append((num, den, factors, d, e))
+    # and the cases the readout leaves out or counts more than once: an
+    # exactly zero factor (-k + 4 at k = 4), cube's triple root at e = 3,
+    # num divisible by p = 7, and a factor 6k - 1 with no root mod 3
+    specs += [(3, 1, ((-1, 4), (2, -1)), 2, 2),
+              (8, 1, ((2, -1),) * 3, 3, 3),
+              (14, 4, ((2, -1), (3, -1)), 2, 2),
+              (1, 1, ((6, -1), (2, -1)), 1, 2)]
+    for num, den, factors, d, e in specs:
         got = hyper_sums(num, den, factors, d, primes, e)
         for p, value in zip(primes, got):
             ctx = make_context(p, e)
             c = reduce_rational(Fraction(num, den), ctx)
             assert [[value]] == ctx.series([(c, factors, d, p - 1)], [1]), (factors, d, num, den, p, e)
+
+
+def test_readouts_stop_at_the_last_term_that_can_be_nonzero():
+    primes = [p for p in range(5, 3000) if is_prime(p)]
+    for f in FamilyTag:
+        assert modring._readouts(primes, 2, f.factors) == [(p - 1) // 2 for p in primes], f
+    two_three = FamilyTag.TWO_THREE.factors
+    assert modring._readouts(primes, 3, two_three) == [(2 * p - 1) // 3 for p in primes]
+    # factors with no root in [1, p): a constant, k (its root is 0) and
+    # 5k + 1 at p = 5
+    for listed, factors in ((primes, ((0, 1),)), (primes, ((1, 0),)), ([5], ((5, 1),))):
+        assert modring._readouts(listed, 1, factors) == [p - 1 for p in listed]
+    # any factors from any ascending list: never decreasing, never past p - 1
+    rng = random.Random(20261020)
+    for _ in range(30):
+        factors = tuple(
+            (rng.randint(-6, 6), rng.randint(-9, 9)) for _ in range(rng.randint(1, 3))
+        )
+        listed = sorted(rng.sample([3, *primes[:200]], 40))
+        reads = modring._readouts(listed, rng.choice((1, 2, 3)), factors)
+        assert all(n <= p - 1 for n, p in zip(reads, listed)), factors
+        assert reads == sorted(reads), factors
 
 
 def test_hyper_sums_on_lists_that_start_high():
