@@ -5,8 +5,9 @@ hypergeometric sums sum_k C(2k,k) C(a,k) C(-1-a,k) x^k and for the squared
 Legendre values P_n(sqrt(1+4x))^2 mod p^e, one checker per kind of
 congruence statement (``check`` for one point of a statement with
 parameters, ``fixed_records`` for a statement at fixed arguments over a
-prime list), exact integer oracles, and a prime-sweeping CLI driven by one
-statement table.
+prime list), exact integer oracles (``supercong.oracle``, which only the
+``oracle`` command loads), and a prime-sweeping CLI driven by one statement
+table.
 """
 
 from .congruences import (
@@ -39,21 +40,3 @@ from .modring import (
 )
 
 __version__ = "0.1.0"
-
-# The oracles' names, which load ``oracle`` on first use, so that importing
-# the package or running ``check`` and ``explore`` does not.
-_ORACLE_NAMES = frozenset({
-    "exact_reduce_sum",
-    "exact_reduce_sums",
-    "identity_1_7_check",
-    "lemma_2_1_exact_check",
-    "lemma_2_2_check",
-})
-
-
-def __getattr__(name: str) -> object:
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -41,15 +41,9 @@ vacuous point, with the given names and no residues.  Only the first
 FAILED_SHOWN FAILED records become dicts (``congruences.record``), for the
 summary.  Log lines go to stderr with no stdlib ``logging`` (:func:`_log`).
 
-``oracle reduce-equivalence`` holds the modular sums against
-``oracle.exact_reduce_sums`` over the grids ``oracle.GRID_X`` and
-``oracle.GRID_A``.  At each (p, e) it reduces each grid value whose
-denominator p does not divide once, builds the family, core and plain
-specs of ``congruences`` from them, and sums every spec in one
-``PrimeContext.series`` call at the vector of those x: the packed pass
-that every grid runs.  It compares in the order p, e, x, series and names
-the first mismatch.  Only the ``oracle`` command imports ``oracle``, so
-``check`` and ``explore`` never load it.
+``oracle`` reads its target's row of ``oracle.TARGETS`` (size option,
+bounds and run), checks the size and runs it.  Only that command imports
+``oracle``, so ``check`` and ``explore`` never load it.
 """
 
 from __future__ import annotations
@@ -64,7 +58,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, groupby, islice
 from operator import attrgetter, getitem, itemgetter
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import congruences as cg
 from .errors import BoundExceeded, RangeError, SupercongError
@@ -282,7 +276,9 @@ def run_exploration(primes: Iterable[int]) -> List[Tuple[int, int]]:
 # FAILED records a summary prints, and so the most a chunk keeps.
 FAILED_SHOWN = 5
 
-_PARAM_COLUMNS = ("a", "x", "m", "u", "family")
+# The parameter options of ``check``, in CSV column order.
+_OPTIONS = ("a", "x", "m", "u")
+_PARAM_COLUMNS = (*_OPTIONS, "family")
 _CSV_COLUMNS = ("theorem", "p", "e", *_PARAM_COLUMNS, "hypothesis_holds",
                 "conclusion_holds", "status", "residues")
 # The header row as csv.writer writes it: no column name needs quoting.
@@ -468,11 +464,7 @@ def write_csv(chunks: Iterable[Chunk], path: str) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     theorem = args.theorem
-    given = {
-        name: value
-        for name, value in (("a", args.a), ("x", args.x), ("m", args.m), ("u", args.u))
-        if value is not None
-    }
+    given = {name: getattr(args, name) for name in _OPTIONS if getattr(args, name) is not None}
     needed = cg.STATEMENTS[theorem].params
     unused = [n for n in given if n not in needed]
     if args.exhaustive_am and not needed:
@@ -536,87 +528,28 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_oracle_target(target: str, size: int) -> Tuple[bool, str]:
-    from . import oracle
-
-    if target == "lemma2.1":
-        for n in range(size + 1):
-            if not oracle.lemma_2_1_exact_check(n):
-                return False, f"squared-value expansion differs at n={n}"
-        return True, f"squared-value expansion exact for all n <= {size}"
-    if target == "lemma2.2":
-        failure = oracle.lemma_2_2_check(size)
-        return failure is None, failure or f"identity and certificate exact for all n <= {size}"
-    if target == "eq1.7":
-        for k in range(size + 1):
-            if not oracle.identity_1_7_check(k):
-                return False, f"dictionary equality fails at k={k}"
-        return True, f"dictionary exact for all k <= {size}"
-    if target == "reduce-equivalence":
-        primes = primes_in_range(3, size)
-        # per series: its name, a in a mismatch, and its exact sums at each x
-        # of GRID_X as {p: sum mod p^3}; the families, then core and plain per a
-        def exact(a: Fraction, which: Union[str, cg.FamilyTag]) -> List[Dict[int, int]]:
-            return [oracle.exact_reduce_sums(a, x, which, primes, 3) for x in oracle.GRID_X]
-
-        families = [(f"family {f.label}", "", exact(Fraction(0), f)) for f in cg.FamilyTag]
-        at_a = [(a, [(which, f" a={a}", exact(a, which)) for which in ("core", "plain")])
-                for a in oracle.GRID_A]
-        for p in primes:
-            xs = [(i, x) for i, x in enumerate(oracle.GRID_X) if x.denominator % p]
-            usable = [(a, pair) for a, pair in at_a if a.denominator % p]
-            live = families + [s for _, pair in usable for s in pair]
-            # each context, and the rows it caches, lives for one (p, e); it
-            # sums every live series at every usable x in one packed pass
-            for e in (1, 2, 3):
-                ctx = make_context(p, e)
-                specs = [cg._family_spec(f, p) for f in cg.FamilyTag]
-                for a, _ in usable:
-                    ah = cg._residue(a, ctx)
-                    specs += cg._core_spec(ah, p), cg._plain_spec(ah, p)
-                sums = ctx.series(specs, [cg._residue(x, ctx) for _, x in xs])
-                for k, (i, x) in enumerate(xs):
-                    for (name, at, exact_sums), got in zip(live, sums):
-                        if got[k] != exact_sums[i][p] % ctx.modulus:
-                            return False, f"{name} differs at p={p} e={e}{at} x={x}"
-        return True, f"modular pipeline matches exact reduction for all p <= {size}"
-    raise ValueError(f"unknown oracle target {target!r}")
-
-
 def _cmd_oracle(args: argparse.Namespace) -> int:
     # Imported here, so that check and explore do not load the oracles.
-    from . import oracle
+    from .oracle import TARGETS
 
-    # Per target: the size option it reads, its minimum, its default and its
-    # cap.  The other size options are rejected.  reduce-equivalence starts
-    # at p = 3, so a smaller --p-max would compare nothing.
-    sizes = {
-        "lemma2.1": ("n_max", 0, oracle.LEMMA_2_1_BOUND, oracle.LEMMA_2_1_BOUND),
-        "lemma2.2": ("n_max", 0, oracle.LEMMA_2_2_BOUND, oracle.LEMMA_2_2_BOUND),
-        "eq1.7": ("k_max", 0, oracle.IDENTITY_1_7_BOUND, oracle.IDENTITY_1_7_BOUND),
-        "reduce-equivalence": ("p_max", 3, 97, oracle.REDUCE_P_BOUND),
-    }
     target = args.target
-    name, least, default, cap = sizes[target]
-    unread = [
-        "--" + other.replace("_", "-")
-        for other in dict.fromkeys(option for option, *_ in sizes.values())
-        if other != name and getattr(args, other) is not None
-    ]
+    option, least, default, cap, run, clean = TARGETS[target]
+    given = {"--" + name.replace("_", "-"): value for name, value in vars(args).items()}
+    unread = [other for other in dict.fromkeys(t.option for t in TARGETS.values())
+              if other != option and given[other] is not None]
     if unread:
         print(f"error: {target} takes no {' '.join(unread)}", file=sys.stderr)
         return 2
-    size = getattr(args, name)
-    flag = "--" + name.replace("_", "-")
+    size = given[option]
     if size is None:
         size = default
     elif size < least:
-        raise RangeError(f"{flag} must be at least {least} for {target}, got {size}")
+        raise RangeError(f"{option} must be at least {least} for {target}, got {size}")
     elif size > cap:
-        raise BoundExceeded(f"{flag} must be at most {cap} for {target}, got {size}")
-    ok, message = _run_oracle_target(target, size)
-    print(f"oracle {target}: {'ok' if ok else 'MISMATCH'} -- {message}")
-    return 0 if ok else 1
+        raise BoundExceeded(f"{option} must be at most {cap} for {target}, got {size}")
+    failure = run(size)
+    print(f"oracle {target}: {'MISMATCH' if failure else 'ok'} -- {failure or clean.format(size)}")
+    return 1 if failure else 0
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("theorem", choices=[t for t in cg.STATEMENTS if t != "remark2.3"])
     check.add_argument("--primes", type=parse_prime_range, required=True,
                        metavar="LO..HI")
-    check.add_argument("--a", type=parse_rational, default=None)
-    check.add_argument("--x", type=parse_rational, default=None)
-    check.add_argument("--m", type=parse_rational, default=None)
-    check.add_argument("--u", type=parse_rational, default=None)
+    for name in _OPTIONS:
+        check.add_argument(f"--{name}", type=parse_rational, default=None)
     check.add_argument("--exhaustive-am", action="store_true",
                        help="sweep the full integer parameter grid per prime")
     check.add_argument("--jobs", type=partial(parse_size, least=1), default=None,

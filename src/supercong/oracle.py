@@ -11,6 +11,14 @@ n <= n_max, and the squared-Legendre expansion has degree n in x.  The
 dictionary check reads each family's (a, scale) pair from FamilyTag and
 compares both closed forms cross-multiplied to integers.
 No floating point anywhere, and no computer-algebra dependency.
+
+``reduce_equivalence`` compares the packed pass that every grid runs with
+these exact sums over GRID_X and GRID_A: at each (p, e) it reduces each
+grid value whose denominator p does not divide once, through
+``congruences``, and sums every family, core and plain spec in one
+``PrimeContext.series`` call at the vector of those x, comparing in the
+order p, e, x, series.  Each target of the ``oracle`` command is one row of
+TARGETS; only that command imports this module.
 """
 
 from __future__ import annotations
@@ -18,12 +26,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 from math import comb, factorial, lcm
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
-from .congruences import FamilyTag
+from .congruences import FamilyTag, _core_spec, _family_spec, _plain_spec, _residue
 from .errors import BoundExceeded, NotPIntegral
 from .legendre import legendre_exact
-from .modring import PrimeContext, Rational
+from .modring import PrimeContext, Rational, is_prime, make_context
 
 LEMMA_2_2_BOUND = 40
 LEMMA_2_1_BOUND = 30
@@ -73,8 +82,8 @@ def _certificate_holds(n: int, s0: Sequence[int], s1: Sequence[int], s2: Sequenc
 
 
 def lemma_2_2_check(n_max: int) -> Optional[str]:
-    """Prove the convolution identity, and its recurrence certificate on
-    each side, for every n <= n_max: the first failure, or None.
+    """Prove the convolution identity, and its recurrence certificate, for
+    every n <= n_max: the first failure, or None.
 
     Side 1 convolves the C(a,k) C(-1-a,k) pairs; side 2 runs the
     C(2k,k)-weighted alternating form.  The sides at n and each term of the
@@ -82,21 +91,21 @@ def lemma_2_2_check(n_max: int) -> Optional[str]:
     equal values at the points a = 0, ..., 2 n_max prove them.  The pair
     rows at these points are built once, to k = n_max; the sides at n read
     their first n + 1 entries.  For each n in turn the identity is checked,
-    then, from n = 2 on, the certificate on side 1 and on side 2.
+    then, from n = 2 on, the certificate on the sides' common values at n,
+    n - 1 and n - 2: once the identity holds there, side 1's values are
+    side 2's, so the certificate holds on both sides or on neither, and a
+    failure names side 1.
     """
     if not 0 <= n_max <= LEMMA_2_2_BOUND:
         raise BoundExceeded(f"n_max must be in [0, {LEMMA_2_2_BOUND}], got {n_max}")
     rows = [_pairs(a, n_max) for a in range(2 * n_max + 1)]
-    sides: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []  # both sides at n = 0, 1, ...
+    sides: List[Tuple[int, ...]] = []  # the sides' common values at n = 0, 1, ...
     for n in range(n_max + 1):
-        sides.append((_side(n, 1, rows), _side(n, 2, rows)))
-        if sides[n][0] != sides[n][1]:
+        sides.append(_side(n, 1, rows))
+        if sides[n] != _side(n, 2, rows):
             return f"identity sides differ at n={n}"
-        if n < 2:
-            continue
-        for side in (1, 2):
-            if not _certificate_holds(n, *(sides[m][side - 1] for m in (n, n - 1, n - 2))):
-                return f"recurrence certificate fails at n={n} side {side}"
+        if n >= 2 and not _certificate_holds(n, sides[n], sides[n - 1], sides[n - 2]):
+            return f"recurrence certificate fails at n={n} side 1"
     return None
 
 
@@ -272,3 +281,77 @@ GRID_X = (
     Fraction(3),
     Fraction(-5, 6),
 )
+
+
+def reduce_equivalence(p_max: int) -> Optional[str]:
+    """The packed pass against :func:`exact_reduce_sums` at every prime
+    3 <= p <= p_max and e = 1, 2, 3: the first mismatch, or None."""
+    primes = [p for p in range(3, p_max + 1) if is_prime(p)]
+
+    # per series: its name, a in a mismatch, and its exact sums at each x
+    # of GRID_X as {p: sum mod p^3}; the families, then core and plain per a
+    def exact(a: Fraction, which: Union[str, FamilyTag]) -> List[Dict[int, int]]:
+        return [exact_reduce_sums(a, x, which, primes, 3) for x in GRID_X]
+
+    families = [(f"family {f.label}", "", exact(Fraction(0), f)) for f in FamilyTag]
+    at_a = [(a, [(which, f" a={a}", exact(a, which)) for which in ("core", "plain")])
+            for a in GRID_A]
+    for p in primes:
+        xs = [(i, x) for i, x in enumerate(GRID_X) if x.denominator % p]
+        usable = [(a, pair) for a, pair in at_a if a.denominator % p]
+        live = families + [s for _, pair in usable for s in pair]
+        # each context, and the rows it caches, lives for one (p, e); it
+        # sums every live series at every usable x in one packed pass
+        for e in (1, 2, 3):
+            ctx = make_context(p, e)
+            specs = [_family_spec(f, p) for f in FamilyTag]
+            for a, _ in usable:
+                ah = _residue(a, ctx)
+                specs += _core_spec(ah, p), _plain_spec(ah, p)
+            sums = ctx.series(specs, [_residue(x, ctx) for _, x in xs])
+            for k, (i, x) in enumerate(xs):
+                for (name, at, exact_sums), got in zip(live, sums):
+                    if got[k] != exact_sums[i][p] % ctx.modulus:
+                        return f"{name} differs at p={p} e={e}{at} x={x}"
+    return None
+
+
+def _first_failure(holds: Callable[[int], bool], size: int, failure: str) -> Optional[str]:
+    """``failure`` at the first index i <= size at which ``holds(i)`` is
+    false, or None."""
+    return next((failure.format(i) for i in range(size + 1) if not holds(i)), None)
+
+
+class Target(NamedTuple):
+    """An ``oracle`` command target: the size option it reads, its least
+    size, default and cap, its run (size -> the first failure's text, or
+    None) and the text of a clean run at a size."""
+
+    option: str
+    least: int
+    default: int
+    cap: int
+    run: Callable[[int], Optional[str]]
+    clean: str
+
+
+# Each run looks its oracle up by name when it is called, so a size is
+# checked before any oracle work.  reduce-equivalence starts at p = 3, so a
+# smaller --p-max would compare nothing.
+TARGETS: Dict[str, Target] = {
+    "lemma2.1": Target(
+        "--n-max", 0, LEMMA_2_1_BOUND, LEMMA_2_1_BOUND,
+        lambda n: _first_failure(lemma_2_1_exact_check, n,
+                                 "squared-value expansion differs at n={}"),
+        "squared-value expansion exact for all n <= {}"),
+    "lemma2.2": Target(
+        "--n-max", 0, LEMMA_2_2_BOUND, LEMMA_2_2_BOUND, lambda n: lemma_2_2_check(n),
+        "identity and certificate exact for all n <= {}"),
+    "eq1.7": Target(
+        "--k-max", 0, IDENTITY_1_7_BOUND, IDENTITY_1_7_BOUND,
+        lambda k: _first_failure(identity_1_7_check, k, "dictionary equality fails at k={}"),
+        "dictionary exact for all k <= {}"),
+    "reduce-equivalence": Target(
+        "--p-max", 3, 97, REDUCE_P_BOUND, lambda p: reduce_equivalence(p),
+        "modular pipeline matches exact reduction for all p <= {}"),
+}

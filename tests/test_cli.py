@@ -633,6 +633,12 @@ def test_check_and_explore_choices_are_exactly_the_statement_rows():
     assert explore == ["remark2.3"]
 
 
+def test_oracle_choices_are_exactly_the_target_rows():
+    # The parser states the names so that check and explore need not load
+    # oracle; each must be a row of oracle.TARGETS, and each row reachable.
+    assert _choices("oracle", "target") == list(oracle.TARGETS)
+
+
 # ---------------------------------------------------------------------------
 # Records are encoded per prime; the parent writes the chunks in prime order
 
