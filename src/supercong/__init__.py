@@ -15,7 +15,6 @@ from .congruences import (
     check,
     core_sum,
     family_sum,
-    family_sums,
     fixed_records,
     plain_sum,
 )

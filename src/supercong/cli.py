@@ -153,12 +153,11 @@ def _reports_for_prime(
     else:
         given = {n: params[n] for n in spec.params}
         if all(cg.applies(theorem, n, q, p) for n, q in given.items()):
-            axes = {n: [(cg.format_rational(q), reduce_rational(q, ctx))]
-                    for n, q in given.items()}
+            axes = {n: [(str(q), reduce_rational(q, ctx))] for n, q in given.items()}
             rows = cg.points(theorem, ctx, axes)
         else:
             # one vacuous point of the given names, with no residues
-            *head, last = map(cg.format_rational, given.values())
+            *head, last = map(str, given.values())
             shape, axes = (theorem, tuple(given), (), arg), {arg: [(last, None)]}
             rows = [(tuple(head), [False], [True], ())]
     chunk = _encode(shape, p, spec.e, [s for s, _ in axes[arg]], rows, formats)
@@ -267,7 +266,7 @@ def run_exploration(primes: Iterable[int]) -> List[Tuple[int, int]]:
     qualifying = sorted(p for p in primes if p % mod in classes)
     _log("INFO", "exploring remark2.3 over %d prime(s)", len(qualifying))
     [sums] = cg.fixed_sums("remark2.3", qualifying)
-    return list(sums.items())
+    return list(zip(qualifying, sums))
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +413,8 @@ def _encode(shape: Shape, p: Optional[int], e: int, args: Sequence[str], rows: I
     return Chunk(counts, failed, "".join(lines), "".join(csv_rows))
 
 
-def _encode_fixed(theorem: str, primes: Sequence[int], sums: Sequence[Dict[int, int]],
-                  formats: Sequence[str]) -> Chunk:
+def _encode_fixed(theorem: str, primes: Sequence[int],
+                  sums: Sequence[Sequence[Optional[int]]], formats: Sequence[str]) -> Chunk:
     """The records of a statement at fixed arguments over ``primes``, from
     the sums of its cases (``congruences.fixed_sums``), encoded in
     ``formats`` in report order: per prime, one record per case.
@@ -516,14 +515,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    sums = dict(run_exploration(primes_in_range(*args.primes)))
-    print(f"remark2.3: {list(sums.values()).count(0)}/{len(sums)} qualifying prime(s) "
-          "vanish mod p^3")
-    for p, residue in sums.items():
+    pairs = run_exploration(primes_in_range(*args.primes))
+    sums = [residue for _, residue in pairs]
+    print(f"remark2.3: {sums.count(0)}/{len(sums)} qualifying prime(s) vanish mod p^3")
+    for p, residue in pairs:
         if residue:
             print(f"  NON-VANISHING at p={p}: residue {residue} mod {p}^3")
     if args.out:
-        write_jsonl([_encode_fixed("remark2.3", list(sums), [sums], ("jsonl",))], args.out)
+        write_jsonl([_encode_fixed("remark2.3", [p for p, _ in pairs], [sums], ("jsonl",))],
+                    args.out)
         print(f"wrote {args.out}")
     return 0
 

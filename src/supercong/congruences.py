@@ -4,8 +4,8 @@ Every sum is a term-ratio spec (constant, linear factors in k, power of k in
 the denominator, last index) evaluated by
 :meth:`~supercong.modring.PrimeContext.series`: the spec's coefficient row,
 built once per context, evaluated at a whole vector of reduced x at once.
-A family sum at a fixed x runs on :func:`~supercong.modring.hyper_sums` for
-a whole prime list at once.
+The family sums of a statement at fixed arguments run on one
+:func:`~supercong.modring.hyper_sums` call for a whole prime list at once.
 
 One table, :data:`STATEMENTS`, states each statement once: its exponent,
 smallest prime, parameters with their excluded values and either, for a
@@ -18,9 +18,10 @@ distinct series once at its whole argument vector, and yields it row by
 row, each row as columns that the statement's verdict computes from columns
 of sums; and :func:`record`, the one builder of a plain dict record, whose
 status follows one fixed rule, :data:`STATUS`.  A statement at fixed
-arguments (eq1.2, cor2.3, remark 2.3) sums each of its cases over the whole
-prime list at once (:func:`fixed_sums`) and gives its verdict as one row
-per case along the primes, cases in report order (:func:`fixed_columns`).
+arguments (eq1.2, cor2.3, remark 2.3) sums all of its cases over the whole
+prime list in that one call (:func:`fixed_sums`) and gives its verdict as
+one row per case along the primes, cases in report order
+(:func:`fixed_columns`).
 
 There is one library entry per kind of statement: :func:`check`, the record
 of one point of a statement with parameters, a grid of one point on the
@@ -40,14 +41,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Option
 
 from .errors import BadExponent, ExcludedValue, RangeError
 from .legendre import legendre_square_spec
-from .modring import (
-    PrimeContext,
-    Rational,
-    Spec,
-    Trees,
-    hyper_sums,
-    reduce_rational,
-)
+from .modring import PrimeContext, Rational, Spec, hyper_sums, reduce_rational
 
 
 class FamilyTag(enum.Enum):
@@ -128,23 +122,6 @@ def family_sum(f: FamilyTag, x: Rational, ctx: PrimeContext) -> int:
     return s
 
 
-def family_sums(
-    f: FamilyTag, x: Rational, primes: Iterable[int], e: int,
-    trees: Optional[Trees] = None,
-) -> Dict[int, int]:
-    """:func:`family_sum` at one x for every prime at once: {p: residue}.
-
-    Primes dividing the denominator of x have no residue and are left out.
-    ``trees`` is :func:`~supercong.modring.hyper_sums`'s: calls that share
-    it and their usable primes share one moduli tree.
-    """
-    x = Fraction(x)
-    usable = sorted({p for p in primes if x.denominator % p})
-    c = f.const * x
-    sums = hyper_sums(c.numerator, c.denominator, f.factors, 3, usable, e, trees)
-    return dict(zip(usable, sums))
-
-
 # ---------------------------------------------------------------------------
 # Check reports
 
@@ -152,15 +129,6 @@ def family_sums(
 # hypothesis holds and the conclusion does not, vacuous iff the hypothesis
 # fails.
 STATUS = (("vacuous", "vacuous"), ("FAILED", "verified"))
-
-
-def format_rational(q: Rational) -> str:
-    if isinstance(q, int):
-        return str(q)
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _require(theorem: str, ctx: PrimeContext) -> None:
@@ -352,8 +320,7 @@ def _admitted(theorem: str, name: str, q: Rational, ctx: PrimeContext) -> int:
     qh = _residue(q, ctx)
     r = _excluded_class(theorem, name, qh, ctx.p)
     if r is not None:
-        raise ExcludedValue(
-            f"{name} = {format_rational(q)} is congruent to {format_rational(r)} mod {ctx.p}")
+        raise ExcludedValue(f"{name} = {q} is congruent to {r} mod {ctx.p}")
     return qh
 
 
@@ -450,7 +417,7 @@ def check(theorem: str, ctx: PrimeContext, **params: object) -> dict:
     axes = {}
     for name in reversed(names):
         q = params[name]
-        axes[name] = [(format_rational(q), _admitted(theorem, name, q, ctx))
+        axes[name] = [(str(q), _admitted(theorem, name, q, ctx))
                       if name in row.params else (q.label, q)]
     [(head, [hypothesis], [conclusion], residues)] = points(theorem, ctx, axes)
     [(arg, _)] = axes[names[-1]]
@@ -471,29 +438,28 @@ def _cases(theorem: str) -> List[Case]:
     return sorted(STATEMENTS[theorem].cases, key=lambda c: (c[0].label, f"1/{c[1]}"))
 
 
-def fixed_sums(theorem: str, primes: Sequence[int]) -> List[Dict[int, int]]:
+def fixed_sums(theorem: str, primes: Sequence[int]) -> List[List[Optional[int]]]:
     """The family sum at x = 1/scale of each case of a statement at fixed
-    arguments, in report order, over a prime list: one :func:`family_sums`
-    pass per case, {p: residue mod p^e} without the primes that divide the
-    scale.  The cases share one moduli tree per distinct list of usable
-    primes."""
+    arguments, in report order, over an ascending prime list: one
+    :func:`~supercong.modring.hyper_sums` call over the cases' term ratios,
+    which share its one moduli tree.  Each case gets its residues mod p^e
+    in the order of ``primes``, None at a prime that divides the scale."""
     row = STATEMENTS[theorem]
     if any(p < row.min_p for p in primes):
         raise RangeError(f"stated for p >= {row.min_p}")
-    trees: Trees = {}
-    return [family_sums(f, Fraction(1, scale), primes, row.e, trees)
-            for f, scale, _, _ in _cases(theorem)]
+    ratios = [(c.numerator, c.denominator, f.factors, 3)
+              for f, scale, _, _ in _cases(theorem) for c in [Fraction(f.const, scale)]]
+    return hyper_sums(ratios, primes, row.e)
 
 
 def fixed_columns(theorem: str, primes: Sequence[int],
-                  sums: Sequence[Dict[int, int]]) -> List[Row]:
+                  sums: Sequence[Sequence[Optional[int]]]) -> List[Row]:
     """Each case, in report order, as a row along ``primes`` from its
     ``sums`` (:func:`fixed_sums`).  A prime dividing the scale has no
     residue and a vacuous record; at any other, the class test is the
     hypothesis and "the sum vanishes mod p^e" the conclusion."""
     out = []
-    for (f, scale, mod, classes), s in zip(_cases(theorem), sums):
-        residues = list(map(s.get, primes))
+    for (f, scale, mod, classes), residues in zip(_cases(theorem), sums):
         out.append(((f.label, f"1/{scale}"),
                     [r is not None and p % mod in classes for p, r in zip(primes, residues)],
                     list(map(not_, residues)), (residues,)))
@@ -501,9 +467,9 @@ def fixed_columns(theorem: str, primes: Sequence[int],
 
 
 def fixed_records(theorem: str, primes: Iterable[int]) -> List[dict]:
-    """The records of a statement at fixed arguments over a prime list, per
-    prime in list order and per case in report order, from the rows of
-    :func:`fixed_columns`."""
+    """The records of a statement at fixed arguments over an ascending prime
+    list, per prime in list order and per case in report order, from the
+    rows of :func:`fixed_columns`."""
     if STATEMENTS[theorem].series is not None:
         raise ValueError(f"{theorem} is a statement with parameters: use check")
     primes = list(primes)

@@ -1,8 +1,9 @@
 """Exact arithmetic in Z/p^e on plain ints in [0, p^e): rational reduction
 and the division-free hypergeometric kernel behind every truncated sum, as
-the coefficient row of a series at one prime or as the sum to p - 1 for a
-whole prime list at once, each prime read at its last term that can be
-nonzero mod p^e.
+the coefficient row of a series at one prime or as the sums to p - 1 of
+several term ratios over one moduli tree of a whole prime list, each prime
+read at its last term that can be nonzero mod p^e, and None where it
+divides a ratio's denominator.
 
 A :class:`PrimeContext` keeps the coefficient row of each series it meets
 and evaluates rows at a whole argument vector in one packed big-int pass,
@@ -24,10 +25,6 @@ Rational = Union[Fraction, int]
 # A term-ratio spec (c, factors, d, n): the series sum_{k=0}^{n} t_k x^k with
 # t_0 = 1 and t_k / t_{k-1} = c * prod_i (s_i k + r_i) / k^d (see hyper_terms).
 Spec = Tuple[int, Tuple[Tuple[int, int], ...], int, int]
-
-# Checked moduli trees by (ascending prime list, e), as hyper_sums keeps them
-# for its caller.
-Trees = Dict[Tuple[Tuple[int, ...], int], tuple]
 
 # Deterministic Miller-Rabin witness sets: the full set is exact for all
 # n < 3.3e24 (in particular the whole sweep range below 2^64), the first four
@@ -227,17 +224,15 @@ def _readouts(primes: Sequence[int], e: int, factors: Sequence[Tuple[int, int]])
 
 
 def hyper_sums(
-    num: int,
-    den: int,
-    factors: Sequence[Tuple[int, int]],
-    d: int,
+    ratios: Sequence[Tuple[int, int, Sequence[Tuple[int, int]], int]],
     primes: Sequence[int],
     e: int,
-    trees: Optional[Trees] = None,
-) -> List[int]:
-    """sum_{k=0}^{p-1} t_k mod p^e for every prime p of an ascending list,
-    for t_0 = 1 and the term ratio
-    t_k / t_{k-1} = num * prod_i (s_i k + r_i) / (den * k^d).
+) -> List[List[Optional[int]]]:
+    """sum_{k=0}^{p-1} t_k mod p^e for every ratio (num, den, factors, d) of
+    ``ratios`` and every prime p of an ascending list, for t_0 = 1 and the
+    term ratio t_k / t_{k-1} = num * prod_i (s_i k + r_i) / (den * k^d): one
+    list per ratio in the order of ``primes``, None at each prime that
+    divides that ratio's den.
 
     This is the sum of :func:`hyper_terms`'s row at n = p - 1 and x = 1 for
     all primes at once, with the constant c = num / den kept as two
@@ -246,7 +241,9 @@ def hyper_sums(
     [[a_k, a_k], [0, b_k]], with
     a_k = num * prod_i (s_i k + r_i) and b_k = den * k^d, so the product
     [[A, B], [0, D]] of the steps k = 1 .. n gives the partial sum
-    (B + D) / D, and D is a unit when n < p and p does not divide den.
+    (B + D) / D, and D is a unit when n < p and p does not divide den.  At a
+    p that divides den only that last division is skipped: the product is
+    read by every later prime, mod which den is a unit.
     Each prime is read at its n(p) (:func:`_readouts`): every term past it
     is 0 mod p^e, so that partial sum is the sum to p - 1, and at e = 2
     every family of ``congruences`` is read at (p - 1) / 2.  One leaf block
@@ -254,93 +251,88 @@ def hyper_sums(
     accumulating remainder tree (Costa, Gerbicz and Harvey,
     arXiv:1209.3436) then reduces every prefix product mod its own p^e.
     That is O(log n) levels of big-integer products and remainders for n
-    primes, in place of sum(p) Python steps.
+    primes, in place of sum(p) Python steps.  The ratios share one checked
+    moduli tree, which each walks once.
 
     A product of blocks is only ever read modulo the product of the moduli
     of the primes after it, so each node of the walk is passed that product
     and reduces the product of its blocks there once it outgrows it; an
     upper-triangular matrix [[a, b], [0, d]] is kept as the three ints a, b
     and d.
-
-    ``trees``, a dict the caller keeps, holds the checked moduli tree of
-    each (prime list, e) it has met, so calls over the same list build and
-    check one tree.
     """
     if not isinstance(e, int) or e not in (1, 2, 3):
         raise BadExponent(f"exponent must be 1, 2 or 3, got {e!r}")
     primes = tuple(primes)
     if not primes:
-        return []
-    if trees is None:
-        trees = {}
-    if (primes, e) not in trees:
-        trees[primes, e] = _prime_power_tree(primes, e)
-    tree = trees[primes, e]
-    for p in primes:
-        if den % p == 0:
-            raise NotPIntegral(f"{num}/{den} has denominator divisible by {p}")
-    (s1, r1), (s2, r2), (s3, r3) = (*factors, *((0, 1),) * (3 - len(factors)))
-    stop = [n + 1 for n in _readouts(primes, e, factors)]
-    out = [0] * len(primes)
+        return [[] for _ in ratios]
+    tree = _prime_power_tree(primes, e)
     root = tree[0]
+    outs = []
+    for num, den, factors, d in ratios:
+        (s1, r1), (s2, r2), (s3, r3) = (*factors, *((0, 1),) * (3 - len(factors)))
+        stop = [n + 1 for n in _readouts(primes, e, factors)]
+        out: List[Optional[int]] = [None] * len(primes)
 
-    def walk(node: tuple, lo: int, hi: int, prefix: Tuple[int, int, int],
-             after: Optional[tuple]) -> Optional[Tuple[int, int, int]]:
-        """Fill out[lo:hi] from the product of the blocks before lo, reduced
-        mod node's modulus (the identity (1, 0, 1) if no block precedes).
-        Where a caller reads the product of blocks lo .. hi-1, ``after`` is
-        the product of the moduli of the primes from hi on that it is read
-        by, and the product is returned, reduced mod ``after`` once it
-        outgrows it; else None.  ``after`` is kept unformed, as the chain
-        (bits, factor, rest) whose factors multiply to it and whose bits add
-        up their bit lengths: it is formed only at the few nodes whose
-        product has more bits than that.
+        def walk(node: tuple, lo: int, hi: int, prefix: Tuple[int, int, int],
+                 after: Optional[tuple]) -> Optional[Tuple[int, int, int]]:
+            """Fill out[lo:hi] from the product of the blocks before lo,
+            reduced mod node's modulus (the identity (1, 0, 1) if no block
+            precedes).  Where a caller reads the product of blocks
+            lo .. hi-1, ``after`` is the product of the moduli of the primes
+            from hi on that it is read by, and the product is returned,
+            reduced mod ``after`` once it outgrows it; else None.  ``after``
+            is kept unformed, as the chain (bits, factor, rest) whose factors
+            multiply to it and whose bits add up their bit lengths: it is
+            formed only at the few nodes whose product has more bits than
+            that.
 
-        A leaf multiplies the steps after the previous prime's readout up
-        to its own, none if the two are equal.  Its product is reduced mod
-        the product of all moduli once it outgrows it: a long gap (a list
-        that starts high) stays O(gap) steps on numbers below it, and a
-        short one is never reduced (a reduced negative entry would be as
-        long as the modulus)."""
-        pa, pb, pd = prefix
-        if hi - lo == 1:
-            a, b, dd = 1, 0, 1
-            for k in range(stop[lo - 1] if lo else 1, stop[lo]):
-                a *= num * (s1 * k + r1) * (s2 * k + r2) * (s3 * k + r3)
-                bk = den * k**d
-                b = a + b * bk
-                dd *= bk
-                if abs(a) > root or abs(dd) > root:
-                    a, b, dd = a % root, b % root, dd % root
-            m = node[0]
-            pb, pd = (pa * b + pb * dd) % m, pd * dd % m
-            out[lo] = (pb + pd) * pow(pd, -1, m) % m
-        else:
-            mid = (lo + hi) // 2
-            left, right = node[1], node[2]
-            ml, mr = left[0], right[0]
-            a, b, dd = walk(left, lo, mid, (pa % ml, pb % ml, pd % ml),
-                            (mr.bit_length() + (after[0] if after else 0), mr, after))
-            ha, hb, hd = a % mr, b % mr, dd % mr
-            pa, pb, pd = pa % mr, pb % mr, pd % mr
-            ha, hb, hd = pa * ha % mr, (pa * hb + pb * hd) % mr, pd * hd % mr
-            rest = walk(right, mid, hi, (ha, hb, hd), after)
+            A leaf multiplies the steps after the previous prime's readout
+            up to its own, none if the two are equal.  Its product is reduced
+            mod the product of all moduli once it outgrows it: a long gap (a
+            list that starts high) stays O(gap) steps on numbers below it,
+            and a short one is never reduced (a reduced negative entry would
+            be as long as the modulus)."""
+            pa, pb, pd = prefix
+            if hi - lo == 1:
+                a, b, dd = 1, 0, 1
+                for k in range(stop[lo - 1] if lo else 1, stop[lo]):
+                    a *= num * (s1 * k + r1) * (s2 * k + r2) * (s3 * k + r3)
+                    bk = den * k**d
+                    b = a + b * bk
+                    dd *= bk
+                    if abs(a) > root or abs(dd) > root:
+                        a, b, dd = a % root, b % root, dd % root
+                m = node[0]
+                pb, pd = (pa * b + pb * dd) % m, pd * dd % m
+                if den % primes[lo]:
+                    out[lo] = (pb + pd) * pow(pd, -1, m) % m
+            else:
+                mid = (lo + hi) // 2
+                left, right = node[1], node[2]
+                ml, mr = left[0], right[0]
+                a, b, dd = walk(left, lo, mid, (pa % ml, pb % ml, pd % ml),
+                                (mr.bit_length() + (after[0] if after else 0), mr, after))
+                ha, hb, hd = a % mr, b % mr, dd % mr
+                pa, pb, pd = pa % mr, pb % mr, pd % mr
+                ha, hb, hd = pa * ha % mr, (pa * hb + pb * hd) % mr, pd * hd % mr
+                rest = walk(right, mid, hi, (ha, hb, hd), after)
+                if after is None:
+                    return None
+                ra, rb, rd = rest
+                a, b, dd = a * ra, a * rb + b * rd, dd * rd
             if after is None:
                 return None
-            ra, rb, rd = rest
-            a, b, dd = a * ra, a * rb + b * rd, dd * rd
-        if after is None:
-            return None
-        bits, n, rest = after
-        if a.bit_length() > bits or dd.bit_length() > bits:
-            while rest:
-                _, factor, rest = rest
-                n *= factor
-            a, b, dd = a % n, b % n, dd % n
-        return a, b, dd
+            bits, n, rest = after
+            if a.bit_length() > bits or dd.bit_length() > bits:
+                while rest:
+                    _, factor, rest = rest
+                    n *= factor
+                a, b, dd = a % n, b % n, dd % n
+            return a, b, dd
 
-    walk(tree, 0, len(primes), (1, 0, 1), None)
-    return out
+        walk(tree, 0, len(primes), (1, 0, 1), None)
+        outs.append(out)
+    return outs
 
 
 def reduce_rational(q: Rational, ctx: PrimeContext) -> int:

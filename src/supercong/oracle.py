@@ -202,8 +202,8 @@ def exact_reduce_sums(
     Primes above REDUCE_P_BOUND are refused.  One pass over k < max(primes)
     keeps the exact partial sum as the integer pair N / D, D the terms'
     common denominator, with no gcd; at k = p - 1 it reads N * D^-1 mod p^e.
-    As in ``congruences.family_sums``, a prime dividing the denominator of x
-    (or, for core and plain, of a) has no residue and is left out.
+    A prime dividing the denominator of x (or, for core and plain, of a)
+    has no residue and is left out, where ``modring.hyper_sums`` reads None.
     Deliberately independent of the modular pipeline: integer binomial
     factors and one inversion per prime.
     """

@@ -1,6 +1,7 @@
 """CLI surface: parsing, exit codes, report files, determinism."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -29,7 +30,7 @@ from supercong.cli import (
 )
 from supercong.congruences import FamilyTag
 from supercong.errors import BadExponent, ExcludedValue, NotPIntegral, RangeError
-from supercong.modring import make_context
+from supercong.modring import hyper_sums, make_context
 
 import reference
 
@@ -226,23 +227,25 @@ def test_run_exploration_and_family_sums():
     assert [p for p, _ in sums] == [5, 11, 17, 23, 29]
     assert sums == [(r["p"], r["residues"]["sum_mod_p3"])
                     for r in cg.fixed_records("remark2.3", [5, 11, 17, 23, 29])]
-    sums = cg.family_sums(FamilyTag.TWO_THREE, Fraction(1, 1458), [5, 11, 17], 2)
-    assert sums == {5: 0, 11: 0, 17: 0}
+    f = FamilyTag.TWO_THREE  # at x = 1/1458
+    assert hyper_sums([(f.const, 1458, f.factors, 3)], [5, 11, 17], 2) == [[0, 0, 0]]
 
 
 def _nonzero_where(keep):
-    """A stand-in for congruences.family_sums whose sum is p at the primes
-    ``keep`` selects and 0 elsewhere."""
-    def family_sums(f, x, primes, e, trees=None):
-        return {p: p if keep(p) else 0 for p in sorted(primes) if Fraction(x).denominator % p}
-    return family_sums
+    """A stand-in for congruences.hyper_sums whose sum is p at the primes
+    ``keep`` selects and 0 elsewhere, None where p divides a ratio's
+    denominator."""
+    def hyper_sums(ratios, primes, e):
+        return [[None if den % p == 0 else p if keep(p) else 0 for p in primes]
+                for _, den, _, _ in ratios]
+    return hyper_sums
 
 
 def test_explore_prints_every_non_vanishing_prime_in_ascending_order(monkeypatch, capsys,
                                                                      tmp_path):
     # remark 2.3 vanishes at every prime tried, so the sums are replaced:
     # p = 3 mod 4 does not vanish, more primes than FAILED_SHOWN
-    monkeypatch.setattr(cg, "family_sums", _nonzero_where(lambda p: p % 4 == 3))
+    monkeypatch.setattr(cg, "hyper_sums", _nonzero_where(lambda p: p % 4 == 3))
     qualifying = [p for p in primes_in_range(3, 200) if p % 6 == 5]
     loud = [p for p in qualifying if p % 4 == 3]
     assert len(loud) > cli.FAILED_SHOWN
@@ -261,7 +264,7 @@ def test_fixed_argument_summary_shows_the_first_failed_records_in_report_order(m
                                                                               capsys):
     # every sum is p: each in-class case fails, several per prime and case;
     # cor2.3's 1/3375 has no residue at p = 5, which splits its row in two
-    monkeypatch.setattr(cg, "family_sums", _nonzero_where(lambda p: True))
+    monkeypatch.setattr(cg, "hyper_sums", _nonzero_where(lambda p: True))
     for theorem, key, first, bare in (("eq1.2", "family", 0, 0), ("cor2.3", "x", 1, 1)):
         records = cg.fixed_records(theorem, primes_in_range(5, 60))
         assert sum(not r["residues"] for r in records) == bare
@@ -280,9 +283,10 @@ def test_fixed_argument_summary_shows_the_first_failed_records_in_report_order(m
 
 def test_family_sums_skip_primes_dividing_the_denominator():
     # 1458 = 2 * 3^6: x = 1/1458 has no residue at p = 3, and the sweep goes on
-    sums = cg.family_sums(FamilyTag.TWO_THREE, Fraction(1, 1458), [3, 5, 7, 11], 2)
-    assert list(sums) == [5, 7, 11]
-    assert sums[5] == 0 and sums[11] == 0
+    f = FamilyTag.TWO_THREE
+    [sums] = hyper_sums([(f.const, 1458, f.factors, 3)], [3, 5, 7, 11], 2)
+    assert [s is not None for s in sums] == [False, True, True, True]
+    assert sums[1] == 0 and sums[3] == 0
 
 
 def test_resolve_jobs_is_bounded():
@@ -587,7 +591,7 @@ def test_every_statement_guards_its_e_and_smallest_prime(tmp_path, monkeypatch, 
         raise AssertionError("summed")
 
     monkeypatch.setattr(cg, "points", summed)
-    monkeypatch.setattr(cg, "family_sums", summed)
+    monkeypatch.setattr(cg, "hyper_sums", summed)
     ctx = make_context(7, row.e)
     if not row.params:
         with pytest.raises(ValueError, match="fixed_records"):
@@ -787,6 +791,29 @@ def test_a_percent_sign_in_a_name_is_written_as_is():
               "hypothesis_holds": False, "conclusion_holds": True,
               "residues": {"r%%": 3}, "status": "vacuous"}
     assert _encode_records([record], ("jsonl", "csv")) == reference.encode_report([record])
+
+
+# The sha256 of the reports of the fixed-argument sweeps, pinned while each
+# case still summed on its own remainder tree.
+FIXED_ARGUMENT_DIGESTS = (
+    (["check", "eq1.2", "--primes", "3..2000"],
+     "72abfe0c7342c01f401f7c8b8a4f07b2ee2dc92559e6fb2187303fdcd1da9b1c",
+     "a9cb779eff4a39139a23afd2e349ebf8d406abdcd9585e880df98b75c5225e8b"),
+    (["check", "cor2.3", "--primes", "3..2000"],
+     "072fffc640ecefd1248db1b13ae537d4a0c083fd8c5857930a85523f065b6450",
+     "c464038bad485ce96c2fc808fd474c149ff724f34b0f8b492d56457608877c84"),
+    (["explore", "remark2.3", "--primes", "3..3000"],
+     "1f913f16ecdab1a33e2e0409f4f10c2ee4e031a7042d568f198ab9777e883497", None),
+)
+
+
+@pytest.mark.parametrize("argv, jsonl, csv_digest", FIXED_ARGUMENT_DIGESTS)
+def test_fixed_argument_reports_keep_their_bytes(argv, jsonl, csv_digest, tmp_path):
+    out, csv_out = tmp_path / "r.jsonl", tmp_path / "r.csv"
+    assert main([*argv, "--out", str(out), *(["--csv", str(csv_out)] if csv_digest else [])]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == jsonl
+    if csv_digest:
+        assert hashlib.sha256(csv_out.read_bytes()).hexdigest() == csv_digest
 
 
 def test_a_line_separator_csv_writer_leaves_unquoted_stays_in_its_record(monkeypatch):

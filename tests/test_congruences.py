@@ -17,10 +17,8 @@ from supercong.congruences import (
     check,
     core_sum,
     family_sum,
-    family_sums,
     fixed_records,
     fixed_sums,
-    format_rational,
     plain_sum,
     points,
     record,
@@ -33,7 +31,7 @@ from supercong.errors import (
 )
 from supercong import modring
 from supercong.cli import primes_in_range, run_checks
-from supercong.modring import make_context, reduce_rational
+from supercong.modring import hyper_sums, make_context, reduce_rational
 from supercong.oracle import exact_reduce_sum, exact_reduce_sums
 
 
@@ -198,9 +196,9 @@ def test_every_grid_record_has_the_status_of_its_booleans(theorem):
 
 
 def test_format_rational_round_trip():
-    assert format_rational(Fraction(-1, 3)) == "-1/3"
-    assert format_rational(Fraction(4)) == "4"
-    assert Fraction(format_rational(Fraction(-22, 7))) == Fraction(-22, 7)
+    assert str(Fraction(-1, 3)) == "-1/3"
+    assert str(Fraction(4)) == "4"
+    assert Fraction(str(Fraction(-22, 7))) == Fraction(-22, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +401,13 @@ GATE_PRIMES = primes_in_range(3, 3000)
 @pytest.mark.parametrize("e", (1, 2, 3))
 @pytest.mark.parametrize("f", list(FamilyTag))
 def test_family_sums_equal_the_scalar_kernel(f, e):
+    # the family at each x is the ratio f.const * x, kept over x's own
+    # denominator: None exactly where p divides it
     contexts = [make_context(p, e) for p in GATE_PRIMES]
-    for x in GATE_X:
-        want = {
-            ctx.p: family_sum(f, x, ctx)
-            for ctx in contexts
-            if x.denominator % ctx.p
-        }
-        assert family_sums(f, x, GATE_PRIMES, e) == want, (f, e, x)
+    ratios = [(f.const * x.numerator, x.denominator, f.factors, 3) for x in GATE_X]
+    for x, got in zip(GATE_X, hyper_sums(ratios, GATE_PRIMES, e)):
+        want = [family_sum(f, x, ctx) if x.denominator % ctx.p else None for ctx in contexts]
+        assert got == want, (f, e, x)
 
 
 def test_fixed_sums_build_one_moduli_tree_per_list_of_usable_primes(monkeypatch):
@@ -422,25 +419,28 @@ def test_fixed_sums_build_one_moduli_tree_per_list_of_usable_primes(monkeypatch)
         return real(primes, e)
 
     monkeypatch.setattr(modring, "_prime_power_tree", counted)
-    # eq1.2's scales are prime to every p >= 5; cor2.3's 3375 is divisible by 5
-    for theorem, hi, trees in (("eq1.2", 2000, 1), ("cor2.3", 400, 2)):
+    # eq1.2's scales are prime to every p >= 5; cor2.3's 3375 is divisible
+    # by 5, which reads None in the one tree over every prime
+    for theorem, hi in (("eq1.2", 2000), ("cor2.3", 400)):
         primes = primes_in_range(5, hi)
         e = STATEMENTS[theorem].e
-        want = [family_sums(f, Fraction(1, scale), primes, e)
+        want = [hyper_sums([(f.const, scale, f.factors, 3)], primes, e)[0]
                 for f, scale, _, _ in _cases(theorem)]
         built.clear()
         assert fixed_sums(theorem, primes) == want, theorem
-        assert len(built) == trees, theorem
+        assert len(built) == 1, theorem
+    assert want[1][0] is None and None not in want[0] + want[1][1:]
 
 
 def test_family_sums_on_empty_and_one_prime_lists():
     for f in FamilyTag:
-        assert family_sums(f, Fraction(5, 7), [], 2) == {}
-        assert family_sums(f, Fraction(5, 7), [7], 2) == {}  # 7 is skipped
+        ratio = (f.const * 5, 7, f.factors, 3)  # x = 5/7
+        assert hyper_sums([ratio], [], 2) == [[]]
+        assert hyper_sums([ratio], [7], 2) == [[None]]  # 7 divides the denominator
         for p in (3, 5, 2999):
             ctx = make_context(p, 3)
             want = family_sum(f, Fraction(5, 7), ctx)
-            assert family_sums(f, Fraction(5, 7), [p], 3) == {p: want}
+            assert hyper_sums([ratio], [p], 3) == [[want]]
 
 
 # ---------------------------------------------------------------------------

@@ -190,12 +190,15 @@ def test_hyper_sums_match_the_scalar_kernel():
               (8, 1, ((2, -1),) * 3, 3, 3),
               (14, 4, ((2, -1), (3, -1)), 2, 2),
               (1, 1, ((6, -1), (2, -1)), 1, 2)]
-    for num, den, factors, d, e in specs:
-        got = hyper_sums(num, den, factors, d, primes, e)
-        for p, value in zip(primes, got):
-            ctx = make_context(p, e)
-            c = reduce_rational(Fraction(num, den), ctx)
-            assert [[value]] == ctx.series([(c, factors, d, p - 1)], [1]), (factors, d, num, den, p, e)
+    for e in (1, 2, 3):  # one call per e over the specs at that e
+        group = [spec for spec in specs if spec[-1] == e]
+        sums = hyper_sums([spec[:4] for spec in group], primes, e)
+        for (num, den, factors, d, _), got in zip(group, sums, strict=True):
+            for p, value in zip(primes, got):
+                ctx = make_context(p, e)
+                c = reduce_rational(Fraction(num, den), ctx)
+                assert [[value]] == ctx.series([(c, factors, d, p - 1)], [1]), (
+                    factors, d, num, den, p, e)
 
 
 def test_readouts_stop_at_the_last_term_that_can_be_nonzero():
@@ -229,7 +232,7 @@ def test_hyper_sums_on_lists_that_start_high():
              ([5, 10007, 30011, 30013], 2))
     for num, den in ((6, 1458), (-42, 4)):  # x = 1/1458 and x = -7/4
         for primes, e in cases:
-            got = hyper_sums(num, den, factors, 3, primes, e)
+            [got] = hyper_sums([(num, den, factors, 3)], primes, e)
             for p, value in zip(primes, got):
                 ctx = make_context(p, e)
                 c = reduce_rational(Fraction(num, den), ctx)
@@ -238,15 +241,40 @@ def test_hyper_sums_on_lists_that_start_high():
 
 def test_hyper_sums_check_their_input():
     spec = (1, 1, ((1, 0),), 1)
-    assert hyper_sums(*spec, [], 2) == []
+    assert hyper_sums([spec], [], 2) == [[]]
     for primes in ([5, 3], [5, 5], [5, 9], [2, 5], [1, 5]):
         with pytest.raises(CompositeModulus):
-            hyper_sums(*spec, primes, 2)
-    with pytest.raises(NotPIntegral):
-        hyper_sums(1, 15, ((1, 0),), 1, [3, 7], 2)
+            hyper_sums([spec], primes, 2)
+    # a prime dividing the denominator has no residue, and the list goes on
+    [[none, value]] = hyper_sums([(1, 15, ((1, 0),), 1)], [3, 7], 2)
+    assert none is None and value is not None
     for e in (0, 4):
         with pytest.raises(BadExponent):
-            hyper_sums(*spec, [5], e)
+            hyper_sums([spec], [5], e)
+
+
+def test_hyper_sums_read_none_exactly_where_a_prime_divides_den():
+    primes = [3, 5, 7, 11]
+    for e in (1, 2, 3):
+        [got] = hyper_sums([(1, 15, ((1, 0),), 1)], primes, e)
+        assert got[:2] == [None, None], e
+        for p, value in zip(primes[2:], got[2:]):
+            ctx = make_context(p, e)
+            c = reduce_rational(Fraction(1, 15), ctx)
+            assert [[value]] == ctx.series([(c, ((1, 0),), 1, p - 1)], [1]), (p, e)
+
+
+def test_one_hyper_sums_call_equals_one_call_per_ratio():
+    # dens divisible by primes of the list, at its start, middle and end
+    rng = random.Random(20261021)
+    primes = [p for p in range(3, 600) if is_prime(p)]
+    ratios = [(rng.randint(-50, 50), rng.choice((1, 3, 4, 15, 7 * 101, 593)),
+               tuple((rng.randint(-6, 6), rng.randint(-9, 9))
+                     for _ in range(rng.randint(1, 3))), rng.randint(1, 3))
+              for _ in range(12)]
+    for e in (1, 2, 3):
+        assert hyper_sums(ratios, primes, e) == [hyper_sums([r], primes, e)[0] for r in ratios]
+    assert hyper_sums([], primes, 2) == []
 
 
 def test_reduce_rational_examples():

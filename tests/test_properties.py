@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import reference
 from reference import legendre_square_at_sqrt
 from supercong.cli import primes_in_range
-from supercong.congruences import FamilyTag, core_sum, family_sum, family_sums, plain_sum
-from supercong.modring import hyper_terms, make_context, reduce_rational
+from supercong.congruences import FamilyTag, core_sum, family_sum, plain_sum
+from supercong.modring import hyper_sums, hyper_terms, make_context, reduce_rational
 from supercong.oracle import exact_reduce_sum, exact_reduce_sums
 
 PRIMES = primes_in_range(3, 199)
@@ -62,13 +62,12 @@ def test_family_sums_match_exact(case):
     | st.integers(-20, 20).map(lambda t: Fraction(1155 * t)),  # 1155 = 3*5*7*11
 )
 def test_batched_family_sums_match_exact(primes, e, f, x):
-    """One pass over a prime list; primes dividing x's denominator are left out."""
-    want = {
-        p: exact_reduce_sum(0, x, make_context(p, e), f).value
-        for p in primes
-        if x.denominator % p
-    }
-    assert family_sums(f, x, primes, e) == want
+    """One pass over the ascending list of the drawn primes, at the ratio
+    f.const * x over x's denominator; primes dividing it read None."""
+    primes = sorted(set(primes))
+    want = [exact_reduce_sum(0, x, make_context(p, e), f).value if x.denominator % p else None
+            for p in primes]
+    assert hyper_sums([(f.const * x.numerator, x.denominator, f.factors, 3)], primes, e) == [want]
 
 
 @st.composite
