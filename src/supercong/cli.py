@@ -23,16 +23,21 @@ default or at --jobs N, takes the primes largest first.
 argument vector in one packed pass, and yields the grid row by row.
 
 Every record is encoded by one function, :func:`_encode`, a row at a time,
-with no sort and no dict per record: a row fills the %-format template of
-its shape (theorem, parameter names, residue names, and the slot that
-varies along the row), built once per process, with its constants, then
-the text of its points with one flat tuple of its columns.  That writes
-the bytes of ``json.dumps(record, sort_keys=True)`` and of ``csv.writer``
-over the flat projection; a string that csv.writer would quote is
-refused.  A grid row varies its argument at one prime; each prime gives
-JSONL and CSV text with the status counts and first FAILED records; the
-caller adds up the counts and writes the chunks in prime order, so report
-files are byte-identical regardless of --jobs.  A case of a statement at
+with no sort and no dict per record: a row fills the bytes %-format
+template of its shape (theorem, parameter names, residue names, and the
+slot that varies along the row), built once per process as UTF-8, with its
+constants, then the text of its points with one flat tuple of its columns
+(:func:`_points`).  The fields that depend only on a point's code,
+2 * hypothesis + conclusion, are one slot per run of adjacent fields:
+conclusion_holds to hypothesis_holds (with e) and the status in JSONL, the
+hypothesis, conclusion and status fields in CSV.  That writes the bytes of
+``json.dumps(record, sort_keys=True)`` and of ``csv.writer`` over the flat
+projection; a string that csv.writer would quote is refused.  A grid row
+varies its argument at one prime; each prime gives JSONL and CSV bytes
+with the status counts and first FAILED records; the caller adds up the
+counts and writes the chunks in prime order to files opened in binary
+mode, so report files are byte-identical regardless of --jobs, and JSONL
+lines end in a bare line feed on every platform.  A case of a statement at
 fixed arguments is a row along p, encoded a run of primes with or without
 a residue at a time, and the cases' records interleave in report order
 (:func:`_encode_fixed`); ``explore`` prints its summary from the sums.
@@ -57,7 +62,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import chain, groupby, islice
-from operator import attrgetter, getitem, itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import congruences as cg
@@ -169,10 +174,15 @@ def _reports_for_prime(
 # report format, a coefficient-row term ROW_TERM_S and a power of an
 # argument POWER_S.  Fitted to 69 in-process runs of every statement with
 # parameters, with 0, 1 and 2 formats (grids over 3..67 to 3..700, explicit
-# parameters over 3..500 to 3..5000; 2-vCPU VM, CPython 3.11.7), the model
-# reads 0.4 to 1.6 times each run's time, the low end on runs under 0.1 s.
+# parameters over 3..500 to 3..5000; 2-vCPU VM, CPython 3.11.7).  FORMAT_S
+# is the bytes encoder's: the thm2.1 and thm2.3 grids over 3..67 and
+# 3..131, min of 5 in-process runs, cost 0.32 to 0.74 us (median 0.38) per
+# record and format with both formats over none.  On 84 runs (every such
+# statement, grids over 3..67 and 3..131, explicit parameters over 3..500
+# and 3..2000, 0 to 2 formats, min of 3) the model reads 0.37 to 1.96 times
+# each run's time, median 0.84.
 RECORD_S = 0.65e-6
-FORMAT_S = 0.9e-6
+FORMAT_S = 0.38e-6
 ROW_TERM_S = 0.22e-6
 POWER_S = 0.05e-6
 # The estimated serial seconds above which a worker pool pays for itself:
@@ -281,28 +291,38 @@ _PARAM_COLUMNS = (*_OPTIONS, "family")
 _CSV_COLUMNS = ("theorem", "p", "e", *_PARAM_COLUMNS, "hypothesis_holds",
                 "conclusion_holds", "status", "residues")
 # The header row as csv.writer writes it: no column name needs quoting.
-_CSV_HEADER = ",".join(_CSV_COLUMNS) + "\r\n"
+_CSV_HEADER = (",".join(_CSV_COLUMNS) + "\r\n").encode()
 
 # The string escape json.dumps applies (ensure_ascii).
 _json_str = json.encoder.encode_basestring_ascii
-_JSON_BOOL = ("false", "true")
-_JSON_STATUS = {s: _json_str(s) for row in cg.STATUS for s in row}
+# A point's code, 2 * hypothesis + conclusion, indexes its status and the
+# text of the fields that depend only on it: its status (JSONL), the run
+# from conclusion_holds to hypothesis_holds, which holds e (JSONL, filled
+# once per chunk), and the hypothesis, conclusion and status fields (CSV,
+# whose booleans csv.writer writes as True and False).
+_CODE_STATUS = tuple(s for row in cg.STATUS for s in row)
+_JSON_STATUS = tuple(_json_str(s).encode() for s in _CODE_STATUS)
+_JSON_CODE = b'%s, "e": %d, "hypothesis_holds": %s'
+_JSON_BOOL = (b"false", b"true")
+_CSV_CODE = tuple(f"{bool(h)},{bool(c)},{s}".encode()
+                  for h, row in enumerate(cg.STATUS) for c, s in enumerate(row))
 # A character that makes csv.writer quote a field, which encoding refuses.
 _csv_quoted = re.compile('[,"\r\n]').search
 _CSV_QUOTE_ERROR = "a CSV field holds a comma, a quote or a line break"
-# The records of report text, each with its "\n": "." matches all but "\n",
-# where str.splitlines also breaks at characters csv.writer leaves unquoted.
-_lines = re.compile(".*\n").findall
+# The records of report text, each with its b"\n": "." matches every byte
+# but b"\n", so no other byte a field holds splits a record.
+_lines = re.compile(rb".*\n").findall
 
 
 class Chunk(NamedTuple):
-    """Records as report text: the count per status, the first FAILED_SHOWN
-    FAILED records, and the JSONL lines and CSV rows ("" if not asked for)."""
+    """Records as report bytes: the count per status, the first FAILED_SHOWN
+    FAILED records, and the JSONL lines and CSV rows (b"" if not asked
+    for)."""
 
     counts: Counter
     failed: List[dict]
-    jsonl: str
-    csv: str
+    jsonl: bytes
+    csv: bytes
 
 
 # A record shape: the theorem, the parameter and residue names in record
@@ -311,7 +331,7 @@ Shape = Tuple[str, Tuple[str, ...], Tuple[str, ...], str]
 # A shape's JSONL and CSV templates (CSV None if csv.writer would quote its
 # theorem or a residue name), and the indices that put a row's constant
 # parameters and its residues, in record order, in template order.
-_Template = Tuple[str, Optional[str], List[int], List[int], List[int]]
+_Template = Tuple[bytes, Optional[bytes], List[int], List[int], List[int]]
 # One template per shape: p and e are slots, so a sweep needs a few dozen
 # however many primes it covers.  The entries are pure functions of their
 # key, so every caller may share them.
@@ -321,16 +341,17 @@ _TEMPLATES: Dict[Shape, _Template] = {}
 def _template(shape: Shape) -> _Template:
     """Build and keep the template of one record shape: the bytes of
     json.dumps(record, sort_keys=True) and of csv.writer over the flat
-    projection, literal parts written once, filled in two steps.
+    projection, literal parts written once, as UTF-8, filled in two steps.
 
-    A row's constants come first: e, p and the parameters but the one that
+    A row's constants come first: p and the parameters but the one that
     varies, escaped and in name order (JSONL), or p, e and those in column
-    order (CSV).  Along p, p's slot there takes the row's p (None) as no
-    text.  That leaves the text of one point, whose slots take the two
-    booleans as JSON, the varying slot, the residues in name order and the
-    escaped status (JSONL), or the varying slot, the two booleans, the
-    status and the residues (CSV).  A shape whose theorem or residue name
-    csv.writer would quote has no CSV template."""
+    order (CSV).  Along p, p's slot there takes the row's p (b"") as no
+    text.  That leaves the text of one point, whose slots take the code's
+    run from conclusion_holds to hypothesis_holds, the varying slot, the
+    residues in name order and the code's escaped status (JSONL), or the
+    varying slot, the code's hypothesis, conclusion and status fields and
+    the residues (CSV).  A shape whose theorem or residue name csv.writer
+    would quote has no CSV template."""
     theorem, params, residues, along = shape
     json_order = sorted(params)
     csv_order = [n for n in _PARAM_COLUMNS if n in params]
@@ -343,7 +364,7 @@ def _template(shape: Shape) -> _Template:
         return "%.0s%%s" if name == along == "p" else "%%s" if name == along else const
 
     jsonl = "".join((
-        '{"conclusion_holds": %%s, "e": %d, "hypothesis_holds": %%s, "p": ', slot("p", "%d"),
+        '{"conclusion_holds": %%s, "p": ', slot("p", "%d"),
         ', "params": {', ", ".join(lit(_json_str(n)) + ": " + slot(n) for n in json_order),
         '}, "residues": {',
         ", ".join(lit(_json_str(residues[i])) + ": %%d" for i in residue_order),
@@ -353,12 +374,23 @@ def _template(shape: Shape) -> _Template:
     csv_row = ",".join((
         lit(theorem), slot("p", "%d"), "%d",
         *(slot(n) if n in params else "" for n in _PARAM_COLUMNS),
-        ("" if along in ("p", *_PARAM_COLUMNS) else "%%.0s") + "%%s", "%%s", "%%s",
+        ("" if along in ("p", *_PARAM_COLUMNS) else "%%.0s") + "%%s",
         ";".join(lit(residues[i]) + "=%%d" for i in residue_order),
     )) + "\r\n" if not _csv_quoted("".join((theorem, *residues))) else None
-    t = _TEMPLATES[shape] = (jsonl, csv_row, [params.index(n) for n in json_order if n != along],
+    t = _TEMPLATES[shape] = (jsonl.encode(), csv_row and csv_row.encode(),
+                             [params.index(n) for n in json_order if n != along],
                              [params.index(n) for n in csv_order if n != along], residue_order)
     return t
+
+
+def _points(*columns: Sequence) -> tuple:
+    """The values of equal-length columns point by point, as one flat tuple:
+    each column is copied into its stride of one list."""
+    n = len(columns)
+    flat = [None] * (n * len(columns[0]))
+    for i, column in enumerate(columns):
+        flat[i::n] = column
+    return tuple(flat)
 
 
 def _encode(shape: Shape, p: Optional[int], e: int, args: Sequence[str], rows: Iterable[cg.Row],
@@ -366,51 +398,63 @@ def _encode(shape: Shape, p: Optional[int], e: int, args: Sequence[str], rows: I
     """The rows of one record shape at p (None along p), each at the strings
     ``args`` of its varying slot, encoded in ``formats`` ("jsonl", "csv"):
     the count per status, the first FAILED_SHOWN FAILED records, and the
-    JSONL lines and CSV rows, in the order given.
+    JSONL lines and CSV rows as bytes, in the order given.
 
-    A row fills its constants into its shape's template, repeats the text
-    of one point once per arg and fills that with a single ``%`` from one
-    flat tuple of its columns.  A JSONL line is the bytes of
-    ``json.dumps(record, sort_keys=True)``; a CSV row is the bytes
-    ``csv.writer`` writes for the flat projection.  A CSV field that
-    csv.writer would quote (a comma, quote or line break) raises
-    ValueError: the strings that vary, a row's head and the args, are
-    checked here, and the names when the template is built.
+    A row computes the code of each point, 2 * hypothesis + conclusion,
+    once: its status counts are a Counter of the codes, and its FAILED
+    points are those of code 2.  It fills its constants into its shape's
+    template, repeats the text of one point once per arg and fills that
+    with a single bytes ``%`` from one flat tuple of its columns
+    (:func:`_points`), in which each code-dependent run of a record is one
+    slot.  A JSONL line is the UTF-8 bytes of ``json.dumps(record,
+    sort_keys=True)``; a CSV row is the bytes ``csv.writer`` writes for the
+    flat projection.  A CSV field that csv.writer would quote (a comma,
+    quote or line break) raises ValueError: the strings that vary, a row's
+    head and the args, are checked here, and the names when the template
+    is built.
     """
     theorem, _, _, along = shape
     jsonl, csv_row, json_head, csv_head, residue_order = (
         _TEMPLATES.get(shape) or _template(shape))
-    as_csv = "csv" in formats
+    as_jsonl, as_csv = "jsonl" in formats, "csv" in formats
     if as_csv and (csv_row is None or _csv_quoted("".join(args))):
         raise ValueError(_CSV_QUOTE_ERROR)
-    json_args = args if along == "p" else list(map(_json_str, args))
+    if as_jsonl:
+        json_code = [_JSON_CODE % (_JSON_BOOL[c], e, _JSON_BOOL[h])
+                     for h in (0, 1) for c in (0, 1)]
+        json_args = [a.encode() for a in (args if along == "p" else map(_json_str, args))]
+    if as_csv:
+        csv_args = [a.encode() for a in args]
+    p_slot = b"" if p is None else p  # bytes %s refuses None
     counts: Counter = Counter()
     failed: List[dict] = []
-    lines: List[str] = []
-    csv_rows: List[str] = []
+    lines: List[bytes] = []
+    csv_rows: List[bytes] = []
     for head, hypothesis, conclusion, residues in rows:
         if as_csv and _csv_quoted("".join(head)):
             raise ValueError(_CSV_QUOTE_ERROR)
-        statuses = list(map(getitem, map(cg.STATUS.__getitem__, hypothesis), conclusion))
-        counts.update(statuses)
-        if len(failed) < FAILED_SHOWN and "FAILED" in statuses:
-            for i in islice((i for i, s in enumerate(statuses) if s == "FAILED"),
+        codes = list(map(add, map(add, hypothesis, hypothesis), conclusion))
+        row_counts = Counter(codes)
+        for code, n in row_counts.items():
+            counts[_CODE_STATUS[code]] += n
+        if len(failed) < FAILED_SHOWN and 2 in row_counts:
+            for i in islice((i for i, c in enumerate(codes) if c == 2),
                             FAILED_SHOWN - len(failed)):
                 q, params = (int(args[i]), head) if along == "p" else (p, (*head, args[i]))
                 failed.append(cg.record(theorem, q, (params, True, False,
                                                      tuple(c[i] for c in residues))))
         head = [h.replace("%", "%%") for h in head]  # literal text in the template
         residues = list(map(residues.__getitem__, residue_order))
-        if "jsonl" in formats:
-            text = jsonl % (e, p, *map(_json_str, map(head.__getitem__, json_head)))
-            lines.append(text * len(args) % tuple(chain.from_iterable(zip(
-                map(_JSON_BOOL.__getitem__, conclusion), map(_JSON_BOOL.__getitem__, hypothesis),
-                json_args, *residues, map(_JSON_STATUS.__getitem__, statuses)))))
+        if as_jsonl:
+            text = jsonl % (p_slot, *[_json_str(head[i]).encode() for i in json_head])
+            lines.append(text * len(args) % _points(
+                [json_code[c] for c in codes], json_args, *residues,
+                [_JSON_STATUS[c] for c in codes]))
         if as_csv:
-            text = csv_row % (p, e, *map(head.__getitem__, csv_head))
-            csv_rows.append(text * len(args) % tuple(chain.from_iterable(zip(
-                args, hypothesis, conclusion, statuses, *residues))))
-    return Chunk(counts, failed, "".join(lines), "".join(csv_rows))
+            text = csv_row % (p_slot, e, *[head[i].encode() for i in csv_head])
+            csv_rows.append(text * len(args) % _points(
+                csv_args, [_CSV_CODE[c] for c in codes], *residues))
+    return Chunk(counts, failed, b"".join(lines), b"".join(csv_rows))
 
 
 def _encode_fixed(theorem: str, primes: Sequence[int],
@@ -437,8 +481,8 @@ def _encode_fixed(theorem: str, primes: Sequence[int],
                                      e, args, [(head, h, c, () if bare else (r,))], formats))
     chunks = list(chain.from_iterable(cases))
 
-    def interleave(text: Callable[[Chunk], str]) -> str:
-        return "".join(chain.from_iterable(zip(*(_lines("".join(map(text, runs)))
+    def interleave(text: Callable[[Chunk], bytes]) -> bytes:
+        return b"".join(chain.from_iterable(zip(*(_lines(b"".join(map(text, runs)))
                                                  for runs in cases))))
 
     # each case's FAILED records come in prime order, cases in report order
@@ -448,12 +492,12 @@ def _encode_fixed(theorem: str, primes: Sequence[int],
 
 
 def write_jsonl(chunks: Iterable[Chunk], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(c.jsonl for c in chunks)
 
 
 def write_csv(chunks: Iterable[Chunk], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "wb") as fh:
         fh.write(_CSV_HEADER)
         fh.writelines(c.csv for c in chunks)
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import comb
-from operator import eq, not_
+from operator import and_, eq, not_
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -227,9 +227,11 @@ def _squared_plain_sum(sums: Sequence[Sequence[int]], p: int, mod: int) -> Colum
 
 def _equal(sums: Sequence[Sequence[int]], p: int, mod: int) -> Columns:
     """An identity: every sum is the same residue."""
-    first, *rest = sums
-    same = list(map(all, zip(*[map(eq, first, other) for other in rest])))
-    return [True] * len(first), same, sums
+    first, other, *rest = sums
+    same = map(eq, first, other)
+    for other in rest:
+        same = map(and_, same, map(eq, first, other))
+    return [True] * len(first), list(same), sums
 
 
 # The paper's p ∤ m, and the u at which a thm2.4 argument has p in its denominator.

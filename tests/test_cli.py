@@ -213,13 +213,13 @@ def test_run_checks_library_surface():
     assert all(r["status"] == "verified" for r in reports)
     assert [r["p"] for r in reports] == [5, 7, 11, 13, 17, 19]
     assert [c.counts for c in chunks] == [{"verified": 1}] * 6
-    assert all(c.csv == "" and c.failed == [] for c in chunks)
+    assert all(c.csv == b"" and c.failed == [] for c in chunks)
     # p <= 3 is skipped for statements requiring p > 3
     [chunk] = run_checks("eq1.2", [3, 5], jobs=1, formats=("jsonl",))
     assert {r["p"] for r in _records([chunk])} == {5}
     # without formats the chunks carry counts and no text
     [chunk] = run_checks("eq1.2", [3, 5], jobs=1)
-    assert chunk.jsonl == chunk.csv == "" and sum(chunk.counts.values()) == 3
+    assert chunk.jsonl == chunk.csv == b"" and sum(chunk.counts.values()) == 3
 
 
 def test_run_exploration_and_family_sums():
@@ -720,7 +720,8 @@ ENCODED_EXPLICIT = {
 def _encode_records(records, formats):
     """JSONL and CSV text of dict records, in the order given, each record
     driven through cli._encode as a row of one point: its parameter strings
-    but the last as the row's head, the last as its argument."""
+    but the last as the row's head, the last as its argument.  The bytes
+    are decoded as UTF-8."""
     jsonl, csv_rows = [], []
     for r in records:
         params, residues = r["params"], r["residues"]
@@ -731,7 +732,7 @@ def _encode_records(records, formats):
                      [(v,) for v in residues.values()])], formats)
         jsonl.append(lines)
         csv_rows.append(rows)
-    return "".join(jsonl), "".join(csv_rows)
+    return b"".join(jsonl).decode(), b"".join(csv_rows).decode()
 
 
 @pytest.mark.parametrize("theorem", list(cg.STATEMENTS))
@@ -752,14 +753,18 @@ def test_encoder_writes_the_bytes_of_json_dumps_and_csv_writer(theorem, tmp_path
                                formats=formats))
         records = _records(chunks)
         jsonl, csv_rows = reference.encode_report(records)
-        assert "".join(c.jsonl for c in chunks).splitlines(True) == jsonl.splitlines(True)
-        assert "".join(c.csv for c in chunks).splitlines(True) == csv_rows.splitlines(True)
+        assert (b"".join(c.jsonl for c in chunks).decode().splitlines(True)
+                == jsonl.splitlines(True))
+        assert (b"".join(c.csv for c in chunks).decode().splitlines(True)
+                == csv_rows.splitlines(True))
     else:
         primes = primes_in_range(5, 2000)
         chunks = run_checks(theorem, primes, formats=("jsonl", "csv"))
         jsonl, csv_rows = reference.encode_report(cg.fixed_records(theorem, primes))
-        assert "".join(c.jsonl for c in chunks).splitlines(True) == jsonl.splitlines(True)
-        assert "".join(c.csv for c in chunks).splitlines(True) == csv_rows.splitlines(True)
+        assert (b"".join(c.jsonl for c in chunks).decode().splitlines(True)
+                == jsonl.splitlines(True))
+        assert (b"".join(c.csv for c in chunks).decode().splitlines(True)
+                == csv_rows.splitlines(True))
         if theorem == "remark2.3":
             out = tmp_path / "e.jsonl"
             assert main(["explore", theorem, "--primes", "5..2000", "--out", str(out)]) == 0
@@ -816,6 +821,27 @@ def test_fixed_argument_reports_keep_their_bytes(argv, jsonl, csv_digest, tmp_pa
         assert hashlib.sha256(csv_out.read_bytes()).hexdigest() == csv_digest
 
 
+# The exit code and the sha256 of both reports of the exhaustive grids,
+# pinned while the encoder filled str templates; thm2.3 fails at p = 3.
+GRID_DIGESTS = (
+    ("thm2.1", 0,
+     "19cf3213ee38fc3c62b3684103e3173f5a766bc0a6a964734c406ce513b25f9c",
+     "29a6001d8e1bca0a1706924746542724fd030555e2045952afd4b33b186ae781"),
+    ("thm2.3", 1,
+     "c298fa68b542319a7f3fea92a90975802148ab85bfbc4a48cdd264bfd1c886e4",
+     "59354c200f6f8ad22faa45b8634e0b39828fcba057faf1ccb06c76086a52d0f5"),
+)
+
+
+@pytest.mark.parametrize("theorem, code, jsonl, csv_digest", GRID_DIGESTS)
+def test_grid_reports_keep_their_bytes(theorem, code, jsonl, csv_digest, tmp_path):
+    out, csv_out = tmp_path / "r.jsonl", tmp_path / "r.csv"
+    assert main(["check", theorem, "--exhaustive-am", "--primes", "3..67",
+                 "--out", str(out), "--csv", str(csv_out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == jsonl
+    assert hashlib.sha256(csv_out.read_bytes()).hexdigest() == csv_digest
+
+
 def test_a_line_separator_csv_writer_leaves_unquoted_stays_in_its_record(monkeypatch):
     # str.splitlines breaks at these; the cases of cor2.3 (with the bare
     # record at p = 5) must still interleave record by record
@@ -825,8 +851,9 @@ def test_a_line_separator_csv_writer_leaves_unquoted_stays_in_its_record(monkeyp
     primes = primes_in_range(5, 60)
     chunk = cli._encode_fixed("cor2.3", primes, cg.fixed_sums("cor2.3", primes),
                               ("jsonl", "csv"))
-    assert (chunk.jsonl, chunk.csv) == reference.encode_report(cg.fixed_records("cor2.3", primes))
-    assert "\x0b" in chunk.csv
+    assert (chunk.jsonl.decode(), chunk.csv.decode()) == reference.encode_report(
+        cg.fixed_records("cor2.3", primes))
+    assert "\x0b" in chunk.csv.decode()
 
 
 def test_template_cache_holds_one_entry_per_record_shape(monkeypatch, tmp_path):
