@@ -32,7 +32,9 @@ constants, then the text of its points with one flat tuple of its columns
 conclusion_holds to hypothesis_holds (with e) and the status in JSONL, the
 hypothesis, conclusion and status fields in CSV.  That writes the bytes of
 ``json.dumps(record, sort_keys=True)`` and of ``csv.writer`` over the flat
-projection; a string that csv.writer would quote is refused.  A grid row
+projection, with strings escaped as json.dumps does (:func:`_json_str`,
+which loads ``json`` only for a string that needs an escape); a string
+that csv.writer would quote is refused.  A grid row
 varies its argument at one prime; each prime gives JSONL and CSV bytes
 with the status counts and first FAILED records; the caller adds up the
 counts and writes the chunks in prime order to files opened in binary
@@ -49,12 +51,16 @@ summary.  Log lines go to stderr with no stdlib ``logging`` (:func:`_log`).
 ``oracle`` reads its target's row of ``oracle.TARGETS`` (size option,
 bounds and run), checks the size and runs it.  Only that command imports
 ``oracle``, so ``check`` and ``explore`` never load it.
+
+:func:`main` returns the exit code and leaves the collector as it found
+it; the program entry, ``supercong.__main__.run``, freezes it after
+``main`` returns, so that the process exits without collecting the module
+cycles of its teardown.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -293,8 +299,17 @@ _CSV_COLUMNS = ("theorem", "p", "e", *_PARAM_COLUMNS, "hypothesis_holds",
 # The header row as csv.writer writes it: no column name needs quoting.
 _CSV_HEADER = (",".join(_CSV_COLUMNS) + "\r\n").encode()
 
-# The string escape json.dumps applies (ensure_ascii).
-_json_str = json.encoder.encode_basestring_ascii
+
+def _json_str(s: str) -> str:
+    """``s`` as ``json.dumps`` writes it (ensure_ascii).  A string of
+    printable ASCII without ``"`` or ``\\``, every name and status the
+    program writes, needs no escape; only another loads ``json``."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    from json.encoder import encode_basestring_ascii
+    return encode_basestring_ascii(s)
+
+
 # A point's code, 2 * hypothesis + conclusion, indexes its status and the
 # text of the fields that depend only on it: its status (JSONL), the run
 # from conclusion_holds to hypothesis_holds, which holds e (JSONL, filled

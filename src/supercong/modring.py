@@ -26,19 +26,26 @@ Rational = Union[Fraction, int]
 # t_0 = 1 and t_k / t_{k-1} = c * prod_i (s_i k + r_i) / k^d (see hyper_terms).
 Spec = Tuple[int, Tuple[Tuple[int, int], ...], int, int]
 
-# Deterministic Miller-Rabin witness sets: the full set is exact for all
-# n < 3.3e24 (in particular the whole sweep range below 2^64), the first four
-# bases for all n below the smallest strong pseudoprime to all of them.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_SMALL = _MR_WITNESSES[:4]
-_MR_SMALL_BOUND = 3_215_031_751
+# Deterministic Miller-Rabin witness sets.  The first k primes as bases are
+# exact for every n below psi_k, the smallest strong pseudoprime to all of
+# them.  The full set, the first 13 primes, is exact below
+# psi_13 = 3317044064679887385961981 > 3.3e24 (the first 12 are not:
+# psi_12 = 318665857834031151167461 passes them).  Each tier
+# (psi_k, first k primes) tests the n below its bound with fewer bases.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_TIERS = ((1_373_653, _MR_WITNESSES[:2]), (3_215_031_751, _MR_WITNESSES[:4]))
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin primality test (exact for n < 3.3e24),
+    with the fewest bases of :data:`_MR_TIERS` that are exact for ``n``."""
     if n < 2:
         return False
-    witnesses = _MR_SMALL if n < _MR_SMALL_BOUND else _MR_WITNESSES
+    for bound, witnesses in _MR_TIERS:
+        if n < bound:
+            break
+    else:
+        witnesses = _MR_WITNESSES
     for q in witnesses:
         if n % q == 0:
             return n == q

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from math import comb
 
 import pytest
 
+import supercong.__main__
 from supercong import cli, modring, oracle
 from supercong import congruences as cg
 from supercong.cli import (
@@ -204,6 +206,71 @@ def test_a_quiet_fixed_argument_check_imports_neither_logging_nor_csv():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.splitlines()[-1] == "0 False False", out.stderr
+
+
+def _fresh(args, cwd=None):
+    """A fresh interpreter run on ``args``, with the package on its path and
+    SUPERCONG_LOG unset."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("SUPERCONG_LOG", None)
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                          timeout=60)
+
+
+def test_the_program_entry_exits_with_the_code_output_and_reports_of_main(
+        tmp_path, monkeypatch, capsys):
+    argv = ["check", "thm2.3", "--exhaustive-am", "--primes", "3..13",
+            "--out", "r.jsonl", "--csv", "r.csv"]
+    out = _fresh(["-m", "supercong", *argv], cwd=tmp_path)
+    assert (out.returncode, out.stderr) == (1, b"")
+    here = tmp_path / "in-process"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    assert main(argv) == 1
+    assert capsys.readouterr().out.encode() == out.stdout
+    for name in ("r.jsonl", "r.csv"):
+        assert (here / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "thm2.1", "--exhaustive-am", "--primes", "3..13", "--out", "r.jsonl",
+     "--csv", "r.csv"],
+    ["explore", "remark2.3", "--primes", "3..50", "--out", "r.jsonl"],
+], ids=["check-grid", "explore"])
+def test_the_program_entry_freezes_the_collector_and_never_loads_json(argv, tmp_path):
+    code = ("import gc, runpy, sys\n"
+            f"sys.argv = ['supercong', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('supercong', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, 'json' in sys.modules, gc.get_freeze_count() > 0)\n")
+    out = _fresh(["-c", code], cwd=tmp_path)
+    assert out.stdout.decode().splitlines()[-1] == "0 False True", out.stderr
+
+
+def test_main_itself_never_freezes_the_collector():
+    out = _fresh(["-c", "import gc\nfrom supercong.cli import main\n"
+                        "main(['check', 'eq1.2', '--primes', '5..7'])\n"
+                        "print(gc.get_freeze_count())"])
+    assert out.stdout.decode().splitlines()[-1] == "0", out.stderr
+
+
+def test_the_installed_script_is_the_program_entry():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["supercong"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is supercong.__main__.run
+
+
+# Both sides of the fast path: printable ASCII, a quote, a backslash, a
+# control character, DEL, C1, Latin-1 and an astral character.
+@pytest.mark.parametrize("s", ["", "1/3", "two_three", 'a"b', "a\\b", "\x0b", "\x7f", "\x85",
+                               "\u00e9", "\U0001d11e"])
+def test_json_str_writes_the_string_as_json_dumps(s):
+    assert cli._json_str(s) == json.dumps(s)
 
 
 def test_run_checks_library_surface():

@@ -44,15 +44,23 @@ def test_is_prime_large_cases():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
     assert is_prime(99991)
     assert not is_prime(99991 * 99989)
+    # strong pseudoprime to the first 12 primes as bases
+    assert not is_prime(318665857834031151167461)
 
 
 def test_is_prime_small_witness_set_is_exact_below_its_bound(monkeypatch):
-    # strong pseudoprimes to bases 2, 3, 5 and to bases 2, 3, 5, 7
-    assert not is_prime(25326001)
-    assert not is_prime(3215031751)
-    small = [is_prime(n) for n in range(2 * 10**5)]
-    monkeypatch.setattr(modring, "_MR_SMALL", modring._MR_WITNESSES)
-    assert small == [is_prime(n) for n in range(2 * 10**5)]
+    # strong pseudoprimes to bases 2, 3; to 2, 3, 5; to 2, 3, 5, 7; and to
+    # the first 12 primes
+    for n in (1373653, 25326001, 3215031751, 318665857834031151167461):
+        assert not is_prime(n)
+    tiers = modring._MR_TIERS
+    monkeypatch.setattr(modring, "_MR_TIERS", ())
+    full = [is_prime(n) for n in range(2 * 10**5)]
+    for bound, witnesses in tiers:
+        monkeypatch.setattr(modring, "_MR_TIERS", ((bound + 1, witnesses),))
+        # the tier's bases pass its bound, so the tier stops there
+        assert is_prime(bound)
+        assert full == [is_prime(n) for n in range(2 * 10**5)]
 
 
 def test_make_context_builds_factorial_tables():
